@@ -150,14 +150,7 @@ let explain_class comp = function
   | Decomp.Ghd g ->
       Printf.sprintf "cyclic -> hypertree decomposition (width %d) + join-tree DP"
         (Ghd.width g)
-  | Decomp.Backtrack ->
-      let why =
-        if Query.has_neqs comp then
-          if Wcoj.supports_neqs comp then "inequalities (wcoj disabled)"
-          else "inequalities (variable outside every atom)"
-        else "cyclic (wcoj disabled)"
-      in
-      why ^ " -> backtracking kernel"
+  | Decomp.Backtrack -> "backtracking kernel"
 
 let explain_text groups =
   List.iteri
@@ -165,19 +158,14 @@ let explain_text groups =
       Printf.printf "component %d (x%d): %s\n" (i + 1) mult (Query.to_string comp);
       let s = Decomp.choose comp in
       Printf.printf "  class: %s\n" (explain_class comp s);
-      match s with
-      | Decomp.Dp _ ->
-          print_string "  join tree:\n";
-          List.iter (fun l -> Printf.printf "    %s\n" l) (Decomp.render s)
-      | Decomp.Wcoj w ->
-          Printf.printf "  variable order: %s\n"
-            (String.concat " -> " (Wcoj.variable_order w))
-      | Decomp.Ghd g ->
-          print_string "  decomposition:\n";
-          List.iter (fun l -> Printf.printf "    %s\n" l) (Ghd.render g)
-      | Decomp.Backtrack ->
-          Printf.printf "  join order: %s\n"
-            (String.concat " -> " (List.map atom_str (Plan.ordered_atoms comp))))
+      let header, indent =
+        match s with
+        | Decomp.Dp _ -> ("  join tree:\n", "    ")
+        | Decomp.Ghd _ -> ("  decomposition:\n", "    ")
+        | Decomp.Wcoj _ | Decomp.Backtrack -> ("", "  ")
+      in
+      print_string header;
+      List.iter (fun l -> Printf.printf "%s%s\n" indent l) (Decomp.render s))
     groups
 
 (* The machine-readable plan report: stable field names, one object per
@@ -201,7 +189,11 @@ let explain_json q groups =
       match s with
       | Decomp.Dp _ -> ("dp", [ ("join_tree", strs (Decomp.render s)) ])
       | Decomp.Wcoj w ->
-          ("wcoj", [ ("variable_order", strs (Wcoj.variable_order w)) ])
+          ( "wcoj",
+            [
+              ("variable_order", strs (Wcoj.variable_order w));
+              ("domain_ranks", strs (Wcoj.domain_vars w));
+            ] )
       | Decomp.Ghd g ->
           ( "ghd",
             [
@@ -209,12 +201,7 @@ let explain_json q groups =
               ("bags", Json.Int (Ghd.nbags g));
               ("decomposition", bag_json (Ghd.root g));
             ] )
-      | Decomp.Backtrack ->
-          ( "backtrack",
-            [
-              ( "join_order",
-                strs (List.map atom_str (Plan.ordered_atoms comp)) );
-            ] )
+      | Decomp.Backtrack -> ("backtrack", [])
     in
     Json.Obj
       ([
@@ -258,8 +245,8 @@ let explain_cmd =
        ~doc:"Show the evaluation plan: connected components with \
              multiplicities (repeated components are counted once and \
              raised to their power), structural classification, and the \
-             join tree, leapfrog variable order, hypertree decomposition \
-             or backtracking join order per component.  $(b,--json) emits \
+             join tree, leapfrog variable order (domain ranks marked) or \
+             hypertree decomposition per component.  $(b,--json) emits \
              the same report as JSON.")
     Cmdliner.Term.(ret (const run $ query $ json))
 

@@ -14,12 +14,11 @@ let wcoj_selected = Metrics.counter Metrics.global "plan_wcoj_selected"
 let ghd_selected = Metrics.counter Metrics.global "plan_ghd_selected"
 let fallback_selected = Metrics.counter Metrics.global "plan_fallback"
 
-(* Escape hatches, read per {!choose} call — value-sensitive, so a test
-   (or an operator attaching to a live server) can un-set a hatch by
-   overwriting it with [""] or ["0"]: [Unix.putenv] cannot remove a
-   variable from the environment, only rewrite it. *)
-let env_flag name =
-  match Sys.getenv_opt name with
+(* The one escape hatch, read per {!choose} call and value-sensitive, so a
+   test can un-set it by overwriting it with [""] or ["0"]: [Unix.putenv]
+   cannot remove a variable from the environment, only rewrite it. *)
+let no_ghd () =
+  match Sys.getenv_opt "BAGCQ_NO_GHD" with
   | Some s when s <> "" && s <> "0" -> true
   | _ -> false
 
@@ -162,30 +161,19 @@ let weak_ranks w =
   !weak
 
 let choose q =
-  (* Hatches are read per call so a long-lived server honours the
-     variables at plan time, not at module initialisation. *)
-  let no_wcoj = env_flag "BAGCQ_NO_WCOJ" in
-  if Query.has_neqs q then begin
-    (* Inequalities ride the leapfrog as per-rank filters when every
-       inequality variable is joined somewhere; a variable occurring only
-       in ≠ atoms ranges over the whole active domain, which only the
-       backtracking kernel enumerates. *)
-    if (not no_wcoj) && Wcoj.supports_neqs q then Wcoj (Wcoj.compile q)
-    else Backtrack
-  end
+  (* Inequalities ride the leapfrog as per-rank filters, and a variable
+     occurring only in ≠ atoms as a domain rank. *)
+  if Query.has_neqs q then Wcoj (Wcoj.compile q)
   else
     match join_tree (Array.of_list (Query.atoms q)) with
     | Some t -> Dp t
-    | None ->
-        if no_wcoj then Backtrack
-        else begin
-          let w = Wcoj.compile q in
-          if (not (env_flag "BAGCQ_NO_GHD")) && weak_ranks w >= 4 then
-            match Ghd.plan q with
-            | Some g when Ghd.width g <= 2 -> Ghd g
-            | _ -> Wcoj w
-          else Wcoj w
-        end
+    | None -> (
+        let w = Wcoj.compile q in
+        if no_ghd () || weak_ranks w < 4 then Wcoj w
+        else
+          match Ghd.plan q with
+          | Some g when Ghd.width g <= 2 -> Ghd g
+          | _ -> Wcoj w)
 
 (* Strategy counters are bumped here rather than inside {!choose}: [Eval]
    and the store call {!choose} only on plan-cache misses and record the
@@ -299,6 +287,14 @@ let count_tree ?budget (t : tree) d =
   match pass t with
   | tbl -> Option.value ~default:Nat.zero (KeyTbl.find_opt tbl [||])
   | exception Unsat_const -> Nat.zero
+
+(* The one component executor, shared by [Eval] and the store. *)
+let count ?budget strategy comp d =
+  match strategy with
+  | Dp t -> count_tree ?budget t d
+  | Wcoj w -> Wcoj.count ?budget w d
+  | Ghd g -> Ghd.count ?budget g d
+  | Backtrack -> Nat.of_int (Solver.count ?budget comp d)
 
 (* ---------------- materialised DP state (incremental maintenance) ------ *)
 
@@ -594,11 +590,10 @@ let dp_delta ?budget dp d sym (tup : Tuple.t) ~add =
 let render = function
   | Backtrack -> [ "backtracking kernel" ]
   | Wcoj p ->
-      [
-        "worst-case-optimal leapfrog join";
-        "variable order: " ^ String.concat " -> " (Wcoj.variable_order p);
-      ]
-  | Ghd g -> "hypertree decomposition + join-tree DP over bags" :: Ghd.render g
+      let domain = Wcoj.domain_vars p in
+      let mark x = if List.mem x domain then x ^ " (domain)" else x in
+      [ "variable order: " ^ String.concat " -> " (List.map mark (Wcoj.variable_order p)) ]
+  | Ghd g -> Ghd.render g
   | Dp t ->
       let lines = ref [] in
       let rec go depth node =

@@ -9,18 +9,19 @@
     components with multiplicities (so [θ↑k] costs one component search
     plus one [Nat.pow]), and {!choose} classifies each component — GYO
     reduction sends α-acyclic components to the join-tree dynamic program
-    ({!count_tree}: polynomial in the structure), cyclic components run
-    the leapfrog kernel ({!Wcoj}) or, when the order is weak and a
-    width ≤ 2 decomposition exists, the join-tree DP over hypertree bags
-    ({!Ghd}); the compiled backtracking kernel survives for components
-    whose inequalities the leapfrog cannot filter, and behind the escape
-    hatches.
+    ({!count_tree}: polynomial in the structure), components with
+    inequalities and cyclic ones run the leapfrog kernel ({!Wcoj}) or, when
+    a cyclic order is weak and a width ≤ 2 decomposition exists, the
+    join-tree DP over hypertree bags ({!Ghd}).  {!count} runs whichever
+    was chosen; [Eval] and the store both count through it.
 
     Plan selection is observable through five process-wide counters in
     {!Bagcq_obs.Metrics.global}: [plan_components] (components seen by
     {!factor}), and [plan_dp_selected] / [plan_wcoj_selected] /
     [plan_ghd_selected] / [plan_fallback] — bumped by {!record_choice} on
-    cold plans only, so the family tracks plan-cache misses. *)
+    cold plans only, so the family tracks plan-cache misses.
+    [plan_fallback] stays registered and reads 0: {!choose} never picks
+    the backtracking kernel. *)
 
 open Bagcq_bignum
 open Bagcq_cq
@@ -53,30 +54,27 @@ type tree = {
 type strategy =
   | Dp of tree  (** α-acyclic, no inequalities: count by {!count_tree} *)
   | Wcoj of Wcoj.plan
-      (** cyclic, or inequalities filterable by the leapfrog:
-          worst-case-optimal leapfrog join *)
+      (** cyclic, or carrying inequalities: worst-case-optimal leapfrog
+          join *)
   | Ghd of Ghd.t
       (** cyclic with a weak leapfrog order but small hypertree width:
           join-tree DP over materialised decomposition bags *)
   | Backtrack
-      (** inequality variables outside every atom, or an escape hatch
-          set: compiled backtracking kernel *)
+      (** compiled backtracking kernel ({!Solver}): never chosen, kept so
+          a caller can run the baseline through {!count} *)
 
 val choose : Query.t -> strategy
 (** Classify one component (callers pass the elements of {!factor}).
-    Components with inequalities run the leapfrog with per-rank ≠ filters
-    when {!Wcoj.supports_neqs} holds, and backtrack otherwise (a variable
-    occurring only in ≠ atoms ranges over the whole domain and is no
-    hyperedge).  Otherwise GYO reduction decides: one surviving edge
-    means α-acyclic (join-tree DP); a cyclic residue compiles the
-    leapfrog plan, and when its variable order has ≥ 4 weak ranks
-    (iterators unsupported by any earlier binding — {!Wcoj.rank_supports})
-    {e and} {!Ghd.plan} finds a width ≤ 2 decomposition, the component
-    runs the decomposition instead.  Escape hatches, read per call and
-    value-sensitive (unset, [""] and ["0"] all mean "off"):
-    [BAGCQ_NO_WCOJ] restores the backtracking fallback for everything
-    cyclic (and disables ≠ filtering), [BAGCQ_NO_GHD] pins cyclic
-    components to the leapfrog.
+    Components with inequalities run the leapfrog, with ≠ filters and a
+    domain rank per variable occurring only in ≠ atoms.  Otherwise GYO
+    reduction decides: one surviving edge means α-acyclic (join-tree DP);
+    a cyclic residue compiles the leapfrog plan, and when its variable
+    order has ≥ 4 weak ranks (iterators unsupported by any earlier
+    binding — {!Wcoj.rank_supports}) {e and} {!Ghd.plan} finds a width ≤ 2
+    decomposition, the component runs the decomposition instead.  The
+    [BAGCQ_NO_GHD] escape hatch, read per call and value-sensitive (unset,
+    [""] and ["0"] all mean "off"), pins cyclic components to the
+    leapfrog.  Never returns [Backtrack].
 
     {!choose} does not touch the [plan_*] counters — callers holding a
     plan cache call {!record_choice} on misses. *)
@@ -97,6 +95,17 @@ val count_tree :
     dwarf the work done computing them.  With [?budget] every tuple
     considered ticks once per node (plus one tick per node entered), and
     the call unwinds with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
+
+val count :
+  ?budget:Bagcq_guard.Budget.t ->
+  strategy ->
+  Query.t ->
+  Bagcq_relational.Structure.t ->
+  Nat.t
+(** [count s comp D] = |Hom(comp, D)|, run by [s] — which must be
+    [choose comp], or [Backtrack], which runs any component.  The
+    component executor that [Eval] and the store share.  [?budget] ticks
+    as the chosen kernel documents. *)
 
 (** {2 Materialised DP state}
 
@@ -155,6 +164,6 @@ val dp_delta :
 
 val render : strategy -> string list
 (** Human-readable plan lines for [bagcq explain]: the join tree indented
-    two spaces per depth with [key] annotations, the leapfrog strategy
-    with its variable order, or the backtracking fallback note.
-    Deterministic. *)
+    two spaces per depth with [key] annotations, the leapfrog variable
+    order with its domain ranks marked [(domain)], the decomposition's bag
+    tree, or the backtracking note.  Deterministic. *)

@@ -3,23 +3,11 @@ open Bagcq_cq
 
 module QueryMap = Map.Make (Query)
 
-(* One per-component execution strategy, chosen by [Decomp.choose] on the
-   first encounter with a canonical component: acyclic inequality-free
-   components count by join-tree dynamic programming, cyclic ones by the
-   worst-case-optimal leapfrog kernel (which also filters inequalities)
-   or — weak leapfrog order, small hypertree width — by the join-tree DP
-   over decomposition bags, and components whose inequality variables
-   escape every atom by the compiled backtracking kernel. *)
-type strategy =
-  | Dp of Decomp.tree
-  | Leapfrog of Wcoj.plan
-  | Hyper of Ghd.t
-  | Search of Plan.t
-
-(* The evaluation cache.  [plans] maps a canonical component to its
-   strategy and is never invalidated (strategies depend only on the query);
-   [counts] memoises per-component counts against [counts_for], compared by
-   physical identity — a hunt switches structures thousands of times, and
+(* The evaluation cache.  [plans] maps a canonical component to the
+   strategy [Decomp.choose] picked on first encounter and is never
+   invalidated (strategies depend only on the query); [counts] memoises
+   per-component counts against [counts_for], compared by physical
+   identity — a hunt switches structures thousands of times, and
    re-keying on the structure pointer makes the table a cheap per-database
    memo that still amortises across repeated components (∧̄ / ↑ powers).
    Without a caller-supplied cache every [count] call gets a fresh one, so
@@ -41,7 +29,7 @@ module Metrics = Bagcq_obs.Metrics
    hunts allocate one cache per worker and those must not leak into a
    process-wide dump. *)
 type cache = {
-  plans : strategy QueryMap.t ref;
+  plans : Decomp.strategy QueryMap.t ref;
   counts : Nat.t QueryMap.t ref;
   mutable counts_for : Bagcq_relational.Structure.t option;
   plan_hits : Metrics.counter;
@@ -84,17 +72,10 @@ let plan_for cache key =
       p
   | None ->
       Metrics.incr cache.plan_misses;
-      let choice = Decomp.choose key in
+      let p = Decomp.choose key in
       (* cold plan: this is the one site where the plan_* selection
          counters advance, so they track plan-cache misses exactly *)
-      Decomp.record_choice choice;
-      let p =
-        match choice with
-        | Decomp.Dp t -> Dp t
-        | Decomp.Wcoj w -> Leapfrog w
-        | Decomp.Ghd g -> Hyper g
-        | Decomp.Backtrack -> Search (Plan.compile key)
-      in
+      Decomp.record_choice p;
       cache.plans := QueryMap.add key p !(cache.plans);
       p
 
@@ -113,11 +94,7 @@ let with_cache cache d =
   | None -> create_cache ()
 
 (* One memoised count per canonical component ([Decomp.factor] already
-   canonicalised the key).  Acyclic inequality-free components run the
-   join-tree DP; everything else — cyclic cores, components carrying
-   inequalities, all-constant singletons with inequalities — runs the
-   compiled kernel, whose count always fits an int (it is bounded by the
-   backtracking work done). *)
+   canonicalised the key), run by the shared component executor. *)
 let count_memo ?budget cache key d =
   match QueryMap.find_opt key !(cache.counts) with
   | Some c ->
@@ -125,13 +102,7 @@ let count_memo ?budget cache key d =
       c
   | None ->
       Metrics.incr cache.count_misses;
-      let c =
-        match plan_for cache key with
-        | Dp t -> Decomp.count_tree ?budget t d
-        | Leapfrog w -> Wcoj.count ?budget w d
-        | Hyper g -> Ghd.count ?budget g d
-        | Search p -> Nat.of_int (Solver.count_plan ?budget p d)
-      in
+      let c = Decomp.count ?budget (plan_for cache key) key d in
       cache.counts := QueryMap.add key c !(cache.counts);
       c
 
@@ -152,14 +123,11 @@ let count ?budget ?cache q d =
 
 let count_int ?budget ?cache q d = Nat.to_int (count ?budget ?cache q d)
 
+(* Satisfied iff every component counts non-zero. *)
 let satisfies ?budget ?cache d q =
   let cache = with_cache cache d in
   List.for_all
-    (fun (comp, _mult) ->
-      match plan_for cache comp with
-      | Dp _ | Leapfrog _ | Hyper _ ->
-          not (Nat.is_zero (count_memo ?budget cache comp d))
-      | Search p -> Solver.exists_plan ?budget p d)
+    (fun (comp, _mult) -> not (Nat.is_zero (count_memo ?budget cache comp d)))
     (Decomp.factor q)
 
 let count_pquery_factored ?budget ?cache pq d =

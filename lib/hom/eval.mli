@@ -14,10 +14,11 @@ open Bagcq_cq
 type cache
 (** An evaluation cache: one execution strategy per canonical component —
     a join-tree dynamic program for acyclic inequality-free components, a
-    worst-case-optimal leapfrog plan (with ≠ filters) or a bounded-width
-    hypertree decomposition for cyclic ones, a compiled backtracking plan
-    otherwise, chosen by {!Decomp.choose} and kept for the cache's
-    lifetime (strategies depend only on the query) — plus component
+    worst-case-optimal leapfrog plan (with ≠ filters and domain ranks) for
+    components with inequalities, the leapfrog or a bounded-width
+    hypertree decomposition for cyclic ones, chosen by {!Decomp.choose},
+    run by {!Decomp.count} and kept for the cache's lifetime (strategies
+    depend only on the query) — plus component
     counts for the most recent structure (invalidated whenever evaluation
     moves to a structure that is not physically the same).  Cold plans
     call {!Decomp.record_choice}, so the process-wide [plan_*] selection
@@ -49,8 +50,8 @@ val cache_counters : cache -> (string * Bagcq_obs.Metrics.counter) list
     caches should not be registered (they are transient). *)
 
 val count : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Structure.t -> Nat.t
-(** [count ψ D = ψ(D)].  With [?budget], the underlying backtracking ticks
-    the budget and the call unwinds with {!Bagcq_guard.Budget.Exhausted_}
+(** [count ψ D = ψ(D)].  With [?budget], the component kernels tick the
+    budget and the call unwinds with {!Bagcq_guard.Budget.Exhausted_}
     if it trips (same for every [?budget] below).  With [?cache], plan
     compilation and per-component counts are shared across calls; without
     it each call memoises only within itself (the seed behaviour). *)
@@ -59,7 +60,8 @@ val count_int : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Struc
 (** Convenience for tests; raises [Failure] if the count overflows. *)
 
 val satisfies : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Structure.t -> Query.t -> bool
-(** [D ⊨ ψ]: [Hom(ψ,D)] is non-empty. *)
+(** [D ⊨ ψ]: [Hom(ψ,D)] is non-empty, i.e. every component counts
+    non-zero. *)
 
 val count_pquery :
   ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Pquery.t -> Structure.t -> Nat.t

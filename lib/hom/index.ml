@@ -159,7 +159,7 @@ let build_view si (order : int array) =
       let col = si.cols.(order.(l)) in
       Array.init n (fun r -> col.(rows.(r))))
 
-let view si (order : int array) =
+let memo_view si (order : int array) =
   Mutex.lock si.views_lock;
   match Hashtbl.find_opt si.views order with
   | Some v ->
@@ -180,3 +180,11 @@ let view si (order : int array) =
       in
       Mutex.unlock si.views_lock;
       v
+
+(* Rows are sorted by [Tuple.compare] and codes follow [Value.compare], so
+   under the identity order the column store already is the view: no sort,
+   no copy, nothing memoised. *)
+let view si (order : int array) =
+  let identity = ref true in
+  Array.iteri (fun l pos -> if pos <> l then identity := false) order;
+  if !identity then si.cols else memo_view si order

@@ -65,4 +65,6 @@ val view : sym_index -> int array -> int array array
     code at position [order.(l)] of the [r]-th tuple in that sort.  Rows
     sharing a code prefix are contiguous, so a trie iterator is a stack of
     [(lo, hi)] ranges and [seek] is a gallop within the current range.
-    Memoised per [(relation, order)]; shared — do not mutate. *)
+    The identity order returns the column store itself, which is already
+    in that sort; other orders are memoised per [(relation, order)].
+    Shared — do not mutate. *)

@@ -201,7 +201,3 @@ let compile q =
 
 let nvars p = p.nvars
 let num_nodes p = Array.length p.nodes
-
-let ordered_atoms q =
-  let atoms = Array.of_list (Query.atoms q) in
-  Array.to_list (Array.map (fun ai -> atoms.(ai)) (order_atoms atoms))

@@ -47,7 +47,3 @@ type t = {
 val compile : Bagcq_cq.Query.t -> t
 val nvars : t -> int
 val num_nodes : t -> int
-
-val ordered_atoms : Bagcq_cq.Query.t -> Bagcq_cq.Atom.t list
-(** The greedy static join order {!compile} would execute the query's
-    atoms in — for [bagcq explain], without compiling. *)

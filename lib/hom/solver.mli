@@ -58,7 +58,6 @@ val fold :
     {!Eval} caches plans per canonical component for exactly this reason. *)
 
 val count_plan : ?budget:Bagcq_guard.Budget.t -> Plan.t -> Structure.t -> int
-val exists_plan : ?budget:Bagcq_guard.Budget.t -> Plan.t -> Structure.t -> bool
 
 val iter_plan :
   ?budget:Bagcq_guard.Budget.t -> (assignment -> unit) -> Plan.t -> Structure.t -> unit

@@ -24,39 +24,25 @@ type atom_plan = {
 
 (* One compiled inequality, attached to the later of its two ranks (or to
    the variable's own rank for a variable-vs-constant test), checked the
-   moment the leapfrog binds that rank: [F_var r] is "≠ the code bound at
-   rank r" and [F_const i] is "≠ the i-th neq constant" — whose code is
-   resolved per structure at count time, because an interpreted constant
-   outside the active domain makes the test vacuous rather than the count
-   zero. *)
+   moment that rank binds a value: [F_var r] is "≠ the code bound at rank
+   r" and [F_const i] is "≠ the i-th constant", whose code is resolved per
+   structure at count time. *)
 type filter = F_var of int | F_const of int
 
 type plan = {
   atoms : atom_plan array;
-  occs : occ array array;  (* per variable rank, in atom order *)
-  consts : string array;
+  occs : occ array array;
+      (* per variable rank, in atom order; empty at a domain rank *)
+  consts : string array;  (* join and ≠ constants alike *)
   var_order : string array;
   filters : filter array array;  (* per variable rank *)
-  neq_consts : string array;  (* constants appearing in ≠ atoms *)
   neq_const_pairs : (int * int) list;  (* c ≠ c' between two constants *)
 }
 
 let variable_order p = Array.to_list p.var_order
 
-(* A component's inequalities fit the leapfrog iff every inequality
-   variable is joined somewhere — a variable occurring only in ≠ atoms
-   ranges over the whole active domain, which the trie iterators never
-   enumerate, so such components keep the backtracking kernel. *)
-let supports_neqs q =
-  Query.atoms q <> []
-  &&
-  let atom_vars =
-    List.fold_left
-      (fun acc a -> List.fold_left (fun acc x -> x :: acc) acc (Atom.vars a))
-      [] (Query.atoms q)
-  in
-  let ok = function Term.Var x -> List.mem x atom_vars | Term.Cst _ -> true in
-  List.for_all (fun (a, b) -> ok a && ok b) (Query.neqs q)
+let domain_vars p =
+  List.filteri (fun r _ -> p.occs.(r) = [||]) (variable_order p)
 
 (* Order quality, for the planner's cost model: how many of a rank's
    iterators sit below an earlier *variable* level of their atom — i.e.
@@ -122,11 +108,16 @@ let choose_var_order (atoms : Atom.t array) =
   Array.of_list (List.rev !order)
 
 let compile q =
-  if Query.has_neqs q && not (supports_neqs q) then
-    invalid_arg "Wcoj.compile: inequality variable outside the query's atoms";
   Metrics.incr plans_compiled;
   let atoms = Array.of_list (Query.atoms q) in
-  let var_order = choose_var_order atoms in
+  (* Variables occurring only in ≠ atoms have no iterator: they trail the
+     joined ones as domain ranks, by name. *)
+  let var_order =
+    let joined = choose_var_order atoms in
+    Array.append joined
+      (Array.of_list
+         (List.filter (fun x -> not (Array.mem x joined)) (Query.vars q)))
+  in
   let rank = Hashtbl.create 16 in
   Array.iteri (fun r x -> Hashtbl.add rank x r) var_order;
   let const_tbl = Hashtbl.create 8 in
@@ -181,25 +172,10 @@ let compile q =
         done;
         { sym = Atom.sym a; order; const_ids = cids })
   in
-  (* Inequalities become per-rank filters.  A variable-variable test runs
-     at the later rank against the earlier binding; x ≠ x degenerates to a
-     filter at x's own rank against itself, which [count] sets before
-     checking — always equal, hence correctly unsatisfiable.  Constants in
-     ≠ atoms are interned separately from join constants: a join constant
-     outside the active domain empties the whole count, a filter constant
-     outside it is merely vacuous. *)
-  let neqc_tbl = Hashtbl.create 4 in
-  let neqc_list = ref [] and n_neqc = ref 0 in
-  let neqc_id c =
-    match Hashtbl.find_opt neqc_tbl c with
-    | Some i -> i
-    | None ->
-        let i = !n_neqc in
-        incr n_neqc;
-        Hashtbl.add neqc_tbl c i;
-        neqc_list := c :: !neqc_list;
-        i
-  in
+  (* Inequalities become per-rank filters: a variable-variable test runs
+     at the later rank against the earlier binding.  A ≠ constant shares
+     the join constants' table: wherever it occurs, an uninterpreted
+     constant empties the count. *)
   let filters = Array.make (max 1 nranks) [] in
   let const_pairs = ref [] in
   List.iter
@@ -211,8 +187,8 @@ let compile q =
           filters.(r) <- F_var (min rx ry) :: filters.(r)
       | Term.Var x, Term.Cst c | Term.Cst c, Term.Var x ->
           let r = Hashtbl.find rank x in
-          filters.(r) <- F_const (neqc_id c) :: filters.(r)
-      | Term.Cst c, Term.Cst c' -> const_pairs := (neqc_id c, neqc_id c') :: !const_pairs)
+          filters.(r) <- F_const (const_id c) :: filters.(r)
+      | Term.Cst c, Term.Cst c' -> const_pairs := (const_id c, const_id c') :: !const_pairs)
     (Query.neqs q);
   {
     atoms = atom_plans;
@@ -221,7 +197,6 @@ let compile q =
     consts = Array.of_list (List.rev !const_list);
     var_order;
     filters = Array.init (max 1 nranks) (fun r -> Array.of_list (List.rev filters.(r)));
-    neq_consts = Array.of_list (List.rev !neqc_list);
     neq_const_pairs = List.rev !const_pairs;
   }
 
@@ -295,35 +270,22 @@ let count ?budget (p : plan) d =
   in
   let compute () =
     let idx = Index.get d in
+    (* An uninterpreted constant admits no homomorphism at all (the
+       reference solver's semantics).  An interpreted one always has a
+       code: the index domain is [Structure.domain], which folds in every
+       interpretation.  Two constants interpreted equal refute a c ≠ c'
+       outright. *)
     let ccodes =
       Array.map
         (fun c ->
           match Structure.interpretation d c with
           | None -> raise_notrace Unsat
-          | Some v -> (
-              match Index.code idx v with
-              | None -> raise_notrace Unsat
-              | Some code -> code))
+          | Some v -> Option.get (Index.code idx v))
         p.consts
     in
-    (* ≠ constants: an uninterpreted constant admits no homomorphism at
-       all (the reference solver's semantics), two constants interpreted
-       equal refute a c ≠ c' outright, and a constant interpreted outside
-       the active domain leaves its filters vacuous ([None] code — a trie
-       value can never equal it). *)
-    let neq_vals =
-      Array.map
-        (fun c ->
-          match Structure.interpretation d c with
-          | None -> raise_notrace Unsat
-          | Some v -> v)
-        p.neq_consts
-    in
     List.iter
-      (fun (i, j) ->
-        if Value.equal neq_vals.(i) neq_vals.(j) then raise_notrace Unsat)
+      (fun (i, j) -> if ccodes.(i) = ccodes.(j) then raise_notrace Unsat)
       p.neq_const_pairs;
-    let neq_codes = Array.map (Index.code idx) neq_vals in
     let iatoms =
       Array.map
         (fun ap ->
@@ -382,9 +344,10 @@ let count ?budget (p : plan) d =
         rt_occs
     in
     (* Codes bound at earlier ranks, for the ≠ filters.  Written at every
-       [match_found] — cheap enough to skip gating — and read only by
-       deeper ranks' filters, which always run after the write because the
-       leaf specialisations fire at the last rank alone. *)
+       [match_found] and domain-rank value — cheap enough to skip gating —
+       and read only by deeper ranks' filters, which always run after the
+       write because the leaf specialisations fire at the last rank
+       alone. *)
     let bound = Array.make (max 1 nranks) (-1) in
     let rank_has_filters = Array.map (fun fs -> Array.length fs > 0) p.filters in
     let filters_pass r v =
@@ -394,14 +357,25 @@ let count ?budget (p : plan) d =
         i = nf
         || (match fs.(i) with
            | F_var r' -> v <> bound.(r')
-           | F_const ci -> (
-               match neq_codes.(ci) with None -> true | Some c -> v <> c))
+           | F_const ci -> v <> ccodes.(ci))
            && ok (i + 1)
       in
       ok 0
     in
+    (* How many distinct codes rank [r]'s filters forbid.  Each is a
+       domain code (a bound value, or an interpreted constant). *)
+    let forbidden r =
+      let fs = p.filters.(r) in
+      let code i = match fs.(i) with F_var r' -> bound.(r') | F_const ci -> ccodes.(ci) in
+      let rec fresh i j = j = i || (code j <> code i && fresh i (j + 1)) in
+      let n = ref 0 in
+      Array.iteri (fun i _ -> if fresh i 0 then incr n) fs;
+      !n
+    in
+    let ndom = Array.length (Index.domain idx) in
     let rec go r =
       if r = nranks then add 1
+      else if Array.length rt_occs.(r) = 0 then domain_rank r
       else begin
         let entries = rt_occs.(r) in
         let k = Array.length entries in
@@ -507,6 +481,23 @@ let count ?budget (p : plan) d =
           end
         end
       end
+    (* A domain rank binds a variable that occurs only in ≠ atoms, so it
+       ranges over the whole domain.  Innermost, every code the filters do
+       not forbid extends the prefix exactly once: one tick, no walk.
+       Further out, it walks the codes, one tick each. *)
+    and domain_rank r =
+      if r = nranks - 1 then begin
+        tick ();
+        add (ndom - forbidden r)
+      end
+      else
+        for v = 0 to ndom - 1 do
+          tick ();
+          if filters_pass r v then begin
+            bound.(r) <- v;
+            go (r + 1)
+          end
+        done
     in
     go 0;
     flush_acc ();

@@ -1,6 +1,6 @@
-(** Worst-case-optimal counting for cyclic components: a Leapfrog-Triejoin
-    style multiway intersection over the sorted columnar indexes of
-    {!Index}.
+(** Worst-case-optimal counting for cyclic components and for components
+    with inequalities: a Leapfrog-Triejoin style multiway intersection over
+    the sorted columnar indexes of {!Index}.
 
     The classic backtracking kernel joins one {e atom} at a time; on cyclic
     queries (triangles, the paper's CYCLIQ family, the Arena/ζ_b reduction
@@ -26,38 +26,38 @@
     at the later of the two ranks against the code bound at the earlier
     one, an [x ≠ c] atom at [x]'s rank against the constant's per-structure
     code, both checked the moment the intersection matches a value —
-    before any range narrowing or recursion.  A variable occurring only
-    in ≠ atoms has no iterator to filter ({!supports_neqs} is false) and
-    such components keep the backtracking kernel.
+    before any range narrowing or recursion.  The paper reads [x ≠ y] over
+    the whole domain (the virtual relation V_D×V_D∖diag of Section 2.1), so
+    a variable occurring only in ≠ atoms — every variable of an atom-free
+    component such as [x ≠ y] — becomes a trailing {e domain rank} with no
+    iterators: an inner one walks the codes of {!Index.domain} under its
+    filters, and the innermost adds [|domain| − |distinct forbidden codes|]
+    without iterating.
 
-    Selected by {!Decomp.choose} for cyclic components and for components
-    whose inequalities pass {!supports_neqs} (the [BAGCQ_NO_WCOJ]
-    environment variable restores the backtracking fallback).  Observable
-    through the process-wide counters [wcoj_plans_compiled], [wcoj_runs]
-    and [wcoj_seeks]. *)
+    Selected by {!Decomp.choose} for cyclic components and for every
+    component with inequalities.  Observable through the process-wide
+    counters [wcoj_plans_compiled], [wcoj_runs] and [wcoj_seeks]. *)
 
 open Bagcq_cq
 
 type plan
 
-val supports_neqs : Query.t -> bool
-(** Whether the query's inequalities fit the leapfrog: at least one atom,
-    and every inequality {e variable} occurs in some atom.  Constants in
-    inequalities are always fine (they become code filters, or a
-    per-structure precheck when both sides are constants). *)
-
 val compile : Query.t -> plan
 (** Compile one component: choose the global variable order (prefer
     variables connected to already-ordered ones, then higher atom
-    frequency, ties by name — deterministic), lay out each atom's trie
+    frequency, ties by name — deterministic) with the inequality-only
+    variables appended by name as domain ranks, lay out each atom's trie
     level order (constants first, then variables by rank, repeats on
     consecutive levels), and attach inequalities as per-rank filters.
-    Raises [Invalid_argument] when {!supports_neqs} is false — those
-    components stay on the backtracking kernel. *)
+    Total on every query. *)
 
 val variable_order : plan -> string list
 (** The chosen global variable order, outermost first — what
     [bagcq explain] prints. *)
+
+val domain_vars : plan -> string list
+(** The variables bound by domain ranks (those occurring only in ≠
+    atoms): the trailing suffix of {!variable_order}. *)
 
 val rank_supports : plan -> int array
 (** Per rank of the variable order: how many of the rank's iterators sit
@@ -73,9 +73,11 @@ val count :
   Bagcq_relational.Structure.t ->
   Bagcq_bignum.Nat.t
 (** [count p D] = |Hom(component, D)|.  With [?budget] every seek
-    (gallop) ticks once, and the call unwinds with
+    (gallop), every value an inner domain rank visits and every innermost
+    domain rank ticks once, and the call unwinds with
     {!Bagcq_guard.Budget.Exhausted_} mid-intersection on a trip.
     Inequality semantics follow {!Solver_ref}: an uninterpreted constant
-    anywhere (≠ atoms included) yields zero, a [c ≠ c'] between constants
-    interpreted equal yields zero, and a filter constant interpreted
-    outside the active domain is vacuous. *)
+    anywhere (≠ atoms included) yields zero, and a [c ≠ c'] between
+    constants interpreted equal yields zero.  An interpreted constant
+    always lies in the domain, since {!Index.domain} folds in every
+    interpretation. *)

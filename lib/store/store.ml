@@ -4,29 +4,20 @@ module Nat = Bagcq_bignum.Nat
 module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 module Decomp = Bagcq_hom.Decomp
-module Wcoj = Bagcq_hom.Wcoj
-module Ghd = Bagcq_hom.Ghd
-module Plan = Bagcq_hom.Plan
-module Solver = Bagcq_hom.Solver
 
 (* How a registered count's component reacts to a tuple delta on one of its
    symbols: acyclic inequality-free components keep materialised join-tree
    tables and fold the delta in ([Decomp.dp_delta]); everything else —
    cyclic cores, components with inequalities, components whose constants
-   the database does not (yet) interpret — recomputes, but only this
-   component: the siblings' cached counts are reused through the factor
-   product. *)
-type recount =
-  | Rq_tree of Decomp.tree
-  | Rq_wcoj of Wcoj.plan
-  | Rq_ghd of Ghd.t
-  | Rq_plan of Plan.t
-type comp_plan = Maintained of Decomp.dp | Recount of recount
+   the database does not (yet) interpret — recounts through
+   [Decomp.count], but only this component: the siblings' cached counts
+   are reused through the factor product. *)
+type comp_plan = Maintained of Decomp.dp | Recount of Decomp.strategy
 
 type comp_state = {
   c_query : Query.t;
   c_mult : int;
-  c_syms : Symbol.Set.t;
+  c_watches : Symbol.t -> bool;  (* deltas that can change the count *)
   mutable c_plan : comp_plan;
   mutable c_count : Nat.t;
 }
@@ -133,10 +124,19 @@ let with_db t name f =
 
 (* ---------------- registration state ---------------- *)
 
-let query_syms q =
-  List.fold_left
-    (fun s a -> Symbol.Set.add (Atom.sym a) s)
-    Symbol.Set.empty (Query.atoms q)
+(* A component's count can change on a delta to one of its own symbols —
+   or to any symbol when a side of one of its ≠ atoms is a constant or a
+   variable outside every atom: the count then reads an interpretation or
+   the whole domain, which every insert or delete can move. *)
+let watches q =
+  let joined = function
+    | Term.Var x -> List.exists (fun a -> List.mem x (Atom.vars a)) (Query.atoms q)
+    | Term.Cst _ -> false
+  in
+  if List.for_all (fun (a, b) -> joined a && joined b) (Query.neqs q) then
+    let syms = Symbol.Set.of_list (List.map Atom.sym (Query.atoms q)) in
+    fun sym -> Symbol.Set.mem sym syms
+  else fun _ -> true
 
 let total_of comps =
   let rec go acc = function
@@ -150,13 +150,6 @@ let total_of comps =
           go (Nat.mul acc v) rest
   in
   go Nat.one comps
-
-let recount ?budget how d =
-  match how with
-  | Rq_tree tr -> Decomp.count_tree ?budget tr d
-  | Rq_wcoj w -> Wcoj.count ?budget w d
-  | Rq_ghd g -> Ghd.count ?budget g d
-  | Rq_plan p -> Nat.of_int (Solver.count_plan ?budget p d)
 
 let build_comp ?budget d (q, mult) =
   let choice = Decomp.choose q in
@@ -172,14 +165,10 @@ let build_comp ?budget d (q, mult) =
         | None ->
             (* an uninterpreted constant: the count is zero but a later
                insert can auto-bind the constant, so stay recomputable *)
-            (Recount (Rq_tree tr), Nat.zero))
-    | Decomp.Wcoj w -> (Recount (Rq_wcoj w), Wcoj.count ?budget w d)
-    | Decomp.Ghd g -> (Recount (Rq_ghd g), Ghd.count ?budget g d)
-    | Decomp.Backtrack ->
-        let p = Plan.compile q in
-        (Recount (Rq_plan p), Nat.of_int (Solver.count_plan ?budget p d))
+            (Recount choice, Nat.zero))
+    | _ -> (Recount choice, Decomp.count ?budget choice q d)
   in
-  { c_query = q; c_mult = mult; c_syms = query_syms q; c_plan = plan; c_count = count }
+  { c_query = q; c_mult = mult; c_watches = watches q; c_plan = plan; c_count = count }
 
 let build_registration ?budget d q =
   let comps = List.map (build_comp ?budget d) (Decomp.factor q) in
@@ -218,7 +207,7 @@ let apply_delta ?budget t d sym tup ~add r =
   r.r_stale <- true;
   List.iter
     (fun c ->
-      if Symbol.Set.mem sym c.c_syms then
+      if c.c_watches sym then
         match c.c_plan with
         | Maintained dp ->
             Decomp.dp_delta ?budget dp d sym tup ~add;
@@ -226,7 +215,7 @@ let apply_delta ?budget t d sym tup ~add r =
             Metrics.incr t.delta_maintained
         | Recount how ->
             recomputed := true;
-            c.c_count <- recount ?budget how d;
+            c.c_count <- Decomp.count ?budget how c.c_query d;
             Metrics.incr t.delta_recomputed)
     r.r_comps;
   r.r_total <- total_of r.r_comps;

@@ -11,15 +11,17 @@
 
     Maintenance strategy follows the planner's component factorisation
     ({!Bagcq_hom.Decomp.factor}): a registration holds per-component
-    state, and a tuple delta touches only the components mentioning the
-    mutated symbol — untouched components contribute their cached counts
-    through the factor product [Π cᵢ^mᵢ].  Acyclic inequality-free
-    components keep the join-tree DP's per-node bignum weight tables
-    materialised ({!Bagcq_hom.Decomp.dp}): a delta costs one exact
+    state, and a tuple delta touches only the components it can change:
+    those mentioning the mutated symbol, and those whose ≠ atoms read the
+    whole domain or a constant's interpretation.  Untouched components
+    contribute their cached counts through the factor product
+    [Π cᵢ^mᵢ].  Acyclic inequality-free components keep the join-tree
+    DP's per-node bignum weight tables materialised
+    ({!Bagcq_hom.Decomp.dp}): a delta costs one exact
     [Nat.add]/[Nat.sub] at the mutated leaf's key projection plus a
     per-key delta propagation along the ancestor path — O(tree depth ×
-    fan-in of the mutated key), not a full recount.  Cyclic (leapfrog)
-    and fallback components recompute, but only themselves.
+    fan-in of the mutated key), not a full recount.  Other components
+    recount through {!Bagcq_hom.Decomp.count}, but only themselves.
 
     Failure semantics: a mutation {e commits} the relation change first;
     maintenance runs after, under the request's budget.  A budget trip

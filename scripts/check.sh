@@ -49,6 +49,7 @@ serve_out=$(printf '%s\n' \
   '{"op":"eval","id":1,"query":"E(x,y)","db":"E(1,2).","fuel":1000}' \
   'garbage' \
   '{"op":"stats","id":2}' \
+  '{"op":"eval","id":4,"query":"E(x,y) & w != y","db":"E(1,2). E(2,3).","fuel":1000}' \
   '{"op":"metrics","id":3}' \
   | ./_build/default/bin/bagcq_cli.exe serve --stdio)
 echo "$serve_out" | grep -q '"id": 1, "op": "eval", "status": "ok"' \
@@ -61,6 +62,13 @@ echo "$serve_out" | grep -q '"name": "server_requests", "labels": {}, "kind": "c
   || { echo "serve --stdio: metrics op reported no requests" >&2; exit 1; }
 echo "$serve_out" | grep -Eq '"name": "server_request_ms", "labels": \{"op": "eval"\}, "kind": "histogram", "count": [1-9]' \
   || { echo "serve --stdio: metrics op reported no eval latency" >&2; exit 1; }
+# an inequality-only variable is a leapfrog domain rank, never backtracking
+echo "$serve_out" | grep -q '"id": 4, "op": "eval", "status": "ok", "cached": false, "count": "4"' \
+  || { echo "serve --stdio: inequality-only eval did not count 4" >&2; exit 1; }
+echo "$serve_out" | grep -q '"name": "plan_fallback", "labels": {}, "kind": "counter", "value": 0}' \
+  || { echo "serve --stdio: plan_fallback is not 0" >&2; exit 1; }
+echo "$serve_out" | grep -q '"name": "plan_wcoj_selected", "labels": {}, "kind": "counter", "value": [1-9]' \
+  || { echo "serve --stdio: plan_wcoj_selected is not >= 1" >&2; exit 1; }
 for counter in plan_components plan_dp_selected plan_fallback \
                plan_wcoj_selected plan_ghd_selected hom_index_builds \
                wcoj_plans_compiled wcoj_runs wcoj_seeks \

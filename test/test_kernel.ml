@@ -100,14 +100,25 @@ let prop_cached_eval_matches_uncached =
          Nat.equal (Eval.count ~cache q d) (Eval.count q d)
          && Eval.satisfies ~cache d q = Eval.satisfies d q))
 
-(* The planner-v2 pipeline end to end — factorization, canonical grouping,
-   DP-vs-backtrack strategy choice — against the seed interpreter. *)
+(* The planner pipeline end to end — factorization, canonical grouping,
+   strategy choice — against the seed interpreter. *)
 let prop_eval_matches_reference =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"Eval.count = reference count" ~count:3000 gen_pair
        (fun (q, d) ->
          Nat.equal (Eval.count q d) (Nat.of_int (Solver_ref.count q d))
          && Eval.satisfies d q = (Solver_ref.count q d > 0)))
+
+(* The planner never picks the backtracking kernel, whatever the
+   component: inequality-only variables, ≠ on constants, loops. *)
+let prop_choose_never_backtracks =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Decomp.choose never returns Backtrack" ~count:1000
+       gen_pair (fun (q, _) ->
+         List.for_all
+           (fun (comp, _) ->
+             match Decomp.choose comp with Decomp.Backtrack -> false | _ -> true)
+           (Decomp.factor q)))
 
 (* Deliberately disconnected queries: θ↑k must equal both the reference
    count of the expanded query and θ(D)^k (Definition 2 / Lemma 1). *)
@@ -265,7 +276,7 @@ let test_classification () =
   in
   let neq = Build.(query ~neqs:[ (v "x", v "y") ] [ atom e [ v "x"; v "y" ] ]) in
   (* a variable occurring only in inequalities ranges over the whole
-     domain: no iterator to filter, so only backtracking can run it *)
+     domain: the leapfrog binds it at a trailing domain rank *)
   let neq_free =
     Build.(query ~neqs:[ (v "x", v "w") ] [ atom e [ v "x"; v "y" ] ])
   in
@@ -279,8 +290,8 @@ let test_classification () =
   | Decomp.Wcoj _ -> ()
   | _ -> Alcotest.fail "joined inequalities must ride the leapfrog filters");
   match Decomp.choose neq_free with
-  | Decomp.Backtrack -> ()
-  | _ -> Alcotest.fail "inequality-only variables must fall back to backtracking"
+  | Decomp.Wcoj _ -> ()
+  | _ -> Alcotest.fail "inequality-only variables must take domain ranks"
 
 let test_dp_ticks_budget () =
   let q = Build.(query [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ] ]) in
@@ -342,6 +353,7 @@ let () =
           prop_enumerate_matches_reference;
           prop_cached_eval_matches_uncached;
           prop_eval_matches_reference;
+          prop_choose_never_backtracks;
           prop_power_matches_reference;
           prop_acyclic_dp_matches_reference;
         ] );

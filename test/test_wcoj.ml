@@ -1,12 +1,13 @@
 (* The worst-case-optimal leapfrog kernel: differential checking against
    the reference solver on random cyclic CQs (triangles, 4/5-cycles with
-   chords, CYCLIQ rotations), inequality filters, classification,
-   fuel-trip semantics (Exhausted must surface mid-intersection), kernel
-   metrics, and the BAGCQ_NO_WCOJ / BAGCQ_NO_GHD escape hatches.
+   chords, CYCLIQ rotations), inequality filters, domain ranks
+   (inequality-only variables, atom-free components), classification,
+   fuel-trip semantics (Exhausted must surface mid-intersection and
+   mid-domain-walk), kernel metrics, and the BAGCQ_NO_GHD escape hatch.
 
    [Unix.putenv] cannot remove a variable from the environment, but
-   [Decomp.choose] reads the hatches per call and treats [""] and ["0"]
-   as unset, so the hatch tests restore the default by overwriting with
+   [Decomp.choose] reads the hatch per call and treats [""] and ["0"] as
+   unset, so the hatch test restores the default by overwriting with
    ["0"] and may run in any order. *)
 
 open Bagcq_relational
@@ -95,8 +96,9 @@ let prop_five_cycles =
 
 (* Cyclic queries decorated with inequalities whose variables all sit on
    the cycle — the per-rank filter path.  Constants in ≠ atoms exercise
-   the uninterpreted-constant (count zero) and out-of-domain (vacuous
-   filter) semantics, both pinned by the reference solver. *)
+   the uninterpreted-constant (count zero) semantics pinned by the
+   reference solver; an interpreted constant always lies in the domain,
+   which folds in every interpretation. *)
 let random_neq_cyclic_query ~len st =
   let q = random_cyclic_query ~len st in
   let var i = Build.v (Printf.sprintf "x%d" (i mod len)) in
@@ -133,6 +135,75 @@ let prop_neq_four_cycles =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"4-cycles + inequalities = reference"
        ~count:800 (gen_neq_cyclic ~len:4) agrees_neq)
+
+(* Domain ranks: 1–3 variables [w_i] that occur only in ≠ atoms — each
+   unequal to some other term, and often to each other, so inner domain
+   ranks walk the domain under filters — next to 0–3 random atoms (none
+   at all gives an atom-free query).  The constants stress the domain:
+   [a] may sit in a tuple, [b] is declared at a value no tuple holds, and
+   [c] is sometimes left uninterpreted (count zero). *)
+let random_domain_query st =
+  let xs = [| "x0"; "x1"; "x2" |] in
+  let atoms =
+    List.init (Random.State.int st 4) (fun _ ->
+        let x () = Build.v xs.(Random.State.int st 3) in
+        match Random.State.int st 4 with
+        | 0 -> Build.atom u [ x () ]
+        | 1 -> Build.atom e [ x (); Build.c "a" ]
+        | _ -> Build.atom e [ x (); x () ])
+  in
+  let atom_vars = Query.vars (Build.query atoms) in
+  let k = 1 + Random.State.int st 3 in
+  let w i = Build.v (Printf.sprintf "w%d" i) in
+  let other i =
+    match Random.State.int st 4 with
+    | 0 when atom_vars <> [] ->
+        Build.v (List.nth atom_vars (Random.State.int st (List.length atom_vars)))
+    | 1 -> Build.c [| "a"; "b"; "c" |].(Random.State.int st 3)
+    | _ when k > 1 -> w ((i + 1 + Random.State.int st (k - 1)) mod k)
+    | _ -> Build.c "b"
+  in
+  let neqs =
+    List.concat
+      (List.init k (fun i ->
+           List.init (1 + Random.State.int st 2) (fun _ -> (w i, other i))))
+  in
+  (* sometimes a constant-only ≠, a component with no rank at all *)
+  let neqs =
+    if Random.State.int st 4 = 0 then (Build.c "a", Build.c "c") :: neqs else neqs
+  in
+  Build.query ~neqs atoms
+
+let gen_domain =
+  QCheck.make ~print:pp_pair (fun st ->
+      let d = random_db st in
+      let d = Structure.bind_constant d "b" (Value.int 9) in
+      let d =
+        if Random.State.bool st then Structure.declare_constant d "c" else d
+      in
+      (random_domain_query st, d))
+
+(* The raw kernel on the whole query, and the planner pipeline on its
+   components — every one with an inequality must take the leapfrog. *)
+let agrees_domain (q, d) =
+  let expected = Solver_ref.count q d in
+  List.iter
+    (fun (comp, _) ->
+      match Decomp.choose comp with
+      | Decomp.Wcoj _ -> ()
+      | _ when not (Query.has_neqs comp) -> ()
+      | _ ->
+          QCheck.Test.fail_reportf "component not classified as wcoj: %a"
+            Query.pp comp)
+    (Decomp.factor q);
+  Nat.equal (Wcoj.count (Wcoj.compile q) d) (Nat.of_int expected)
+  && Nat.equal (Eval.count q d) (Nat.of_int expected)
+  && Eval.satisfies d q = (expected > 0)
+
+let prop_domain_ranks =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"inequality-only variables = reference"
+       ~count:2000 gen_domain agrees_domain)
 
 (* CYCLIQ(x₁,…,x_p): all p rotations of one p-ary atom — every variable
    occurs in every atom, the hardest multiway-intersection shape the
@@ -258,43 +329,68 @@ let test_deadline_reason_preserved () =
   | Error Budget.Fuel -> Alcotest.fail "wrong trip reason"
   | Ok _ -> Alcotest.fail "fault injection must trip"
 
+(* [w1 != w2] on a domain of n values: rank w1 walks the domain, one
+   tick per value, and rank w2 is innermost, one tick for its closed form
+   — 2n ticks in all, alternating.  So the (2k+1)-th tick is the walk
+   visiting its (k+1)-th value, and fuel 2k trips exactly there. *)
+let test_fuel_trips_mid_domain_rank () =
+  let q = Build.(query ~neqs:[ (v "w1", v "w2") ] []) in
+  let d = complete_digraph 6 in
+  let p = Wcoj.compile q in
+  let b = Budget.create ~fuel:1_000 () in
+  (match Budget.protect b (fun () -> Wcoj.count ~budget:b p d) with
+  | Ok n -> Alcotest.(check string) "6·5 ordered pairs" "30" (Nat.to_string n)
+  | Error _ -> Alcotest.fail "ample fuel must complete");
+  Alcotest.(check int) "one tick per walked value and per closed form" 12
+    (Budget.ticks b);
+  let b = Budget.create ~fuel:6 () in
+  (match Budget.protect b (fun () -> Wcoj.count ~budget:b p d) with
+  | Error Budget.Fuel -> ()
+  | Error Budget.Deadline -> Alcotest.fail "tripped on deadline, not fuel"
+  | Ok _ -> Alcotest.fail "6 ticks cannot walk 6 values");
+  Alcotest.(check int) "tripped at the 4th value's tick" 6 (Budget.ticks b);
+  let b = Budget.create ~fuel:6 () in
+  match Budget.protect b (fun () -> Eval.count ~budget:b q d) with
+  | Error Budget.Fuel -> ()
+  | _ -> Alcotest.fail "Eval must propagate the trip"
+
+(* Inequality-only variables trail the joined ones; explain's order marks
+   them.  Counts pinned by hand on K3 with loops (9 edges, domain 3). *)
+let test_domain_ranks () =
+  let q =
+    Build.(
+      query
+        ~neqs:[ (v "w", v "y"); (v "w", v "t"); (v "t", c "a") ]
+        [ atom e [ v "x"; v "y" ] ])
+  in
+  let p = Wcoj.compile q in
+  Alcotest.(check (list string)) "order" [ "x"; "y"; "t"; "w" ] (Wcoj.variable_order p);
+  Alcotest.(check (list string)) "domain ranks" [ "t"; "w" ] (Wcoj.domain_vars p);
+  (match Decomp.choose (Decomp.canonical q) with
+  | Decomp.Wcoj w ->
+      Alcotest.(check (list string)) "explain marks them"
+        [ "variable order: v1 -> v2 -> v3 (domain) -> v4 (domain)" ]
+        (Decomp.render (Decomp.Wcoj w))
+  | _ -> Alcotest.fail "inequality-only variables must take the leapfrog");
+  let d = Structure.bind_constant (complete_digraph 3) "a" (Value.int 0) in
+  (* t ∈ {1,2}, and w avoids y and t: 2 choices when y = t, else 1.  Per
+     edge that is 1+1 for y = 0 and 2+1 for y ∈ {1,2}; 3 edges end in
+     each y. *)
+  let want = (3 * 2) + (2 * 3 * 3) in
+  Alcotest.(check string) "count" (string_of_int want)
+    (Nat.to_string (Wcoj.count p d));
+  Alcotest.(check int) "reference agrees" want (Solver_ref.count q d);
+  let free = Build.(query ~neqs:[ (v "w", v "z") ] []) in
+  Alcotest.(check string) "atom-free on a 6-value domain" "30"
+    (Nat.to_string (Eval.count free (complete_digraph 6)));
+  Alcotest.(check bool) "atom-free on the empty domain" false
+    (Eval.satisfies (Structure.empty (Schema.make [ e ])) free)
+
 let six_cycle =
   Build.(query (cycle e (List.init 6 (fun i -> v (Printf.sprintf "x%d" i)))))
 
-let neq_triangle =
-  Build.(
-    query
-      ~neqs:[ (v "x", v "z") ]
-      [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ]; atom e [ v "z"; v "x" ] ])
-
 (* [Decomp.choose] reads the hatch per call, so toggling it back to "0"
-   restores the default — these tests may run in any order. *)
-let test_wcoj_escape_hatch () =
-  (match Decomp.choose (Decomp.canonical triangle) with
-  | Decomp.Wcoj _ -> ()
-  | _ -> Alcotest.fail "triangle must pick wcoj before the hatch");
-  Unix.putenv "BAGCQ_NO_WCOJ" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BAGCQ_NO_WCOJ" "0")
-    (fun () ->
-      (match Decomp.choose (Decomp.canonical triangle) with
-      | Decomp.Backtrack -> ()
-      | _ -> Alcotest.fail "BAGCQ_NO_WCOJ must restore backtracking");
-      (* the hatch also disables inequality filtering and the GHD *)
-      (match Decomp.choose (Decomp.canonical neq_triangle) with
-      | Decomp.Backtrack -> ()
-      | _ -> Alcotest.fail "BAGCQ_NO_WCOJ must disable ≠ filtering too");
-      (match Decomp.choose (Decomp.canonical six_cycle) with
-      | Decomp.Backtrack -> ()
-      | _ -> Alcotest.fail "BAGCQ_NO_WCOJ must disable the GHD too");
-      (* both routes agree on the count *)
-      let d = complete_digraph 3 in
-      Alcotest.(check string) "counts agree under the hatch" "27"
-        (Nat.to_string (Eval.count triangle d)));
-  match Decomp.choose (Decomp.canonical triangle) with
-  | Decomp.Wcoj _ -> ()
-  | _ -> Alcotest.fail "overwriting the hatch with \"0\" must restore wcoj"
-
+   restores the default — this test may run in any order. *)
 let test_ghd_escape_hatch () =
   (match Decomp.choose (Decomp.canonical six_cycle) with
   | Decomp.Ghd _ -> ()
@@ -320,6 +416,7 @@ let () =
           prop_five_cycles;
           prop_neq_triangles;
           prop_neq_four_cycles;
+          prop_domain_ranks;
           prop_cycliq_rotations ~p:3 ~count:400;
           prop_cycliq_rotations ~p:4 ~count:200;
         ] );
@@ -328,10 +425,8 @@ let () =
           Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
           Alcotest.test_case "variable order is deterministic" `Quick
             test_variable_order_is_deterministic;
-          (* deliberately before the metrics/fuel cases: the hatches must
+          (* deliberately before the metrics/fuel cases: the hatch must
              leave no trace behind *)
-          Alcotest.test_case "BAGCQ_NO_WCOJ escape hatch" `Quick
-            test_wcoj_escape_hatch;
           Alcotest.test_case "BAGCQ_NO_GHD escape hatch" `Quick
             test_ghd_escape_hatch;
           Alcotest.test_case "wcoj_* metrics family" `Quick test_metrics_family;
@@ -339,5 +434,9 @@ let () =
             test_fuel_trips_mid_intersection;
           Alcotest.test_case "deadline reason preserved" `Quick
             test_deadline_reason_preserved;
+          Alcotest.test_case "fuel trips mid-domain-rank" `Quick
+            test_fuel_trips_mid_domain_rank;
+          Alcotest.test_case "domain ranks: order, counts, explain" `Quick
+            test_domain_ranks;
         ] );
     ]
