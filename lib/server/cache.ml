@@ -2,16 +2,22 @@ module Eval = Bagcq_hom.Eval
 module Json = Bagcq_wire.Json
 module Metrics = Bagcq_obs.Metrics
 module Encode = Bagcq_relational.Encode
+module Structure = Bagcq_relational.Structure
 
-type entry = { fields : (string * Json.t) list; mutable gen : int }
+(* A table value stamped with the clock tick of its last use. *)
+type 'a slot = { value : 'a; mutable gen : int }
+
+(* [db_name] is the named database the request read, if any: the tag
+   [evict_db] matches on. *)
+type memo = { fields : (string * Json.t) list; db_name : string option }
 
 type t = {
   mutex : Mutex.t;
   eval_cache : Eval.cache;
-  results : (string, entry) Hashtbl.t;
+  results : (string, memo slot) Hashtbl.t;
   max_results : int;
   mutable clock : int;
-  structures : (string, Bagcq_relational.Structure.t) Hashtbl.t;
+  structures : (string, Structure.t slot) Hashtbl.t;
   result_hits : Metrics.counter;
   result_misses : Metrics.counter;
   result_evicted : Metrics.counter;
@@ -56,6 +62,37 @@ let locked t f =
 
 let with_eval t f = locked t (fun () -> f t.eval_cache)
 
+let touch t slot =
+  t.clock <- t.clock + 1;
+  slot.gen <- t.clock
+
+(* Insert a fresh slot.  Both tables hold at most [max_results] slots:
+   past the cap, the least-recently-used slot goes first, found by linear
+   scan.  O(slots) only on the eviction path, which fires once per insert
+   past the cap — the find/hit path stays O(1).  At the default cap the
+   scan is microseconds; a generation heap would buy nothing measurable.
+   Returns whether a slot was dropped. *)
+let add t tbl key value =
+  let evicted =
+    Hashtbl.length tbl >= t.max_results
+    &&
+    match
+      Hashtbl.fold
+        (fun key s acc ->
+          match acc with
+          | Some (_, g) when g <= s.gen -> acc
+          | _ -> Some (key, s.gen))
+        tbl None
+    with
+    | Some (key, _) ->
+        Hashtbl.remove tbl key;
+        true
+    | None -> false
+  in
+  t.clock <- t.clock + 1;
+  Hashtbl.add tbl key { value; gen = t.clock };
+  evicted
+
 (* [Proto] decodes every request's database text into a fresh
    [Structure.t], and everything the evaluator memoises on a structure —
    the columnar index in its memo slot, [Eval]'s per-structure count
@@ -66,64 +103,39 @@ let intern_db t d =
   let key = Encode.to_string d in
   locked t (fun () ->
       match Hashtbl.find_opt t.structures key with
-      | Some d' -> d'
+      | Some s ->
+          touch t s;
+          s.value
       | None ->
-          Hashtbl.add t.structures key d;
+          ignore (add t t.structures key d);
           d)
 
 let find_result t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.results key with
-      | Some e ->
-          t.clock <- t.clock + 1;
-          e.gen <- t.clock;
+      | Some s ->
+          touch t s;
           Metrics.incr t.result_hits;
-          Some e.fields
+          Some s.value.fields
       | None ->
           Metrics.incr t.result_misses;
           None)
 
-(* Least-recently-used entry by linear scan.  O(entries) only on the
-   eviction path, which fires once per store past the cap — the find/hit
-   path stays O(1).  At the default cap the scan is microseconds; a
-   generation heap would buy nothing measurable. *)
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, g) when g <= e.gen -> acc
-        | _ -> Some (key, e.gen))
-      t.results None
-  in
-  match victim with
-  | Some (key, _) ->
-      Hashtbl.remove t.results key;
-      Metrics.incr t.result_evicted
-  | None -> ()
-
-let store_result t key fields =
+let store_result ?db_name t key fields =
   locked t (fun () ->
       if not (Hashtbl.mem t.results key) then begin
-        if Hashtbl.length t.results >= t.max_results then evict_lru t;
-        t.clock <- t.clock + 1;
-        Hashtbl.add t.results key { fields; gen = t.clock }
+        if add t t.results key { fields; db_name } then
+          Metrics.incr t.result_evicted
       end)
 
-(* Canonical request keys are [Json.to_string] objects, so a key that
-   references the named database contains exactly this substring (the
-   name re-escaped the same way it was when the key was built). *)
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
-  nl = 0 || at 0
-
 let evict_db t ~name =
-  let needle = Printf.sprintf "\"db_name\": %s" (Json.to_string (Json.Str name)) in
   locked t (fun () ->
       let doomed =
         Hashtbl.fold
-          (fun key _ acc -> if contains ~needle key then key :: acc else acc)
+          (fun key s acc ->
+            match s.value.db_name with
+            | Some n when String.equal n name -> key :: acc
+            | _ -> acc)
           t.results []
       in
       List.iter

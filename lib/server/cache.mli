@@ -30,9 +30,10 @@ val create : ?max_results:int -> ?metrics:Bagcq_obs.Metrics.t -> unit -> t
     [cache_count_hits], [cache_count_misses]) and the eviction counter
     ([server_cache_evicted]) in the given registry so they appear in its
     dumps.  [max_results] (default {!default_max_results}, must be ≥ 1)
-    caps the result memo: storing past the cap evicts the
-    least-recently-{e used} entry first — a hit refreshes recency, so a
-    hot key survives a scan of cold ones. *)
+    caps both the result memo and the intern table ({!intern_db}):
+    inserting past the cap evicts that table's least-recently-{e used}
+    entry first — a hit refreshes recency, so a hot key survives a scan
+    of cold ones. *)
 
 val with_eval : t -> (Bagcq_hom.Eval.cache -> 'a) -> 'a
 (** Run an evaluation against the shared plan/count cache, holding the
@@ -46,22 +47,29 @@ val intern_db : t -> Bagcq_relational.Structure.t -> Bagcq_relational.Structure.
     structure-keyed memos — the columnar join index living in the
     structure's memo slot, {!Bagcq_hom.Eval}'s per-structure count memo —
     survive across requests instead of being rebuilt for every eval of
-    the same database ([hom_index_builds] stays flat). *)
+    the same database ([hom_index_builds] stays flat).  The table is
+    bounded by [max_results] with the result memo's LRU discipline; a
+    database evicted from it is interned afresh on its next request and
+    rebuilds its index once. *)
 
 val find_result : t -> string -> (string * Bagcq_wire.Json.t) list option
 (** Look up a canonical request key, bumping the hit/miss counters. *)
 
-val store_result : t -> string -> (string * Bagcq_wire.Json.t) list -> unit
+val store_result :
+  ?db_name:string -> t -> string -> (string * Bagcq_wire.Json.t) list -> unit
 (** No-op if the key is already present; evicts the LRU entry first when
-    the memo is at capacity (bumping [server_cache_evicted]). *)
+    the memo is at capacity (bumping [server_cache_evicted]).  [db_name]
+    tags the entry with the named data-plane database its request read;
+    only tagged entries are ever dropped by {!evict_db}. *)
 
 val evict_db : t -> name:string -> int
-(** Drop every result entry whose request referenced the named data-plane
-    database ([db_name]), returning how many were dropped (each bumps
-    [server_cache_evicted]).  The store's [on_mutate] hook calls this
-    after every committed insert/delete.  Correctness does not hinge on
-    it — eval-by-name memo keys are stamped with the database version, so
-    an entry for a superseded version is already unreachable; eviction
+(** Drop every result entry tagged with [name] (see {!store_result}),
+    returning how many were dropped (each bumps [server_cache_evicted]).
+    One pass over the entries comparing tags: O(entries), and no key text
+    is read.  The store's [on_mutate] hook calls this after every
+    committed insert/delete.  Correctness does not hinge on it —
+    eval-by-name memo keys are stamped with the database version, so an
+    entry for a superseded version is already unreachable; eviction
     reclaims those dead entries instead of letting mutations fill the
     cap with garbage and evict live inline-db entries.  Named-database
     structures are never interned here (the store owns them), so there is

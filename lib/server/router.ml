@@ -164,15 +164,16 @@ let metrics_rows t =
    ticks the original computation spent, the deterministic cost of the
    answer) or an already-built exhausted response (never memoised: how far
    a budget got is a property of the request's budget, not of the
-   answer). *)
-let memoised ?key t req ~compute =
+   answer).  [db_name] tags the entry with the named database the request
+   read, so a mutation of that database evicts it. *)
+let memoised ?key ?db_name t req ~compute =
   let key = match key with Some k -> k | None -> Proto.cache_key req in
   match Cache.find_result t.cache key with
   | Some core -> Proto.attach ?id:req.Proto.id ~cached:true core
   | None -> (
       match compute () with
       | Ok core ->
-          Cache.store_result t.cache key core;
+          Cache.store_result ?db_name t.cache key core;
           Proto.attach ?id:req.Proto.id ~cached:false core
       | Error response -> response)
 
@@ -180,10 +181,10 @@ let spend t budget response =
   Metrics.add t.budget_ticks (Budget.ticks budget);
   response
 
-let eval_db ?key ?deadline t (req : Proto.request) ~query ~db =
+let eval_db ?key ?db_name ?deadline t (req : Proto.request) ~query ~db =
   let budget = make_budget ?deadline t.caps req.Proto.budget in
   spend t budget
-  @@ memoised ?key t req ~compute:(fun () ->
+  @@ memoised ?key ?db_name t req ~compute:(fun () ->
          match
            Outcome.guard
              ~partial:(fun () -> ())
@@ -204,14 +205,14 @@ let eval_db ?key ?deadline t (req : Proto.request) ~query ~db =
 
 (* Resolve the [db]-inline-xor-[db_name] reference shared by [eval] and
    [ucq_eval], then continue with the concrete structure and (for named
-   databases) a version-stamped memo key. *)
+   databases) a version-stamped memo key and the name to tag it with. *)
 let resolve_db_ref t (req : Proto.request) ~op ~db k =
   match db with
   | Proto.Db_inline db ->
       (* Intern before evaluating: the decoded structure is request-local,
          and only the interned representative carries the memoised join
          index and count memo shared across requests. *)
-      k ?key:None (Cache.intern_db t.cache db)
+      k ?key:None ?db_name:None (Cache.intern_db t.cache db)
   | Proto.Db_named name -> (
       match Store.snapshot t.store ~name with
       | Store.Rejected msg ->
@@ -229,16 +230,16 @@ let resolve_db_ref t (req : Proto.request) ~op ~db k =
           let key =
             Printf.sprintf "%s#v%d" (Proto.cache_key req) version
           in
-          k ?key:(Some key) db)
+          k ?key:(Some key) ?db_name:(Some name) db)
 
 let handle_eval ?deadline t (req : Proto.request) ~query ~db =
-  resolve_db_ref t req ~op:"eval" ~db (fun ?key db ->
-      eval_db ?key ?deadline t req ~query ~db)
+  resolve_db_ref t req ~op:"eval" ~db (fun ?key ?db_name db ->
+      eval_db ?key ?db_name ?deadline t req ~query ~db)
 
-let ucq_eval_db ?key ?deadline t (req : Proto.request) ~query ~db =
+let ucq_eval_db ?key ?db_name ?deadline t (req : Proto.request) ~query ~db =
   let budget = make_budget ?deadline t.caps req.Proto.budget in
   spend t budget
-  @@ memoised ?key t req ~compute:(fun () ->
+  @@ memoised ?key ?db_name t req ~compute:(fun () ->
          match
            Outcome.guard
              ~partial:(fun () -> ())
@@ -259,8 +260,8 @@ let ucq_eval_db ?key ?deadline t (req : Proto.request) ~query ~db =
                   ~budget:(Budget.snapshot budget) ""))
 
 let handle_ucq_eval ?deadline t (req : Proto.request) ~query ~db =
-  resolve_db_ref t req ~op:"ucq_eval" ~db (fun ?key db ->
-      ucq_eval_db ?key ?deadline t req ~query ~db)
+  resolve_db_ref t req ~op:"ucq_eval" ~db (fun ?key ?db_name db ->
+      ucq_eval_db ?key ?db_name ?deadline t req ~query ~db)
 
 let handle_contain ?deadline t (req : Proto.request) ~small ~big =
   let budget = make_budget ?deadline t.caps req.Proto.budget in

@@ -292,9 +292,9 @@ let cache_key { id = _; budget; op } =
           ("exhaustive_size", Json.Int exhaustive_size);
           ("seed", Json.Int seed);
         ]
-    (* Store ops are never memoised (they read or mutate live state), but
-       every request still keys totally — the admission queue and logs use
-       the key as a stable spelling of the request. *)
+    (* Store ops are never memoised (they read or mutate live state), and
+       only [Router.memoised] reads keys; they key anyway so the function
+       stays total over requests. *)
     | Db_create { name; db } ->
         [ ("name", Json.Str name); ("db", Json.Str (Encode.to_string db)) ]
     | Db_insert { name; fact } | Db_delete { name; fact } ->

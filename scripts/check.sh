@@ -82,18 +82,28 @@ for counter in plan_components plan_dp_selected plan_fallback \
     || { echo "serve --stdio: metrics op missing counter $counter" >&2; exit 1; }
 done
 
+# Start `bagcq serve --port 0` in the background with the extra flags
+# given after the label, and wait for it to report its port.  Sets
+# $server_pid and $port; the label begins the failure message.
+port_file=/tmp/bagcq_check_port.$$
+trap 'rm -f "$port_file"' EXIT
+start_server() {
+  label=$1
+  shift
+  rm -f "$port_file"
+  ./_build/default/bin/bagcq_cli.exe serve --port 0 "$@" 2>"$port_file" &
+  server_pid=$!
+  port=""
+  for _ in $(seq 1 100); do
+    port=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$port_file")
+    [ -n "$port" ] && break
+    sleep 0.05
+  done
+  [ -n "$port" ] || { echo "${label}serve --port 0 never reported its port" >&2; exit 1; }
+}
+
 echo "== bagcq metrics --json against a TCP server =="
-rm -f /tmp/bagcq_check_port.$$
-./_build/default/bin/bagcq_cli.exe serve --port 0 --max-connections 1 \
-  2>/tmp/bagcq_check_port.$$ &
-serve_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' /tmp/bagcq_check_port.$$)
-  [ -n "$port" ] && break
-  sleep 0.05
-done
-[ -n "$port" ] || { echo "serve --port 0 never reported its port" >&2; exit 1; }
+start_server "" --max-connections 1
 metrics_out=$(./_build/default/bin/bagcq_cli.exe metrics --port "$port" --json)
 echo "$metrics_out" \
   | grep -o '"[a-z_0-9]*":' | sort -u | tr -d '":' \
@@ -103,21 +113,10 @@ for cell in server_shed server_queue_depth server_lines_oversized; do
   echo "$metrics_out" | grep -q "\"name\": \"$cell\"" \
     || { echo "bagcq metrics --json missing admission cell $cell" >&2; exit 1; }
 done
-wait "$serve_pid"
-rm -f /tmp/bagcq_check_port.$$
+wait "$server_pid"
 
 echo "== data-plane round-trip: create -> insert -> register -> delete -> counts over TCP =="
-rm -f /tmp/bagcq_check_store.$$
-./_build/default/bin/bagcq_cli.exe serve --port 0 --max-connections 5 \
-  2>/tmp/bagcq_check_store.$$ &
-store_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' /tmp/bagcq_check_store.$$)
-  [ -n "$port" ] && break
-  sleep 0.05
-done
-[ -n "$port" ] || { echo "store serve --port 0 never reported its port" >&2; exit 1; }
+start_server "store " --max-connections 5
 bagcq_store() { ./_build/default/bin/bagcq_cli.exe store "$@" --port "$port"; }
 bagcq_store create g >/dev/null \
   || { echo "store round-trip: create failed" >&2; exit 1; }
@@ -133,22 +132,11 @@ counts_out=$(bagcq_store counts g) \
   || { echo "store round-trip: counts failed" >&2; exit 1; }
 echo "$counts_out" | grep -q '"count": "0"' \
   || { echo "store round-trip: maintained count did not follow the delete" >&2; exit 1; }
-wait "$store_pid" \
+wait "$server_pid" \
   || { echo "store round-trip: server exited nonzero" >&2; exit 1; }
-rm -f /tmp/bagcq_check_store.$$
 
 echo "== ucq round-trip: eval (inline + named store db) and contain over TCP =="
-rm -f /tmp/bagcq_check_ucq.$$
-./_build/default/bin/bagcq_cli.exe serve --port 0 --max-connections 6 \
-  2>/tmp/bagcq_check_ucq.$$ &
-ucq_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' /tmp/bagcq_check_ucq.$$)
-  [ -n "$port" ] && break
-  sleep 0.05
-done
-[ -n "$port" ] || { echo "ucq serve --port 0 never reported its port" >&2; exit 1; }
+start_server "ucq " --max-connections 6
 printf 'E(1,2). E(2,3).\n' > /tmp/bagcq_check_ucq_db.$$
 inline_out=$(./_build/default/bin/bagcq_cli.exe ucq eval \
   -q '(E(x,y)) | (E(x,y) & E(y,z))' -d /tmp/bagcq_check_ucq_db.$$ --port "$port") \
@@ -171,23 +159,13 @@ contain_out=$(./_build/default/bin/bagcq_cli.exe ucq contain \
   || { echo "ucq round-trip: contain failed" >&2; exit 1; }
 echo "$contain_out" | grep -q '"set_contains": true' \
   || { echo "ucq round-trip: forall-exists containment did not hold" >&2; exit 1; }
-wait "$ucq_pid" \
+wait "$server_pid" \
   || { echo "ucq round-trip: server exited nonzero" >&2; exit 1; }
-rm -f /tmp/bagcq_check_ucq.$$ /tmp/bagcq_check_ucq_db.$$
+rm -f /tmp/bagcq_check_ucq_db.$$
 
 echo "== overload round-trip: flood a tiny server, expect sheds + clean exit =="
-rm -f /tmp/bagcq_check_shed.$$
-./_build/default/bin/bagcq_cli.exe serve --port 0 --max-connections 1 \
-  --jobs 1 --queue-depth 1 --max-inflight 1 \
-  2>/tmp/bagcq_check_shed.$$ &
-shed_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' /tmp/bagcq_check_shed.$$)
-  [ -n "$port" ] && break
-  sleep 0.05
-done
-[ -n "$port" ] || { echo "overload serve --port 0 never reported its port" >&2; exit 1; }
+start_server "overload " --max-connections 1 \
+  --jobs 1 --queue-depth 1 --max-inflight 1
 client_out=$(./_build/default/bin/bagcq_cli.exe client --port "$port" \
   --open-loop -n 200 --retries 3 --backoff-ms 10)
 echo "$client_out"
@@ -195,9 +173,8 @@ echo "$client_out" | grep -Eq '[1-9][0-9]* shed' \
   || { echo "overload round-trip: flood produced no overloaded responses" >&2; exit 1; }
 echo "$client_out" | grep -q '200 requests' \
   || { echo "overload round-trip: client did not complete all requests" >&2; exit 1; }
-wait "$shed_pid" \
+wait "$server_pid" \
   || { echo "overload round-trip: server exited nonzero" >&2; exit 1; }
-rm -f /tmp/bagcq_check_shed.$$
 
 if command -v ocamlformat >/dev/null 2>&1 && [ -f .ocamlformat ]; then
   echo "== dune fmt --check =="

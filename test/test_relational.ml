@@ -263,8 +263,80 @@ let arb_structure =
   in
   QCheck.make ~print:(Format.asprintf "%a" Structure.pp) gen
 
+(* The printer's earlier spelling (one [Printf.sprintf] and one
+   [String.concat] per fact), kept as the reference the buffer-writing
+   printer must match byte for byte. *)
+let reference_token = function
+  | Value.Sym s -> s
+  | Value.Int i -> string_of_int i
+  | v -> Value.to_string v
+
+let reference_fact ~sep sym tup =
+  Printf.sprintf "%s(%s)" (Symbol.name sym)
+    (String.concat sep (List.map reference_token (Tuple.to_list tup)))
+
+let reference_to_string d =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun c ->
+      match Structure.interpretation d c with
+      | Some v when Value.equal v (Value.sym c) ->
+          Buffer.add_string buf (Printf.sprintf "const %s.\n" c)
+      | Some v ->
+          Buffer.add_string buf (Printf.sprintf "const %s := %s.\n" c (reference_token v))
+      | None -> ())
+    (Schema.constants (Structure.schema d));
+  Structure.fold_atoms
+    (fun sym tup () -> Buffer.add_string buf (reference_fact ~sep:", " sym tup ^ ".\n"))
+    d ();
+  Buffer.contents buf
+
+(* Facts over named, anonymous (negative and many-digit ones included)
+   and pair elements, a nullary symbol among them; then constants left
+   out, declared, rebound to an arbitrary element, or declared and then
+   rebound. *)
+let arb_encodable =
+  let z = Symbol.make "Z" 0 in
+  let value st =
+    match Random.State.int st 5 with
+    | 0 -> Value.sym (List.nth [ "a"; "b"; "x_1" ] (Random.State.int st 3))
+    | 1 -> Value.pair (vi (Random.State.int st 3)) (Value.sym "b")
+    | 2 -> vi (Random.State.int st 200_000 - 100)
+    | _ -> vi (Random.State.int st 12)
+  in
+  let gen st =
+    let d = ref (Structure.empty Schema.empty) in
+    for _ = 1 to Random.State.int st 10 do
+      d :=
+        match Random.State.int st 5 with
+        | 0 -> Structure.add_fact !d u [ value st ]
+        | 1 -> Structure.add_fact !d z []
+        | _ -> Structure.add_fact !d e [ value st; value st ]
+    done;
+    List.iter
+      (fun c ->
+        match Random.State.int st 4 with
+        | 0 -> d := Structure.declare_constant !d c
+        | 1 -> d := Structure.rebind_constant !d c (value st)
+        | 2 -> d := Structure.rebind_constant (Structure.declare_constant !d c) c (value st)
+        | _ -> ())
+      [ "a"; "c"; Consts.heart ];
+    !d
+  in
+  QCheck.make ~print:reference_to_string gen
+
 let properties =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"encode matches the reference spelling byte for byte"
+         ~count:300 arb_encodable (fun d ->
+           String.equal (Encode.to_string d) (reference_to_string d)
+           && Structure.fold_atoms
+                (fun sym tup ok ->
+                  ok
+                  && String.equal (Encode.fact_to_string sym tup)
+                       (reference_fact ~sep:"," sym tup))
+                d true));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"product commutes up to iso (atom counts)" ~count:100
          (QCheck.pair arb_structure arb_structure)

@@ -22,6 +22,7 @@ module Router = Bagcq_server.Router
 module Cache = Bagcq_server.Cache
 module Json = Bagcq_wire.Json
 module Proto = Bagcq_wire.Proto
+module Encode = Bagcq_relational.Encode
 
 let sym_e = Symbol.make "E" 2
 let sym_f = Symbol.make "F" 2
@@ -229,24 +230,53 @@ let test_cache_lru () =
 
 let test_cache_evict_db () =
   let c = Cache.create () in
-  let key_for name =
+  let key_for db =
     Proto.cache_key
       {
         Proto.id = None;
         budget = { Proto.fuel = None; timeout_ms = None };
-        op = Proto.Eval { query = Parse.parse_exn "E(x,y)"; db = Proto.Db_named name };
+        op = Proto.Eval { query = Parse.parse_exn "E(x,y)"; db };
       }
   in
-  Cache.store_result c (key_for "g" ^ "#v0") [ ("k", Json.Int 1) ];
-  Cache.store_result c (key_for "g" ^ "#v1") [ ("k", Json.Int 2) ];
-  Cache.store_result c (key_for "other") [ ("k", Json.Int 3) ];
+  let named name = key_for (Proto.Db_named name) in
+  Cache.store_result ~db_name:"g" c (named "g" ^ "#v0") [ ("k", Json.Int 1) ];
+  Cache.store_result ~db_name:"g" c (named "g" ^ "#v1") [ ("k", Json.Int 2) ];
+  Cache.store_result ~db_name:"other" c (named "other" ^ "#v0") [ ("k", Json.Int 3) ];
+  (* an inline database is request payload, so its entry carries no tag *)
+  let inline = key_for (Proto.Db_inline (Encode.parse_exn "E(g,1).")) in
+  Cache.store_result c inline [ ("k", Json.Int 4) ];
   Alcotest.(check int) "both generations of g dropped" 2
     (Cache.evict_db c ~name:"g");
   Alcotest.(check bool) "other database untouched" true
-    (Option.is_some (Cache.find_result c (key_for "other")));
+    (Option.is_some (Cache.find_result c (named "other" ^ "#v0")));
   (* a name that is a substring of another must not match its entries *)
   Alcotest.(check int) "prefix name does not cross-evict" 0
-    (Cache.evict_db c ~name:"oth")
+    (Cache.evict_db c ~name:"oth");
+  Alcotest.(check bool) "untagged inline entry survives" true
+    (Option.is_some (Cache.find_result c inline))
+
+(* The intern table keeps the result memo's bound and LRU order.  It
+   exports no size, so membership shows through physical equality: an
+   interned database hands back its first structure, a new or evicted one
+   hands back the fresh decode it was given. *)
+let test_intern_lru () =
+  let decode = Encode.parse_exn in
+  let texts = [| "E(1,2)."; "E(2,3)."; "E(3,1)." |] in
+  let c = Cache.create ~max_results:2 () in
+  let first = Array.map (fun text -> Cache.intern_db c (decode text)) texts in
+  let again = decode texts.(0) in
+  Alcotest.(check bool) "first database evicted by the third" true
+    (Cache.intern_db c again == again);
+  Alcotest.(check bool) "third database still interned" true
+    (Cache.intern_db c (decode texts.(2)) == first.(2));
+  let c = Cache.create ~max_results:2 () in
+  let a = Cache.intern_db c (decode texts.(0)) in
+  let b = Cache.intern_db c (decode texts.(1)) in
+  ignore (Cache.intern_db c (decode texts.(0)));
+  ignore (Cache.intern_db c (decode texts.(2)));
+  Alcotest.(check bool) "a hit keeps a" true (Cache.intern_db c (decode texts.(0)) == a);
+  Alcotest.(check bool) "b was the LRU victim" false
+    (Cache.intern_db c (decode texts.(1)) == b)
 
 (* ------------------------------------------------------------------ *)
 (* router integration: eval by name, invalidation, index rebuilds      *)
@@ -286,6 +316,38 @@ let global_counter name =
         match row.Metrics.value with Metrics.Counter_v v -> v | _ -> acc
       else acc)
     0 (Metrics.rows Metrics.global)
+
+(* A mutation of [g] evicts exactly the memo entries of requests that read
+   [g] by name — an eval and a ucq_eval — and leaves an inline database's
+   entry alone, even one holding the same facts. *)
+let test_mutation_evicts_by_name () =
+  let r = Router.create () in
+  let facts = "E(1,2). E(2,3). E(3,1)." in
+  ignore (handle r (Printf.sprintf {|{"op":"db_create","name":"g","db":"%s"}|} facts));
+  let inline =
+    Printf.sprintf {|{"op":"eval","query":"E(x,y) & E(y,z)","db":"%s"}|} facts
+  in
+  let eval = {|{"op":"eval","query":"E(x,y) & E(y,z)","db_name":"g"}|} in
+  let ucq =
+    {|{"op":"ucq_eval","query":"(E(x,y)) | (E(x,y) & E(y,z))","db_name":"g"}|}
+  in
+  List.iter (fun line -> ignore (handle r line)) [ inline; eval; ucq ];
+  let evicted () =
+    Metrics.counter_value (Metrics.counter (Router.metrics r) "server_cache_evicted")
+  in
+  let before = evicted () in
+  ignore (handle r {|{"op":"db_insert","name":"g","fact":"E(1,3)"}|});
+  Alcotest.(check int) "both by-name entries evicted" 2 (evicted () - before);
+  let answer name line ~cached ~count =
+    let v = handle r line in
+    Alcotest.(check (option bool)) (name ^ ": cached") (Some cached)
+      (Json.get_bool "cached" v);
+    Alcotest.(check (option string)) (name ^ ": count") (Some count)
+      (Json.get_string "count" v)
+  in
+  answer "inline repeat" inline ~cached:true ~count:"3";
+  answer "eval by name" eval ~cached:false ~count:"5";
+  answer "ucq_eval by name" ucq ~cached:false ~count:"9"
 
 (* Satellite of the memo-slot work: a mutation retires the old snapshot
    (its derived views are cleared) and the next eval against the new
@@ -432,6 +494,7 @@ let () =
         [
           Alcotest.test_case "lru cap" `Quick test_cache_lru;
           Alcotest.test_case "evict by database" `Quick test_cache_evict_db;
+          Alcotest.test_case "intern lru cap" `Quick test_intern_lru;
         ] );
       ( "router",
         [
@@ -439,6 +502,8 @@ let () =
             test_eval_by_name_invalidation;
           Alcotest.test_case "index rebuilt after mutation" `Quick
             test_index_rebuilt_after_mutation;
+          Alcotest.test_case "mutation evicts by-name entries" `Quick
+            test_mutation_evicts_by_name;
         ] );
       ("differential", diff_tests);
     ]
