@@ -349,7 +349,7 @@ let hunt_cmd =
             (match report.Hunt.unverified with
             | Some d ->
                 Printf.eprintf
-                  "bagcq: INCONSISTENCY: sampler reported a witness that failed \
+                  "bagcq: INCONSISTENCY: the hunt reported a witness that failed \
                    re-verification:\n%s"
                   (Encode.to_string d)
             | None -> ());
@@ -1281,7 +1281,7 @@ let ucq_cmd =
                       (match report.Hunt.unverified with
                       | Some d ->
                           Printf.eprintf
-                            "bagcq: INCONSISTENCY: sampler reported a witness \
+                            "bagcq: INCONSISTENCY: the hunt reported a witness \
                              that failed re-verification:\n%s"
                             (Encode.to_string d)
                       | None -> ());

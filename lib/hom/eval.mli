@@ -20,7 +20,10 @@ type cache
     run by {!Decomp.count} and kept for the cache's lifetime (strategies
     depend only on the query) — plus component
     counts for the most recent structure (invalidated whenever evaluation
-    moves to a structure that is not physically the same).  Cold plans
+    moves to a structure that is not physically the same).  Each plan gets
+    an int id when it enters a plan map, unique across the process, and
+    the count memo is keyed by that id (an [Int] map, O(log k) per
+    lookup), never by the component itself.  Cold plans
     call {!Decomp.record_choice}, so the process-wide [plan_*] selection
     counters count this cache's misses, never its hits.  One cache serves
     one domain: share nothing, shard everything — parallel sweeps
@@ -49,12 +52,36 @@ val cache_counters : cache -> (string * Bagcq_obs.Metrics.counter) list
     so its dump and the stats view read the same cells.  Per-worker
     caches should not be registered (they are transient). *)
 
+type prepared
+(** A query factored into canonical components ({!Decomp.factor}) with
+    each component's plan resolved: everything about [ψ(D)] that does not
+    depend on [D].  Immutable, so one value may be counted from any
+    domain, through any cache. *)
+
+val prepare : ?cache:cache -> Query.t -> prepared
+(** Factors the query once and resolves each component's strategy
+    through the cache's plan map (a fresh map without [?cache]): a hit
+    bumps [plan_hits], a cold plan bumps [plan_misses], calls
+    {!Decomp.record_choice} and draws the plan's id.  Every component is
+    planned, including those a zero count would later short-circuit. *)
+
+val count_prepared :
+  ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> prepared -> Structure.t -> Nat.t
+(** [ψ(D)] for a prepared [ψ]: only the kernels run, in component order,
+    stopping at the first zero.  Component counts go through the cache's
+    per-structure memo, keyed by plan id, so two prepared queries sharing
+    a plan (prepared through the same cache) count the shared component
+    once per structure.  The counting cache need not be the preparing
+    one. *)
+
 val count : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Structure.t -> Nat.t
-(** [count ψ D = ψ(D)].  With [?budget], the component kernels tick the
-    budget and the call unwinds with {!Bagcq_guard.Budget.Exhausted_}
-    if it trips (same for every [?budget] below).  With [?cache], plan
-    compilation and per-component counts are shared across calls; without
-    it each call memoises only within itself (the seed behaviour). *)
+(** [count ψ D = ψ(D)], i.e. [count_prepared (prepare ψ) D].  With
+    [?budget], the component kernels tick the budget and the call unwinds
+    with {!Bagcq_guard.Budget.Exhausted_} if it trips (same for every
+    [?budget] below).  With [?cache], plans and per-component counts are
+    shared across calls; without it each call memoises only within itself
+    (the seed behaviour).  A caller counting one query on many structures
+    should {!prepare} it once instead. *)
 
 val count_int : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Structure.t -> int
 (** Convenience for tests; raises [Failure] if the count overflows. *)
@@ -68,25 +95,15 @@ val count_pquery :
 (** Counts a power-product query factor-wise: [∏ᵢ θᵢ(D)^{eᵢ}].  When a
     factor count is ≥ 2 and its exponent exceeds [max_int] the result is
     not representable; this raises {!Bagcq_bignum.Nat.Exponent_too_large} —
-    use {!count_pquery_factored} for symbolic reasoning about such
-    counts. *)
-
-val count_pquery_factored :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?cache:cache ->
-  Pquery.t ->
-  Structure.t ->
-  (Nat.t * Nat.t) list
-(** Per-factor [(θᵢ(D), eᵢ)] pairs — the symbolic form of the count, never
-    materialised.  Anti-cheating arguments (Lemmas 18, 21) only need to
-    compare such products against bounds, which is possible without
-    expanding them. *)
+    use {!pquery_geq}, which compares the product against a bound without
+    expanding it, for such counts. *)
 
 val pquery_geq :
   ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Pquery.t -> Structure.t -> Nat.t -> bool
 (** [pquery_geq ψ D bound]: decide [ψ(D) ≥ bound] without materialising the
     count (factors with base ≥ 2 dominate their exponent:
-    [b^e ≥ 2^e ≥ e + 1]). *)
+    [b^e ≥ 2^e ≥ e + 1]).  Anti-cheating arguments (Lemmas 18, 21) only
+    need such comparisons. *)
 
 val satisfies_pquery :
   ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Structure.t -> Pquery.t -> bool

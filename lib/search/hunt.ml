@@ -1,4 +1,6 @@
 open Bagcq_relational
+open Bagcq_cq
+module Nat = Bagcq_bignum.Nat
 module Containment = Bagcq_reduction.Containment
 module Eval = Bagcq_hom.Eval
 module Budget = Bagcq_guard.Budget
@@ -26,31 +28,60 @@ type progress = {
 
 (* Both hunt flavours — CQ pairs and UCQ pairs — run the same two phases
    (exhaustive sweep over tiny domains, then randomised sampling); only the
-   schema and the violation predicate differ, so the phases are written
-   against this record.  Calling [violation] with no budget and no cache is
-   the exact re-verification of a candidate witness. *)
+   schema and the counted queries differ, so the phases are written
+   against this record.  A CQ is a union of one disjunct.  [verify] is the
+   exact re-check of a returned witness: unprepared, unbudgeted,
+   uncached. *)
 type target = {
   schema : Schema.t;
-  violation : ?budget:Budget.t -> ?cache:Eval.cache -> Structure.t -> bool;
+  small : Query.t list;
+  big : Query.t list;
+  verify : Structure.t -> bool;
 }
+
+let verified ~small ~big d = Containment.bag_violation ~small ~big d
+let ucq_verified ~small ~big d = Containment.ucq_bag_violation ~small ~big d
 
 let cq_target ~small ~big =
   {
     schema = Sampler.schema_of_pair small big;
-    violation =
-      (fun ?budget ?cache d -> Containment.bag_violation ?budget ?cache ~small ~big d);
+    small = [ small ];
+    big = [ big ];
+    verify = verified ~small ~big;
   }
 
 let ucq_target ~small ~big =
   {
-    schema = Schema.union (Bagcq_cq.Ucq.schema small) (Bagcq_cq.Ucq.schema big);
-    violation =
-      (fun ?budget ?cache d ->
-        Containment.ucq_bag_violation ?budget ?cache ~small ~big d);
+    schema = Schema.union (Ucq.schema small) (Ucq.schema big);
+    small = Ucq.disjuncts small;
+    big = Ucq.disjuncts big;
+    verify = ucq_verified ~small ~big;
   }
 
-let verified ~small ~big d = Containment.bag_violation ~small ~big d
-let ucq_verified ~small ~big d = Containment.ucq_bag_violation ~small ~big d
+(* The violation test [small(D) > big(D)] over queries prepared once per
+   hunt through [cache]'s plan map, so a candidate costs only its kernels.
+   [big] is counted first, disjunct by disjunct, then [small]: the order
+   [Containment.bag_counts] evaluates its pair in, so the same kernels run
+   in the same order as an unprepared check. *)
+let prepare target cache =
+  let prep = List.map (Eval.prepare ~cache) in
+  let small = prep target.small and big = prep target.big in
+  let total ~budget ~cache ps d =
+    List.fold_left
+      (fun acc p -> Nat.add acc (Eval.count_prepared ~budget ~cache p d))
+      Nat.zero ps
+  in
+  fun ~budget ~cache d ->
+    let cb = total ~budget ~cache big d in
+    Nat.compare (total ~budget ~cache small d) cb > 0
+
+(* Every witness either phase reports goes back through [verify]: a
+   candidate the prepared path flagged but exact counting rejects is an
+   engine inconsistency, surfaced as [unverified], never returned. *)
+let settle target = function
+  | Some d when target.verify d -> (Some d, None)
+  | Some d -> (None, Some d)
+  | None -> (None, None)
 
 (* Largest domain size whose potential-atom count fits under the Dbspace
    cap, at most the requested size; 0 when even size 1 is infeasible. *)
@@ -63,15 +94,19 @@ let feasible_size schema requested =
   Stdlib.max 0 !size
 
 (* One evaluation cache per domain: worker predicates running on spawned
-   domains each get their own (plans compile once per domain, counts
-   memoise per structure), with no cross-domain sharing to synchronise.
-   UCQ disjuncts sharing components with each other automatically share
-   their plan/count entries through the same cache. *)
+   domains each get their own (counts memoise per structure), with no
+   cross-domain sharing to synchronise.  The calling domain's cache also
+   holds the plans the parallel path prepares, so planning stays warm
+   across hunts. *)
 let dls_cache : Eval.cache Domain.DLS.key = Domain.DLS.new_key Eval.create_cache
 
+(* The exhaustive phase is complete iff the swept size is the requested
+   one — also when both are 0 — on either path. *)
 let serial_guarded ~strategy ~budget ~target () =
   let schema = target.schema in
   let cache = Eval.create_cache () in
+  let violation = prepare target cache in
+  let pred d = violation ~budget ~cache d in
   let witness = ref None in
   let exhaustive_complete = ref false in
   let tested_exhaustive = ref 0 in
@@ -97,52 +132,50 @@ let serial_guarded ~strategy ~budget ~target () =
     ~partial:(fun () -> (report (), progress ()))
     (fun () ->
       let size = feasible_size schema strategy.exhaustive_max_size in
-      if size >= 1 then begin
-        match
-          Dbspace.find_guarded ~budget schema ~max_size:size (fun d ->
-              target.violation ~budget ~cache d)
-        with
-        | Outcome.Complete (w, stats) ->
-            tested_exhaustive := stats.Dbspace.databases_tested;
-            largest := stats.Dbspace.largest_size_completed;
-            witness := w;
-            exhaustive_complete := size = strategy.exhaustive_max_size
-        | Outcome.Exhausted (stats, reason) ->
-            (* record best-so-far, then let the outer guard shape the
-               partial outcome *)
-            tested_exhaustive := stats.Dbspace.databases_tested;
-            largest := stats.Dbspace.largest_size_completed;
-            raise_notrace (Budget.Exhausted_ reason)
-      end;
-      (match !witness with
-      | Some _ -> ()
-      | None ->
-          let outcome =
-            Sampler.sample_stream ~budget strategy.sampler schema (fun d ->
-                incr tested_random;
-                target.violation ~budget ~cache d)
-          in
-          tested_random := outcome.Sampler.tested;
-          (* re-verify with exact, unbudgeted counting: a candidate the
-             sampler reported but the verifier rejects is an engine
-             inconsistency and is surfaced, never silently dropped *)
-          (match outcome.Sampler.witness with
-          | Some d when target.violation d -> witness := Some d
-          | Some d -> unverified := Some d
-          | None -> ()));
+      let found =
+        if size < 1 then None
+        else
+          match Dbspace.find_guarded ~budget schema ~max_size:size pred with
+          | Outcome.Complete (w, stats) ->
+              tested_exhaustive := stats.Dbspace.databases_tested;
+              largest := stats.Dbspace.largest_size_completed;
+              w
+          | Outcome.Exhausted (stats, reason) ->
+              (* record best-so-far, then let the outer guard shape the
+                 partial outcome *)
+              tested_exhaustive := stats.Dbspace.databases_tested;
+              largest := stats.Dbspace.largest_size_completed;
+              raise_notrace (Budget.Exhausted_ reason)
+      in
+      exhaustive_complete := size = strategy.exhaustive_max_size;
+      let found =
+        match found with
+        | Some _ -> found
+        | None ->
+            let outcome =
+              Sampler.sample_stream ~budget strategy.sampler schema (fun d ->
+                  incr tested_random;
+                  pred d)
+            in
+            tested_random := outcome.Sampler.tested;
+            outcome.Sampler.witness
+      in
+      let w, u = settle target found in
+      witness := w;
+      unverified := u;
       (report (), progress ()))
 
 (* The parallel path shares no phase code with [serial_guarded]: its two
    phases return structured outcomes (shards are absorbed inside
    [Dbspace.find_guarded_par] / [Sampler.sample_batches_guarded]), so no
-   [Exhausted_] unwinds through here and there is no outer guard. *)
+   [Exhausted_] unwinds through here and there is no outer guard.  The
+   queries are prepared once, on the calling domain; each worker counts
+   them through its own cache. *)
 let parallel_guarded ~strategy ~jobs ~budget ~target () =
   if jobs < 1 then invalid_arg "Hunt.counterexample_guarded: jobs must be >= 1";
   let schema = target.schema in
-  let pred ~budget d =
-    let cache = Domain.DLS.get dls_cache in
-    target.violation ~budget ~cache d
-  in
+  let violation = prepare target (Domain.DLS.get dls_cache) in
+  let pred ~budget d = violation ~budget ~cache:(Domain.DLS.get dls_cache) d in
   let witness = ref None in
   let exhaustive_complete = ref false in
   let tested_exhaustive = ref 0 in
@@ -164,6 +197,12 @@ let parallel_guarded ~strategy ~jobs ~budget ~target () =
       largest_size_completed = !largest;
     }
   in
+  let complete found =
+    let w, u = settle target found in
+    witness := w;
+    unverified := u;
+    Outcome.Complete (report (), progress ())
+  in
   let size = feasible_size schema strategy.exhaustive_max_size in
   let exhaustive =
     if size >= 1 then Dbspace.find_guarded_par ~budget ~jobs schema ~max_size:size pred
@@ -178,10 +217,9 @@ let parallel_guarded ~strategy ~jobs ~budget ~target () =
   | Outcome.Complete (w, stats) -> (
       tested_exhaustive := stats.Dbspace.databases_tested;
       largest := stats.Dbspace.largest_size_completed;
-      witness := w;
       exhaustive_complete := size = strategy.exhaustive_max_size;
       match w with
-      | Some _ -> Outcome.Complete (report (), progress ())
+      | Some _ -> complete w
       | None -> (
           match
             Sampler.sample_batches_guarded ~budget ~jobs strategy.sampler schema pred
@@ -191,11 +229,7 @@ let parallel_guarded ~strategy ~jobs ~budget ~target () =
               Outcome.Exhausted ((report (), progress ()), reason)
           | Outcome.Complete outcome ->
               tested_random := outcome.Sampler.tested;
-              (match outcome.Sampler.witness with
-              | Some d when target.violation d -> witness := Some d
-              | Some d -> unverified := Some d
-              | None -> ());
-              Outcome.Complete (report (), progress ())))
+              complete outcome.Sampler.witness))
 
 (* Hunt metrics, recorded once per hunt from the structured outcome —
    the hot loops inside Dbspace/Sampler stay untouched.  Both exhaustion

@@ -27,7 +27,7 @@ type report = {
           [None], no counterexample exists up to [exhaustive_max_size] *)
   tested_random : int;
   unverified : Structure.t option;
-      (** a candidate the sampler reported as violating but exact
+      (** a candidate either phase reported as violating but exact
           re-verification rejected.  This cannot happen unless the engine
           is inconsistent; it is surfaced here (instead of being silently
           dropped) so tests and callers can fail loudly on it. *)
@@ -44,8 +44,15 @@ val counterexample :
   ?strategy:strategy -> ?jobs:int -> small:Query.t -> big:Query.t -> unit -> report
 (** Hunt for [small(D) > big(D)] without a budget (runs to completion; may
     effectively diverge on adversarial inputs — prefer
-    {!counterexample_guarded}).  The witness, if any, is re-verified by
-    exact counting before being returned. *)
+    {!counterexample_guarded}).
+
+    [small] and [big] are prepared once per hunt ({!Bagcq_hom.Eval.prepare}:
+    factored, and each component planned) before the first candidate, so
+    a candidate costs only its enumeration, its index build and the
+    counting kernels.  The witness, from either phase, is re-verified by
+    {!verified} — exact, unprepared counting with no budget and no cache —
+    before being returned; a candidate that fails it is reported as
+    [unverified] instead. *)
 
 val counterexample_guarded :
   ?strategy:strategy ->
@@ -63,23 +70,30 @@ val counterexample_guarded :
     re-verifies).
 
     Without [?jobs] the hunt runs the seed's serial phases on the calling
-    domain.  With [~jobs:n] it runs the chunked parallel phases
+    domain, preparing the queries through a cache of its own.  With
+    [~jobs:n] it runs the chunked parallel phases
     ({!Dbspace.find_guarded_par} and {!Sampler.sample_batches_guarded})
     over [n] worker domains, each with its own budget shard and evaluation
     cache; ticks are summed back into [budget], exhaustion in any shard
     stops the hunt, and the witness (lowest candidate index) is the same
-    for every [n].  [~jobs:1] uses the same chunked phases inline — note
+    for every [n].  The queries are prepared once, on the calling domain,
+    through that domain's long-lived evaluation cache (so plans stay warm
+    across hunts), and the prepared value is shared with the workers.
+    [~jobs:1] uses the same chunked phases inline — note
     its random phase draws a {e different} (equally deterministic) sample
     sequence than the serial path, so pass [?jobs] for jobs-count
-    comparisons and omit it for seed-compatible behaviour. *)
+    comparisons and omit it for seed-compatible behaviour.  Both paths
+    report [exhaustive_complete] iff the swept size equals the requested
+    [exhaustive_max_size] (so a requested size of 0 is complete). *)
 
 val ucq_counterexample :
   ?strategy:strategy -> ?jobs:int -> small:Ucq.t -> big:Ucq.t -> unit -> report
 (** {!counterexample} for UCQ pairs: hunts for a database where the summed
     disjunct counts of [small] exceed those of [big] — one instance of the
-    {e undecidable} [QCP^bag_UCQ].  Same two phases, same sampler; the
-    per-domain evaluation cache is shared across disjuncts, so components
-    appearing in several disjuncts plan and count once. *)
+    {e undecidable} [QCP^bag_UCQ].  Same two phases, same sampler; every
+    disjunct is prepared once per hunt through one cache, so components
+    appearing in several disjuncts plan once and count once per
+    candidate.  Witnesses are re-verified by {!ucq_verified}. *)
 
 val ucq_counterexample_guarded :
   ?strategy:strategy ->
@@ -95,10 +109,13 @@ val ucq_counterexample_guarded :
     [hunt_ticks_spent] / [hunt_exhausted] cells. *)
 
 val verified : small:Query.t -> big:Query.t -> Structure.t -> bool
-(** Exact re-check of a candidate witness. *)
+(** Exact re-check of a candidate witness: {!Bagcq_reduction.Containment.bag_violation}
+    with no budget and no cache. *)
 
 val ucq_verified : small:Ucq.t -> big:Ucq.t -> Structure.t -> bool
-(** Exact re-check of a candidate UCQ witness. *)
+(** Exact re-check of a candidate UCQ witness:
+    {!Bagcq_reduction.Containment.ucq_bag_violation} with no budget and no
+    cache. *)
 
 val feasible_size : Schema.t -> int -> int
 (** [feasible_size schema requested] — the largest domain size [≤

@@ -82,6 +82,25 @@ for counter in plan_components plan_dp_selected plan_fallback \
     || { echo "serve --stdio: metrics op missing counter $counter" >&2; exit 1; }
 done
 
+echo "== serve --stdio hunt plans its queries once, not once per candidate =="
+hunt_out=$(printf '%s\n' \
+  '{"op":"metrics","id":1}' \
+  '{"op":"hunt","id":2,"small":"E(x,x)","big":"E(x,y)","samples":10,"exhaustive_size":2,"seed":7}' \
+  '{"op":"metrics","id":3}' \
+  | ./_build/default/bin/bagcq_cli.exe serve --stdio)
+echo "$hunt_out" | grep -q '"id": 2, "op": "hunt", "status": "ok", .*"ticks": 174}' \
+  || { echo "serve --stdio: hunt did not answer ok with ticks 174" >&2; exit 1; }
+# The rise of an unlabelled counter between the two metrics dumps.
+counter_rise() {
+  echo "$hunt_out" \
+    | sed -n "s/.*\"name\": \"$1\", \"labels\": {}, \"kind\": \"counter\", \"value\": \([0-9]*\)}.*/\1/p" \
+    | { read -r before; read -r after; echo $((after - before)); }
+}
+[ "$(counter_rise hunt_candidates_tested)" = 28 ] \
+  || { echo "serve --stdio: hunt_candidates_tested did not rise by 28" >&2; exit 1; }
+[ "$(counter_rise plan_components)" = 2 ] \
+  || { echo "serve --stdio: plan_components rose by $(counter_rise plan_components), not 2: the hunt re-planned per candidate" >&2; exit 1; }
+
 # Start `bagcq serve --port 0` in the background with the extra flags
 # given after the label, and wait for it to report its port.  Sets
 # $server_pid and $port; the label begins the failure message.

@@ -109,6 +109,43 @@ let prop_eval_matches_reference =
          Nat.equal (Eval.count q d) (Nat.of_int (Solver_ref.count q d))
          && Eval.satisfies d q = (Solver_ref.count q d > 0)))
 
+(* Prepared queries against [Eval.count] and the reference.  Each case
+   has two queries sharing the component(s) of [shared] (the first as a
+   power, so components repeat) and two structures.  The queries are
+   prepared through one cache and counted through another, so the memo
+   sees ids from a map it does not hold; the second query then hits the
+   shared component in the memo on [d1]; moving to [d2] and back must
+   flush it.  [q2] is also prepared through a fresh cache of its own:
+   plan ids are process-wide, so its components can never alias [q1]'s
+   memo slots. *)
+let gen_prepared_case =
+  QCheck.make
+    ~print:(fun (q1, q2, d1, d2) ->
+      Format.asprintf "q1: %a@.q2: %a@.d1: %a@.d2: %a" Query.pp q1 Query.pp q2
+        Structure.pp d1 Structure.pp d2)
+    (fun st ->
+      let rec q () = match random_query st with Some q -> q | None -> q () in
+      let shared = q () in
+      let q1 = Query.dconj (Query.power shared (1 + Random.State.int st 2)) (q ()) in
+      let q2 = Query.dconj shared (q ()) in
+      (q1, q2, random_db st, random_db st))
+
+let prop_prepared_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"count_prepared = Eval.count = reference count" ~count:500
+       gen_prepared_case (fun (q1, q2, d1, d2) ->
+         let preparing = Eval.create_cache () and counting = Eval.create_cache () in
+         let p1 = Eval.prepare ~cache:preparing q1 and p2 = Eval.prepare ~cache:preparing q2 in
+         let p2_alone = Eval.prepare q2 in
+         let agree ?cache p q d =
+           let n = Eval.count_prepared ?cache p d in
+           Nat.equal n (Nat.of_int (Solver_ref.count q d)) && Nat.equal n (Eval.count q d)
+         in
+         let cache = counting in
+         agree ~cache p1 q1 d1 && agree ~cache p2 q2 d1 && agree ~cache p2_alone q2 d1
+         && agree ~cache p1 q1 d2 && agree ~cache p2 q2 d2 && agree ~cache p2 q2 d1
+         && agree ~cache:preparing p1 q1 d2 && agree p2 q2 d1))
+
 (* The planner never picks the backtracking kernel, whatever the
    component: inequality-only variables, ≠ on constants, loops. *)
 let prop_choose_never_backtracks =
@@ -234,6 +271,27 @@ let test_cache_invalidated_on_structure_change () =
   Alcotest.(check bool) "2 edges again on the old db" true
     (Nat.equal (Eval.count ~cache edge_q d) (Nat.of_int 2))
 
+(* Prepared through one cache, counted through another: the shared path
+   component is counted once per structure (a memo hit on the second
+   query), and a new structure flushes it. *)
+let test_prepared_memo_per_structure () =
+  let path = Build.(query [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ] ]) in
+  let preparing = Eval.create_cache () and cache = Eval.create_cache () in
+  let p1 = Eval.prepare ~cache:preparing (Query.dconj path loop_q) in
+  let p2 = Eval.prepare ~cache:preparing path in
+  let d = db_of_edges [ (1, 2); (2, 3); (3, 3) ] and d' = db_of_edges [ (1, 2); (2, 3) ] in
+  let count p d = Nat.to_int (Eval.count_prepared ~cache p d) in
+  let hits () = (Eval.cache_stats cache).Eval.count_hits in
+  Alcotest.(check int) "3 paths x 1 loop" 3 (count p1 d);
+  Alcotest.(check int) "no hit yet" 0 (hits ());
+  Alcotest.(check int) "3 paths, from the memo" 3 (count p2 d);
+  Alcotest.(check int) "one hit" 1 (hits ());
+  Alcotest.(check int) "1 path on the new structure" 1 (count p2 d');
+  Alcotest.(check int) "flushed: no new hit" 1 (hits ());
+  let s = Eval.cache_stats preparing in
+  Alcotest.(check (pair int int)) "two plans made, one reused" (2, 1)
+    (s.Eval.plan_misses, s.Eval.plan_hits)
+
 let test_neq_between_constants () =
   let q = Build.(query ~neqs:[ (c "a", c "b") ] [ atom e [ v "x"; v "y" ] ]) in
   let d0 = db_of_edges [ (1, 2) ] in
@@ -352,6 +410,7 @@ let () =
           prop_count_matches_reference;
           prop_enumerate_matches_reference;
           prop_cached_eval_matches_uncached;
+          prop_prepared_matches_reference;
           prop_eval_matches_reference;
           prop_choose_never_backtracks;
           prop_power_matches_reference;
@@ -382,5 +441,7 @@ let () =
         [
           Alcotest.test_case "invalidated on structure change" `Quick
             test_cache_invalidated_on_structure_change;
+          Alcotest.test_case "prepared: memo per structure" `Quick
+            test_prepared_memo_per_structure;
         ] );
     ]

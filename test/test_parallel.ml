@@ -225,25 +225,38 @@ let test_witness_independent_of_jobs () =
 
 let test_parallel_matches_serial_hunt () =
   (* the parallel path at jobs=1 visits candidates in exactly the serial
-     order, so even the tested counts agree with the legacy serial path *)
-  let budget_a = Budget.unlimited () and budget_b = Budget.unlimited () in
-  let serial =
-    match Hunt.counterexample_guarded ~budget:budget_a ~small:path_q ~big:edge_q () with
+     order, so whole reports agree with the serial path — also with the
+     exhaustive phase switched off, where a swept size of 0 equals the
+     requested one and so is complete on both paths.  The two paths draw
+     different sample sequences, so the sampling cases use a contained
+     pair: both test every sample and find nothing. *)
+  let two_cycle_q = Build.(query [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "x" ] ]) in
+  let no_exhaustive = { Hunt.default with Hunt.exhaustive_max_size = 0 } in
+  let hunt ?jobs ~strategy ~small ~big () =
+    let budget = Budget.unlimited () in
+    match Hunt.counterexample_guarded ~strategy ?jobs ~budget ~small ~big () with
     | Outcome.Complete (r, p) -> (r, p)
     | Outcome.Exhausted _ -> Alcotest.fail "unlimited exhausted"
   in
-  let parallel =
-    match
-      Hunt.counterexample_guarded ~jobs:1 ~budget:budget_b ~small:path_q ~big:edge_q ()
-    with
-    | Outcome.Complete (r, p) -> (r, p)
-    | Outcome.Exhausted _ -> Alcotest.fail "unlimited exhausted"
-  in
-  let (rs, ps) = serial and (rp, pp) = parallel in
-  Alcotest.(check string) "same witness" (witness_string rs.Hunt.witness)
-    (witness_string rp.Hunt.witness);
-  Alcotest.(check int) "same databases tested" ps.Hunt.databases_tested
-    pp.Hunt.databases_tested
+  List.iter
+    (fun (name, strategy, small, big) ->
+      let rs, ps = hunt ~strategy ~small ~big () in
+      let rp, pp = hunt ~jobs:1 ~strategy ~small ~big () in
+      let check_int what = Alcotest.(check int) (name ^ ": same " ^ what) in
+      Alcotest.(check string) (name ^ ": same witness") (witness_string rs.Hunt.witness)
+        (witness_string rp.Hunt.witness);
+      Alcotest.(check bool)
+        (name ^ ": same exhaustive_complete")
+        rs.Hunt.exhaustive_complete rp.Hunt.exhaustive_complete;
+      check_int "tested_random" rs.Hunt.tested_random rp.Hunt.tested_random;
+      check_int "databases tested" ps.Hunt.databases_tested pp.Hunt.databases_tested;
+      Alcotest.(check bool) (name ^ ": nothing unverified") true
+        (rs.Hunt.unverified = None && rp.Hunt.unverified = None))
+    [
+      ("path/edge, default", Hunt.default, path_q, edge_q);
+      ("2-cycle/edge, default", Hunt.default, two_cycle_q, edge_q);
+      ("2-cycle/edge, size 0", no_exhaustive, two_cycle_q, edge_q);
+    ]
 
 let test_fold_par_totals_independent_of_jobs () =
   let schema = Sampler.schema_of_pair path_q edge_q in

@@ -7,6 +7,9 @@ open Bagcq_cq
 open Bagcq_search
 module Nat = Bagcq_bignum.Nat
 module Eval = Bagcq_hom.Eval
+module Budget = Bagcq_guard.Budget
+module Outcome = Bagcq_guard.Outcome
+module Containment = Bagcq_reduction.Containment
 
 let e = Build.sym "E" 2
 let u = Build.sym "U" 1
@@ -193,6 +196,156 @@ let test_hunt_skips_infeasible_exhaustive () =
   Alcotest.(check bool) "exhaustive was truncated" false report.Hunt.exhaustive_complete;
   Alcotest.(check bool) "still found a witness" true (report.Hunt.witness <> None)
 
+(* The hunt written out with the unprepared violation check, as the
+   reference for the prepared one: every candidate goes through
+   [Containment.bag_violation] (or its UCQ form) with one cache per hunt,
+   the phases through [Dbspace.find_guarded_par] and
+   [Sampler.sample_batches_guarded] at jobs=1 — or, for the serial path,
+   [Dbspace.find_guarded] and [Sampler.sample_stream_guarded] — all on
+   the one budget. *)
+let reference_hunt ~serial ~strategy ~budget ~schema violation =
+  let cache = Eval.create_cache () in
+  let pred ~budget d = violation ~budget ~cache d in
+  let size = Hunt.feasible_size schema strategy.Hunt.exhaustive_max_size in
+  let result ?witness ~complete ~random (s : Dbspace.stats) =
+    ( { Hunt.witness; exhaustive_complete = complete; tested_random = random; unverified = None },
+      {
+        Hunt.databases_tested = s.Dbspace.databases_tested + random;
+        ticks_spent = Budget.ticks budget;
+        largest_size_completed = s.Dbspace.largest_size_completed;
+      } )
+  in
+  let exhaustive =
+    if size < 1 then
+      Outcome.Complete (None, { Dbspace.databases_tested = 0; largest_size_completed = 0 })
+    else if serial then Dbspace.find_guarded ~budget schema ~max_size:size (pred ~budget)
+    else Dbspace.find_guarded_par ~budget ~jobs:1 schema ~max_size:size pred
+  in
+  let complete = size = strategy.Hunt.exhaustive_max_size in
+  match exhaustive with
+  | Outcome.Exhausted (s, reason) ->
+      Outcome.Exhausted (result ~complete:false ~random:0 s, reason)
+  | Outcome.Complete (Some w, s) -> Outcome.Complete (result ~witness:w ~complete ~random:0 s)
+  | Outcome.Complete (None, s) -> (
+      let sampler = strategy.Hunt.sampler in
+      match
+        if serial then Sampler.sample_stream_guarded ~budget sampler schema (pred ~budget)
+        else Sampler.sample_batches_guarded ~budget ~jobs:1 sampler schema pred
+      with
+      | Outcome.Exhausted (o, reason) ->
+          Outcome.Exhausted (result ~complete ~random:o.Sampler.tested s, reason)
+      | Outcome.Complete o ->
+          Outcome.Complete
+            (result ?witness:o.Sampler.witness ~complete ~random:o.Sampler.tested s))
+
+let hunt_summary outcome =
+  let show (r, p) =
+    Printf.sprintf
+      "witness=%s complete=%b random=%d unverified=%b tested=%d ticks=%d largest=%d"
+      (match r.Hunt.witness with None -> "none" | Some d -> Encode.to_string d)
+      r.Hunt.exhaustive_complete r.Hunt.tested_random (r.Hunt.unverified <> None)
+      p.Hunt.databases_tested p.Hunt.ticks_spent p.Hunt.largest_size_completed
+  in
+  match outcome with
+  | Outcome.Complete rp -> "complete " ^ show rp
+  | Outcome.Exhausted (rp, reason) ->
+      Printf.sprintf "exhausted(%s) %s" (Budget.reason_to_string reason) (show rp)
+
+(* Small CQs over E/2 and U/1 with loops, the constant [a] and an
+   occasional inequality. *)
+let random_cq st =
+  let nvars = 1 + Random.State.int st 3 in
+  let term () =
+    if Random.State.int st 6 = 0 then Build.c "a"
+    else Build.v (Printf.sprintf "x%d" (Random.State.int st nvars))
+  in
+  let atoms =
+    List.init
+      (1 + Random.State.int st 3)
+      (fun _ ->
+        if Random.State.int st 4 = 0 then Build.atom u [ term () ]
+        else Build.atom e [ term (); term () ])
+  in
+  let neqs =
+    if Random.State.int st 4 = 0 then
+      let a = term () and b = term () in
+      if Term.equal a b then [] else [ (a, b) ]
+    else []
+  in
+  match Build.query atoms ~neqs with q -> q | exception Invalid_argument _ -> edge_q
+
+type pair = Cq of Query.t * Query.t | Union of Ucq.t * Ucq.t
+
+(* CQ pairs and UCQ pairs (where [big] often repeats a disjunct of
+   [small], so the per-candidate memo is hit), every exhaustive size up
+   to 2, a few samples, and fuel from "trips in the first candidate" to
+   unlimited. *)
+let gen_hunt_case =
+  QCheck.make
+    ~print:(fun (pair, strategy, fuel) ->
+      Printf.sprintf "%s; exhaustive %d, samples %d, seed %d, fuel %s"
+        (match pair with
+        | Cq (s, b) -> Query.to_string s ^ " vs " ^ Query.to_string b
+        | Union (s, b) -> Ucq.to_string s ^ " vs " ^ Ucq.to_string b)
+        strategy.Hunt.exhaustive_max_size strategy.Hunt.sampler.Sampler.samples
+        strategy.Hunt.sampler.Sampler.seed
+        (match fuel with None -> "unlimited" | Some f -> string_of_int f))
+    (fun st ->
+      let pair =
+        if Random.State.bool st then Cq (random_cq st, random_cq st)
+        else
+          let small = List.init (1 + Random.State.int st 2) (fun _ -> random_cq st) in
+          let big = List.init (1 + Random.State.int st 2) (fun _ -> random_cq st) in
+          let big = if Random.State.bool st then List.hd small :: big else big in
+          Union (Ucq.of_disjuncts small, Ucq.of_disjuncts big)
+      in
+      let strategy =
+        {
+          Hunt.exhaustive_max_size = Random.State.int st 3;
+          sampler =
+            {
+              Sampler.default with
+              Sampler.samples = Random.State.int st 25;
+              seed = Random.State.int st 1000;
+            };
+        }
+      in
+      let fuel =
+        if Random.State.bool st then None else Some (1 + Random.State.int st 600)
+      in
+      (pair, strategy, fuel))
+
+let prop_hunt_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"prepared hunt = unprepared reference sweep" ~count:200
+       gen_hunt_case (fun (pair, strategy, fuel) ->
+         let budget () =
+           match fuel with None -> Budget.unlimited () | Some fuel -> Budget.create ~fuel ()
+         in
+         List.for_all
+           (fun jobs ->
+             let got = budget () and want = budget () in
+             let got, want =
+               match pair with
+               | Cq (small, big) ->
+                   ( Hunt.counterexample_guarded ~strategy ?jobs ~budget:got ~small ~big (),
+                     reference_hunt ~serial:(jobs = None) ~strategy ~budget:want
+                       ~schema:(Sampler.schema_of_pair small big)
+                       (fun ~budget ~cache -> Containment.bag_violation ~budget ~cache ~small ~big) )
+               | Union (small, big) ->
+                   ( Hunt.ucq_counterexample_guarded ~strategy ?jobs ~budget:got ~small ~big (),
+                     reference_hunt ~serial:(jobs = None) ~strategy ~budget:want
+                       ~schema:(Schema.union (Ucq.schema small) (Ucq.schema big))
+                       (fun ~budget ~cache ->
+                         Containment.ucq_bag_violation ~budget ~cache ~small ~big) )
+             in
+             let got = hunt_summary got and want = hunt_summary want in
+             got = want
+             || QCheck.Test.fail_reportf "%s:@.hunt      %s@.reference %s"
+                  (if jobs = None then "serial" else "jobs=1")
+                  got want)
+           [ None; Some 1 ]))
+
 let () =
   Alcotest.run "search"
     [
@@ -225,5 +378,6 @@ let () =
           Alcotest.test_case "finds counterexample" `Quick test_hunt_finds_counterexample;
           Alcotest.test_case "set vs bag" `Quick test_hunt_set_contained_but_bag_violated;
           Alcotest.test_case "skips infeasible" `Quick test_hunt_skips_infeasible_exhaustive;
+          prop_hunt_matches_reference;
         ] );
     ]
