@@ -622,7 +622,7 @@ let exp_parallel_sweep () =
   let module Dbspace = Bagcq_search.Dbspace in
   let small = path_q and big = edge_q in
   let schema = Sampler.schema_of_pair small big in
-  row "  sweeping all databases to size 4 for path-vs-edge bag violations\n";
+  row "  sweeping one database per isomorphism class to size 4 for path-vs-edge bag violations\n";
   let walls = ref [] in
   List.iter
     (fun jobs ->

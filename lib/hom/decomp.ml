@@ -14,14 +14,6 @@ let wcoj_selected = Metrics.counter Metrics.global "plan_wcoj_selected"
 let ghd_selected = Metrics.counter Metrics.global "plan_ghd_selected"
 let fallback_selected = Metrics.counter Metrics.global "plan_fallback"
 
-(* The one escape hatch, read per {!choose} call and value-sensitive, so a
-   test can un-set it by overwriting it with [""] or ["0"]: [Unix.putenv]
-   cannot remove a variable from the environment, only rewrite it. *)
-let no_ghd () =
-  match Sys.getenv_opt "BAGCQ_NO_GHD" with
-  | Some s when s <> "" && s <> "0" -> true
-  | _ -> false
-
 (* Variables renamed by first occurrence, so that components that differ
    only in variable names share one search per evaluation — queries built
    with ∧̄ and ↑ consist of many such copies, and [rename_apart]'s ~n
@@ -169,7 +161,7 @@ let choose q =
     | Some t -> Dp t
     | None -> (
         let w = Wcoj.compile q in
-        if no_ghd () || weak_ranks w < 4 then Wcoj w
+        if weak_ranks w < 4 then Wcoj w
         else
           match Ghd.plan q with
           | Some g when Ghd.width g <= 2 -> Ghd g

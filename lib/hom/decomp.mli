@@ -71,10 +71,8 @@ val choose : Query.t -> strategy
     a cyclic residue compiles the leapfrog plan, and when its variable
     order has ≥ 4 weak ranks (iterators unsupported by any earlier
     binding — {!Wcoj.rank_supports}) {e and} {!Ghd.plan} finds a width ≤ 2
-    decomposition, the component runs the decomposition instead.  The
-    [BAGCQ_NO_GHD] escape hatch, read per call and value-sensitive (unset,
-    [""] and ["0"] all mean "off"), pins cyclic components to the
-    leapfrog.  Never returns [Backtrack].
+    decomposition, the component runs the decomposition instead.  Never
+    returns [Backtrack].
 
     {!choose} does not touch the [plan_*] counters — callers holding a
     plan cache call {!record_choice} on misses. *)

@@ -139,8 +139,6 @@ let count ?budget ?cache q d =
   let cache = or_fresh cache in
   count_prepared ?budget ~cache (prepare ~cache q) d
 
-let count_int ?budget ?cache q d = Nat.to_int (count ?budget ?cache q d)
-
 (* Satisfied iff every component counts non-zero. *)
 let satisfies ?budget ?cache d q =
   let cache = or_fresh cache in

@@ -83,9 +83,6 @@ val count : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Structure
     (the seed behaviour).  A caller counting one query on many structures
     should {!prepare} it once instead. *)
 
-val count_int : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Structure.t -> int
-(** Convenience for tests; raises [Failure] if the count overflows. *)
-
 val satisfies : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Structure.t -> Query.t -> bool
 (** [D ⊨ ψ]: [Hom(ψ,D)] is non-empty, i.e. every component counts
     non-zero. *)

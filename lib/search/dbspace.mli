@@ -1,13 +1,44 @@
-(** Exhaustive enumeration of all databases over a schema with a bounded
-    domain — the brute-force side of verifying universally quantified
-    statements such as condition (≤) of Definition 3 on small instances.
+(** Exhaustive enumeration of the databases over a schema with a bounded
+    domain, one per isomorphism class — the brute-force side of verifying
+    universally quantified statements such as condition (≤) of
+    Definition 3 on small instances.
 
-    The space is every subset of the potential atoms over domains
-    [{#1}, {#1,#2}, …, {#1…#max_size}], crossed with every binding of the
-    schema's constants to domain elements.  The size is
-    [2^(Σ_R n^{arity R}) · n^{#constants}] per domain size [n]; enumeration
-    refuses to start when the total number of potential atoms exceeds
-    {!max_potential_atoms}. *)
+    At domain size [n] a candidate is a subset of the potential atoms over
+    [{#1…#n}] (a mask), crossed with a binding of the schema's constants
+    to those elements: [2^(Σ_R n^{arity R}) · n^{#constants}] labelled
+    candidates, ordered by (mask, binding).  Enumeration refuses to start
+    when a size's potential-atom count exceeds {!max_potential_atoms}.
+    Only the candidates that pass two integer tests, run before any
+    structure is built, reach the caller:
+    - {e full domain}: the atoms' elements plus the binding's images are
+      all of [{#1…#n}] (any other candidate is a renamed copy of one at a
+      smaller size).  The empty database is the exception: it is handed
+      over once, as the first candidate of size 1;
+    - {e orbit-first}: no permutation of [{#1…#n}] maps the candidate to
+      a smaller (mask, binding).  Permutations are enumerated while
+      [n! ≤ 120], which under the atom cap covers every size of a schema
+      with a symbol of arity ≥ 2; larger sizes, reached only by
+      unary-only schemas, keep the full-domain test alone.
+
+    So every database of domain size at most [max_size] is isomorphic to
+    exactly one candidate handed over (for E/2 without constants: 2, 8,
+    94 and 2 940 candidates at sizes 1–4, against 2, 16, 512 and 65 536
+    labelled ones).  A predicate must therefore be isomorphism-invariant —
+    every bag count, and so every containment check, is.  For such a
+    predicate the first witness is the labelled enumeration's first
+    witness, byte for byte: that one is full-domain (a copy on fewer
+    elements would have come at a smaller size) and orbit-first (an
+    earlier isomorphic copy would have been a witness too).
+
+    A [?budget] is ticked once per candidate handed over, before the
+    callback runs; rejected candidates cost no tick.  Between two ticks
+    the sweep does no predicate work: it rejects at most the remaining
+    candidates of one size and the leading ones of the next, at most
+    [2^22 · n^{#constants}] per size, each rejection costing at most
+    [min(n!, 120)] mask permutations (one table lookup per 8 potential
+    atoms) and as many binding comparisons (one step per constant); and
+    it may build the next size's tables (at most 119 permutations, one
+    256-entry table per 8 potential atoms each). *)
 
 open Bagcq_relational
 
@@ -24,12 +55,13 @@ val fold :
   ('a -> Structure.t -> 'a) ->
   'a ->
   'a
-(** Folds over every database.  When [with_constants] (default true) every
-    assignment of the schema's constants to domain elements is enumerated
-    too; otherwise constants are left uninterpreted.
-    Raises [Invalid_argument] when the space is too large.  A [?budget] is
-    ticked once per candidate database; when it trips, the fold unwinds
-    with {!Bagcq_guard.Budget.Exhausted_}. *)
+(** Folds over one database per isomorphism class, in (size, mask,
+    binding) order.  When [with_constants] (default true) every assignment
+    of the schema's constants to domain elements is enumerated too;
+    otherwise constants are left uninterpreted.  Raises [Invalid_argument]
+    when the space is too large.  A [?budget] is ticked once per
+    candidate; when it trips, the fold unwinds with
+    {!Bagcq_guard.Budget.Exhausted_}. *)
 
 val exists :
   ?budget:Bagcq_guard.Budget.t ->
@@ -46,9 +78,14 @@ val find :
   max_size:int ->
   (Structure.t -> bool) ->
   Structure.t option
+(** The first witness in {!fold} order (the labelled enumeration's first
+    witness, for an isomorphism-invariant predicate); {!exists} stops at
+    the same one.  A [?budget] that trips raises
+    {!Bagcq_guard.Budget.Exhausted_}. *)
 
 type stats = {
-  databases_tested : int;  (** candidate databases handed to the predicate *)
+  databases_tested : int;
+      (** candidates handed to the predicate: one per isomorphism class *)
   largest_size_completed : int;
       (** every database of this domain size (and below) was enumerated *)
 }
@@ -72,14 +109,18 @@ val count_space : Schema.t -> size:int -> int
 
 (** {2 Parallel sweeps}
 
-    The mask enumeration fanned over a {!Bagcq_parallel.Pool.sweep}: each
+    The same candidates, with each size's masks fanned over a
+    {!Bagcq_parallel.Pool.sweep} (whether a mask is canonical is decided
+    per mask, so chunking changes nothing): each
     worker domain gets its own {!Bagcq_guard.Budget} shard drawn from the
     caller's budget (exhaustion in any shard stops the sweep; ticks are
     summed back into the parent before returning), and the predicate
     receives the worker's shard so its own backtracking ticks the right
     budget.  With [jobs = 1] nothing is spawned and the caller's budget is
-    used directly — candidate order, tick placement and statistics then
-    match {!find_guarded} exactly. *)
+    used directly: {!fold}, {!find} and {!find_guarded} are these sweeps
+    at one job, so candidate order, tick placement and statistics match
+    them exactly.  An {!Bagcq_guard.Budget.Exhausted_} that the predicate
+    raises for some other budget is not taken for a trip: it propagates. *)
 
 val find_guarded_par :
   budget:Bagcq_guard.Budget.t ->

@@ -12,9 +12,9 @@ open Bagcq_cq
 
 type strategy = {
   exhaustive_max_size : int;
-      (** try every database up to this domain size first (0 disables);
-          skipped automatically when the schema's potential-atom count
-          exceeds the {!Dbspace} cap *)
+      (** try every database up to this domain size, up to isomorphism,
+          first (0 disables); truncated automatically to the largest size
+          whose potential-atom count fits under the {!Dbspace} cap *)
   sampler : Sampler.config;
 }
 
@@ -34,7 +34,11 @@ type report = {
 }
 
 type progress = {
-  databases_tested : int;  (** exhaustive candidates plus random samples *)
+  databases_tested : int;
+      (** exhaustive candidates plus random samples.  The exhaustive phase
+          tests one database per isomorphism class ({!Dbspace}): 2 + 8 +
+          94 on E/2 up to size 3, not the 530 labelled ones.  Random
+          samples are all counted, isomorphic or not. *)
   ticks_spent : int;  (** budget ticks consumed across all phases *)
   largest_size_completed : int;
       (** every database up to this domain size was exhaustively tested *)

@@ -88,18 +88,31 @@ hunt_out=$(printf '%s\n' \
   '{"op":"hunt","id":2,"small":"E(x,x)","big":"E(x,y)","samples":10,"exhaustive_size":2,"seed":7}' \
   '{"op":"metrics","id":3}' \
   | ./_build/default/bin/bagcq_cli.exe serve --stdio)
-echo "$hunt_out" | grep -q '"id": 2, "op": "hunt", "status": "ok", .*"ticks": 174}' \
-  || { echo "serve --stdio: hunt did not answer ok with ticks 174" >&2; exit 1; }
+echo "$hunt_out" | grep -q '"id": 2, "op": "hunt", "status": "ok", .*"ticks": 124}' \
+  || { echo "serve --stdio: hunt did not answer ok with ticks 124" >&2; exit 1; }
 # The rise of an unlabelled counter between the two metrics dumps.
 counter_rise() {
   echo "$hunt_out" \
     | sed -n "s/.*\"name\": \"$1\", \"labels\": {}, \"kind\": \"counter\", \"value\": \([0-9]*\)}.*/\1/p" \
     | { read -r before; read -r after; echo $((after - before)); }
 }
-[ "$(counter_rise hunt_candidates_tested)" = 28 ] \
-  || { echo "serve --stdio: hunt_candidates_tested did not rise by 28" >&2; exit 1; }
+# 2 + 8 swept candidates (one per isomorphism class) and 10 samples
+[ "$(counter_rise hunt_candidates_tested)" = 20 ] \
+  || { echo "serve --stdio: hunt_candidates_tested did not rise by 20" >&2; exit 1; }
 [ "$(counter_rise plan_components)" = 2 ] \
   || { echo "serve --stdio: plan_components rose by $(counter_rise plan_components), not 2: the hunt re-planned per candidate" >&2; exit 1; }
+
+echo "== serve --stdio sweeps size 4 once per isomorphism class =="
+hunt_out=$(printf '%s\n' \
+  '{"op":"metrics","id":1}' \
+  '{"op":"hunt","id":2,"small":"E(x,x)","big":"E(x,y)","samples":0,"exhaustive_size":4}' \
+  '{"op":"metrics","id":3}' \
+  | ./_build/default/bin/bagcq_cli.exe serve --stdio)
+echo "$hunt_out" | grep -q '"id": 2, "op": "hunt", "status": "ok", .*"exhaustive_complete": true' \
+  || { echo "serve --stdio: the size-4 hunt did not complete its sweep" >&2; exit 1; }
+# 2 + 8 + 94 + 2 940 classes, where the labelled sweep tested 66 066
+[ "$(counter_rise hunt_candidates_tested)" = 3044 ] \
+  || { echo "serve --stdio: the size-4 hunt tested $(counter_rise hunt_candidates_tested) candidates, not 3044" >&2; exit 1; }
 
 # Start `bagcq serve --port 0` in the background with the extra flags
 # given after the label, and wait for it to report its port.  Sets

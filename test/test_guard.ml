@@ -138,10 +138,10 @@ let test_trip_mid_enumeration () =
   let budget = Budget.fault_at ~tick:9 () in
   match Dbspace.find_guarded ~budget ~with_constants:false schema ~max_size:2 (fun _ -> false) with
   | Outcome.Exhausted (stats, Budget.Fuel) ->
-      (* size 1 has 2 databases, size 2 has 16: tick 9 lands mid-size-2 *)
+      (* size 1 has 2 candidates, size 2 has 8: tick 9 lands mid-size-2 *)
       Alcotest.(check int) "size 1 completed" 1 stats.Dbspace.largest_size_completed;
       Alcotest.(check bool) "partial databases counted" true
-        (stats.Dbspace.databases_tested >= 2 && stats.Dbspace.databases_tested < 18)
+        (stats.Dbspace.databases_tested >= 2 && stats.Dbspace.databases_tested < 10)
   | Outcome.Exhausted (_, Budget.Deadline) -> Alcotest.fail "wrong trip reason"
   | Outcome.Complete _ -> Alcotest.fail "budget must trip mid-enumeration"
 
@@ -157,6 +157,22 @@ let test_enumeration_complete_with_ample_fuel () =
       Alcotest.(check bool) "stats recorded" true (stats.Dbspace.databases_tested > 0)
   | Outcome.Complete (None, _) -> Alcotest.fail "expected a loop database"
   | Outcome.Exhausted _ -> Alcotest.fail "ample fuel must not trip"
+
+(* A trip of a budget the sweep does not own is the predicate's own
+   failure, not the sweep's exhaustion: it propagates, on every path, and
+   leaves the sweep's budget untripped. *)
+let test_foreign_trip_propagates () =
+  let schema = Schema.make [ e ] in
+  let foreign = Budget.create ~fuel:0 () in
+  let pred ~budget:_ _ = Budget.tick foreign; false in
+  List.iter
+    (fun jobs ->
+      let budget = Budget.unlimited () in
+      (match Dbspace.find_guarded_par ~budget ~jobs ~with_constants:false schema ~max_size:2 pred with
+      | _ -> Alcotest.fail "a foreign trip must not end the sweep quietly"
+      | exception Budget.Exhausted_ Budget.Fuel -> ());
+      Alcotest.(check bool) "sweep budget untripped" true (Budget.tripped budget = None))
+    [ 1; 2 ]
 
 let test_trip_mid_sampling () =
   let schema = Schema.make [ e ] in
@@ -296,6 +312,7 @@ let () =
           Alcotest.test_case "mid-backtrack" `Quick test_trip_mid_backtrack;
           Alcotest.test_case "mid-enumeration" `Quick test_trip_mid_enumeration;
           Alcotest.test_case "enumeration completes" `Quick test_enumeration_complete_with_ample_fuel;
+          Alcotest.test_case "foreign trip propagates" `Quick test_foreign_trip_propagates;
           Alcotest.test_case "mid-sampling" `Quick test_trip_mid_sampling;
           Alcotest.test_case "mid-hunt" `Quick test_trip_mid_hunt;
         ] );

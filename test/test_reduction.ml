@@ -537,8 +537,8 @@ let test_appendix_a_x1_rays () =
   let t = small_instance in
   let xs = [| 3; 2 |] in
   let d = Valuation.correct_db t xs in
-  let total_s = Eval.count_int (Pi.pi_s t) d in
-  let total_b = Eval.count_int (Pi.pi_b t) d in
+  let total_s = Nat.to_int (Eval.count (Pi.pi_s t) d) in
+  let total_b = Nat.to_int (Eval.count (Pi.pi_b t) d) in
   (* π_b = Ξ(x1)^d·P_b and π_s = P_s: check the exact relationship *)
   Alcotest.(check int) "pi_s = P_s" (Nat.to_int (Lemma11.eval_s t xs)) total_s;
   Alcotest.(check int) "pi_b = x1^d·P_b"

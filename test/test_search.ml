@@ -30,17 +30,21 @@ let test_potential_atoms () =
   Alcotest.(check int) "count_space" 6 (Dbspace.count_space schema ~size:2)
 
 let test_fold_counts_all_databases () =
-  (* one unary symbol, sizes 1..2, no constants:
-     size 1: 2^1 = 2 databases; size 2: 2^2 = 4; total 6 *)
+  (* one unary symbol, sizes 1..2, no constants: size 1 gives {} and
+     {U(1)}; of the 4 masks at size 2 only {U(1), U(2)} uses both
+     elements — {U(1)} and {U(2)} are copies of size 1's {U(1)} *)
   let schema = Schema.make [ u ] in
   let n = Dbspace.fold ~with_constants:false schema ~max_size:2 (fun acc _ -> acc + 1) 0 in
-  Alcotest.(check int) "6 databases" 6 n
+  Alcotest.(check int) "3 databases" 3 n
 
 let test_fold_with_constants () =
-  (* same space crossed with bindings of one constant: 2·1 + 4·2 = 10 *)
+  (* the same space crossed with bindings of one constant: size 1 gives
+     {} and {U(1)} with a := 1; size 2 gives {U(1)} with a := 2 (its
+     isomorphic copy {U(2)} with a := 1 comes later) and {U(1), U(2)}
+     with a := 1 *)
   let schema = Schema.make ~constants:[ "a" ] [ u ] in
   let n = Dbspace.fold schema ~max_size:2 (fun acc _ -> acc + 1) 0 in
-  Alcotest.(check int) "10 databases" 10 n
+  Alcotest.(check int) "4 databases" 4 n
 
 let test_fold_rejects_huge_space () =
   let schema = Schema.make [ Build.sym "T" 3 ] in
@@ -65,6 +69,78 @@ let test_exists_exhaustive_negative () =
   Alcotest.(check bool) "nothing satisfies it" false
     (Dbspace.exists ~with_constants:false schema ~max_size:2 (fun d ->
          Eval.satisfies d impossible))
+
+(* The labelled enumeration the reduced sweep replaced, kept as the
+   reference: at each size every subset of the potential atoms, crossed
+   with every binding of the schema's constants (the first constant
+   outermost), in that order. *)
+let labelled_iter schema ~max_size f =
+  for size = 1 to max_size do
+    let atoms = Array.of_list (Dbspace.potential_atoms schema ~size) in
+    for mask = 0 to (1 lsl Array.length atoms) - 1 do
+      let d = ref (Structure.empty schema) in
+      Array.iteri
+        (fun i (sym, tup) -> if mask land (1 lsl i) <> 0 then d := Structure.add_atom !d sym tup)
+        atoms;
+      let rec bind d = function
+        | [] -> f d
+        | c :: rest ->
+            for v = 1 to size do
+              bind (Structure.bind_constant d c (vi v)) rest
+            done
+      in
+      bind !d (Schema.constants schema)
+    done
+  done
+
+let labelled_find schema ~max_size pred =
+  let exception Found of Structure.t in
+  match labelled_iter schema ~max_size (fun d -> if pred d then raise (Found d)) with
+  | () -> None
+  | exception Found d -> Some d
+
+(* A database up to isomorphism: the least encoding over every bijection
+   of its domain onto {1..|domain|}. *)
+let iso_class d =
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x -> List.map (List.cons x) (perms (List.filter (fun y -> not (Value.equal x y)) l)))
+          l
+  in
+  perms (Value.Set.elements (Structure.domain d))
+  |> List.map (fun p ->
+         let rename = List.mapi (fun i v -> (v, vi (i + 1))) p in
+         Encode.to_string (Structure.map_values (fun v -> List.assoc v rename) d))
+  |> List.sort compare |> List.hd
+
+let brute_force_classes schema ~max_size =
+  let seen = Hashtbl.create 64 in
+  labelled_iter schema ~max_size (fun d -> Hashtbl.replace seen (iso_class d) ());
+  Hashtbl.length seen
+
+let sweep_count ?with_constants schema ~max_size =
+  Dbspace.fold ?with_constants schema ~max_size (fun acc _ -> acc + 1) 0
+
+let test_reduced_sweep_counts () =
+  (* E/2 without constants: 2, 8, 94 and 2 940 candidates at sizes 1–4,
+     where the labelled enumeration had 2, 16, 512 and 65 536 *)
+  let schema = Schema.make [ e ] in
+  let upto s = sweep_count schema ~max_size:s in
+  Alcotest.(check (list int)) "per size" [ 2; 8; 94; 2_940 ]
+    (List.map (fun s -> upto s - upto (s - 1)) [ 1; 2; 3; 4 ]);
+  (* one candidate per isomorphism class, counted by brute force *)
+  Alcotest.(check int) "E/2 to size 3 = its classes" (brute_force_classes schema ~max_size:3)
+    (sweep_count schema ~max_size:3);
+  let unary = Schema.make ~constants:[ "a" ] [ u ] in
+  Alcotest.(check int) "U/1 and a constant to size 4 = its classes"
+    (brute_force_classes unary ~max_size:4)
+    (sweep_count unary ~max_size:4);
+  let mixed = Schema.make ~constants:[ "a" ] [ e; u ] in
+  Alcotest.(check int) "E/2, U/1 and a constant to size 2 = its classes"
+    (brute_force_classes mixed ~max_size:2)
+    (sweep_count mixed ~max_size:2)
 
 (* ------------------------------------------------------------------ *)
 (* Sampler                                                             *)
@@ -276,6 +352,18 @@ let random_cq st =
 
 type pair = Cq of Query.t * Query.t | Union of Ucq.t * Ucq.t
 
+let random_pair st =
+  if Random.State.bool st then Cq (random_cq st, random_cq st)
+  else
+    let small = List.init (1 + Random.State.int st 2) (fun _ -> random_cq st) in
+    let big = List.init (1 + Random.State.int st 2) (fun _ -> random_cq st) in
+    let big = if Random.State.bool st then List.hd small :: big else big in
+    Union (Ucq.of_disjuncts small, Ucq.of_disjuncts big)
+
+let pair_to_string = function
+  | Cq (s, b) -> Query.to_string s ^ " vs " ^ Query.to_string b
+  | Union (s, b) -> Ucq.to_string s ^ " vs " ^ Ucq.to_string b
+
 (* CQ pairs and UCQ pairs (where [big] often repeats a disjunct of
    [small], so the per-candidate memo is hit), every exhaustive size up
    to 2, a few samples, and fuel from "trips in the first candidate" to
@@ -283,22 +371,12 @@ type pair = Cq of Query.t * Query.t | Union of Ucq.t * Ucq.t
 let gen_hunt_case =
   QCheck.make
     ~print:(fun (pair, strategy, fuel) ->
-      Printf.sprintf "%s; exhaustive %d, samples %d, seed %d, fuel %s"
-        (match pair with
-        | Cq (s, b) -> Query.to_string s ^ " vs " ^ Query.to_string b
-        | Union (s, b) -> Ucq.to_string s ^ " vs " ^ Ucq.to_string b)
+      Printf.sprintf "%s; exhaustive %d, samples %d, seed %d, fuel %s" (pair_to_string pair)
         strategy.Hunt.exhaustive_max_size strategy.Hunt.sampler.Sampler.samples
         strategy.Hunt.sampler.Sampler.seed
         (match fuel with None -> "unlimited" | Some f -> string_of_int f))
     (fun st ->
-      let pair =
-        if Random.State.bool st then Cq (random_cq st, random_cq st)
-        else
-          let small = List.init (1 + Random.State.int st 2) (fun _ -> random_cq st) in
-          let big = List.init (1 + Random.State.int st 2) (fun _ -> random_cq st) in
-          let big = if Random.State.bool st then List.hd small :: big else big in
-          Union (Ucq.of_disjuncts small, Ucq.of_disjuncts big)
-      in
+      let pair = random_pair st in
       let strategy =
         {
           Hunt.exhaustive_max_size = Random.State.int st 3;
@@ -346,6 +424,59 @@ let prop_hunt_matches_reference =
                   got want)
            [ None; Some 1 ]))
 
+(* The reduced sweep returns the labelled enumeration's first witness,
+   or none when it has none: on every path with an unlimited budget, and
+   on the serial and jobs=1 paths whenever a fuel-limited run completes
+   (a trip stops them before any later candidate).  Under fuel the jobs=2
+   path only has to end [Complete] or [Exhausted]: a shard that trips may
+   leave an earlier chunk unswept while another finds a later witness. *)
+let prop_reduced_sweep_matches_labelled =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"reduced sweep = labelled reference" ~count:300
+       (QCheck.make
+          ~print:(fun (pair, max_size, fuel) ->
+            Printf.sprintf "%s; size %d, fuel %d" (pair_to_string pair) max_size fuel)
+          (fun st -> (random_pair st, Random.State.int st 4, 1 + Random.State.int st 2000)))
+       (fun (pair, max_size, fuel) ->
+         let schema, violation =
+           match pair with
+           | Cq (small, big) ->
+               ( Sampler.schema_of_pair small big,
+                 fun ?cache ~budget d -> Containment.bag_violation ?cache ~budget ~small ~big d
+               )
+           | Union (small, big) ->
+               ( Schema.union (Ucq.schema small) (Ucq.schema big),
+                 fun ?cache ~budget d ->
+                   Containment.ucq_bag_violation ?cache ~budget ~small ~big d )
+         in
+         let show = function None -> "none" | Some d -> Encode.to_string d in
+         let want =
+           show
+             (labelled_find schema ~max_size
+                (violation ~cache:(Eval.create_cache ()) ~budget:(Budget.unlimited ())))
+         in
+         List.for_all
+           (fun (name, jobs) ->
+             let run budget =
+               match jobs with
+               | None -> Dbspace.find_guarded ~budget schema ~max_size (violation ~budget)
+               | Some jobs ->
+                   Dbspace.find_guarded_par ~budget ~jobs schema ~max_size (violation ?cache:None)
+             in
+             let agrees how w =
+               show w = want
+               || QCheck.Test.fail_reportf "%s, %s: reduced %s@.labelled %s" name how (show w)
+                    want
+             in
+             (match run (Budget.unlimited ()) with
+             | Outcome.Complete (w, _) -> agrees "unlimited" w
+             | Outcome.Exhausted _ -> QCheck.Test.fail_reportf "%s: unlimited exhausted" name)
+             &&
+             match run (Budget.create ~fuel ()) with
+             | Outcome.Complete (w, _) when jobs <> Some 2 -> agrees "fuel" w
+             | Outcome.Complete _ | Outcome.Exhausted _ -> true)
+           [ ("serial", None); ("jobs=1", Some 1); ("jobs=2", Some 2) ]))
+
 let () =
   Alcotest.run "search"
     [
@@ -354,6 +485,8 @@ let () =
           Alcotest.test_case "potential atoms" `Quick test_potential_atoms;
           Alcotest.test_case "fold counts" `Quick test_fold_counts_all_databases;
           Alcotest.test_case "fold with constants" `Quick test_fold_with_constants;
+          Alcotest.test_case "one candidate per class" `Quick test_reduced_sweep_counts;
+          prop_reduced_sweep_matches_labelled;
           Alcotest.test_case "rejects huge spaces" `Quick test_fold_rejects_huge_space;
           Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "exists negative" `Quick test_exists_exhaustive_negative;

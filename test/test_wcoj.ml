@@ -3,12 +3,7 @@
    chords, CYCLIQ rotations), inequality filters, domain ranks
    (inequality-only variables, atom-free components), classification,
    fuel-trip semantics (Exhausted must surface mid-intersection and
-   mid-domain-walk), kernel metrics, and the BAGCQ_NO_GHD escape hatch.
-
-   [Unix.putenv] cannot remove a variable from the environment, but
-   [Decomp.choose] reads the hatch per call and treats [""] and ["0"] as
-   unset, so the hatch test restores the default by overwriting with
-   ["0"] and may run in any order. *)
+   mid-domain-walk) and kernel metrics. *)
 
 open Bagcq_relational
 open Bagcq_cq
@@ -386,26 +381,6 @@ let test_domain_ranks () =
   Alcotest.(check bool) "atom-free on the empty domain" false
     (Eval.satisfies (Structure.empty (Schema.make [ e ])) free)
 
-let six_cycle =
-  Build.(query (cycle e (List.init 6 (fun i -> v (Printf.sprintf "x%d" i)))))
-
-(* [Decomp.choose] reads the hatch per call, so toggling it back to "0"
-   restores the default — this test may run in any order. *)
-let test_ghd_escape_hatch () =
-  (match Decomp.choose (Decomp.canonical six_cycle) with
-  | Decomp.Ghd _ -> ()
-  | _ -> Alcotest.fail "a 6-cycle must pick the hypertree decomposition");
-  Unix.putenv "BAGCQ_NO_GHD" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BAGCQ_NO_GHD" "0")
-    (fun () ->
-      match Decomp.choose (Decomp.canonical six_cycle) with
-      | Decomp.Wcoj _ -> ()
-      | _ -> Alcotest.fail "BAGCQ_NO_GHD must pin the leapfrog kernel");
-  match Decomp.choose (Decomp.canonical six_cycle) with
-  | Decomp.Ghd _ -> ()
-  | _ -> Alcotest.fail "overwriting the hatch with \"0\" must restore the GHD"
-
 let () =
   Alcotest.run "wcoj"
     [
@@ -425,10 +400,6 @@ let () =
           Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
           Alcotest.test_case "variable order is deterministic" `Quick
             test_variable_order_is_deterministic;
-          (* deliberately before the metrics/fuel cases: the hatch must
-             leave no trace behind *)
-          Alcotest.test_case "BAGCQ_NO_GHD escape hatch" `Quick
-            test_ghd_escape_hatch;
           Alcotest.test_case "wcoj_* metrics family" `Quick test_metrics_family;
           Alcotest.test_case "fuel trips mid-intersection" `Quick
             test_fuel_trips_mid_intersection;
