@@ -97,6 +97,43 @@ let print_exhausted budget reason =
     (Budget.reason_to_string reason)
     (Budget.snapshot_to_string (Budget.snapshot budget))
 
+(* The report [hunt] and [ucq hunt] print from a guarded hunt; [counts]
+   recounts a witness for the VIOLATED line. *)
+let print_hunt ~counts ~max_size budget outcome =
+  let print_witness d =
+    let cs, cb = counts d in
+    Printf.printf "VIOLATED: small(D) = %s > big(D) = %s on:\n%s"
+      (Nat.to_string cs) (Nat.to_string cb) (Encode.to_string d)
+  in
+  match outcome with
+  | Outcome.Complete (report, _) -> (
+      match report.Hunt.witness with
+      | Some d ->
+          print_witness d;
+          exit_found
+      | None ->
+          (match report.Hunt.unverified with
+          | Some d ->
+              Printf.eprintf
+                "bagcq: INCONSISTENCY: the hunt reported a witness that failed \
+                 re-verification:\n%s"
+                (Encode.to_string d)
+          | None -> ());
+          Printf.printf
+            "no counterexample found (exhaustive to size %d complete: %b; %d random samples)\n"
+            max_size report.Hunt.exhaustive_complete report.Hunt.tested_random;
+          exit_none)
+  | Outcome.Exhausted ((report, progress), reason) ->
+      (match report.Hunt.witness with Some d -> print_witness d | None -> ());
+      Printf.printf
+        "budget exhausted (%s): %s, %d databases tested \
+         (exhaustive complete to size %d; %d random samples)\n"
+        (Budget.reason_to_string reason)
+        (Budget.snapshot_to_string (Budget.snapshot budget))
+        progress.Hunt.databases_tested
+        progress.Hunt.largest_size_completed report.Hunt.tested_random;
+      exit_exhausted
+
 (* ---------------- eval ---------------- *)
 
 let eval_cmd =
@@ -318,11 +355,6 @@ let hunt_cmd =
     Arg.(value & opt (some pos_int) None & info [ "jobs" ] ~docv:"N"
            ~doc:"Worker domains for the exhaustive sweep and the random                  sampling phase. Defaults to $(b,BAGCQ_JOBS) if set, else the                  number of cores. The witness found is independent of $(docv).")
   in
-  let print_witness small big d =
-    let cs, cb = Containment.bag_counts ~small ~big d in
-    Printf.printf "VIOLATED: small(D) = %s > big(D) = %s on:\n%s"
-      (Nat.to_string cs) (Nat.to_string cb) (Encode.to_string d)
-  in
   let run small big samples max_size seed jobs budget =
     let jobs =
       match jobs with
@@ -339,36 +371,8 @@ let hunt_cmd =
         Hunt.sampler = { Sampler.default with Sampler.samples; Sampler.seed };
       }
     in
-    match Hunt.counterexample_guarded ~strategy ~jobs ~budget ~small ~big () with
-    | Outcome.Complete (report, _) -> (
-        match report.Hunt.witness with
-        | Some d ->
-            print_witness small big d;
-            exit_found
-        | None ->
-            (match report.Hunt.unverified with
-            | Some d ->
-                Printf.eprintf
-                  "bagcq: INCONSISTENCY: the hunt reported a witness that failed \
-                   re-verification:\n%s"
-                  (Encode.to_string d)
-            | None -> ());
-            Printf.printf
-              "no counterexample found (exhaustive to size %d complete: %b; %d random samples)\n"
-              max_size report.Hunt.exhaustive_complete report.Hunt.tested_random;
-            exit_none)
-    | Outcome.Exhausted ((report, progress), reason) ->
-        (match report.Hunt.witness with
-        | Some d -> print_witness small big d
-        | None -> ());
-        Printf.printf
-          "budget exhausted (%s): %s, %d databases tested \
-           (exhaustive complete to size %d; %d random samples)\n"
-          (Budget.reason_to_string reason)
-          (Budget.snapshot_to_string (Budget.snapshot budget))
-          progress.Hunt.databases_tested
-          progress.Hunt.largest_size_completed report.Hunt.tested_random;
-        exit_exhausted
+    print_hunt ~counts:(Containment.bag_counts ~small ~big) ~max_size budget
+      (Hunt.counterexample_guarded ~strategy ~jobs ~budget ~small ~big ())
   in
   Cmd.v
     (Cmd.info "hunt" ~exits:budget_exits
@@ -830,6 +834,30 @@ let row_of_json j =
   in
   { Metrics.name = str "name"; labels; value }
 
+(* One NDJSON request over a fresh connection to 127.0.0.1:[port]
+   ([Load.connect], with its capability handshake when [require_ops] is
+   given): the response line, or the error to print. *)
+let request ?require_ops port fields =
+  match Load.connect ?require_ops ~port () with
+  | Error e when require_ops = None ->
+      Error (Printf.sprintf "cannot connect to 127.0.0.1:%d: %s" port e)
+  | Error e -> Error (Printf.sprintf "127.0.0.1:%d: %s" port e)
+  | Ok sock -> (
+      let ic = Unix.in_channel_of_descr sock in
+      let oc = Unix.out_channel_of_descr sock in
+      output_string oc (Wire_json.to_string (Wire_json.Obj fields));
+      output_char oc '\n';
+      flush oc;
+      let line = In_channel.input_line ic in
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      match line with
+      | None -> Error "server closed the connection without answering"
+      | Some line -> Ok line)
+
+let budget_fields fuel timeout =
+  (match fuel with Some f -> [ ("fuel", Wire_json.Int f) ] | None -> [])
+  @ match timeout with Some t -> [ ("timeout_ms", Wire_json.Int t) ] | None -> []
+
 let metrics_cmd =
   let port =
     Arg.(required & opt (some int) None & info [ "port" ] ~docv:"PORT"
@@ -841,42 +869,20 @@ let metrics_cmd =
                  the human table.")
   in
   let run port json =
-    match
-      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      sock
-    with
-    | exception Unix.Unix_error (e, _, _) ->
-        `Error
-          ( false,
-            Printf.sprintf "cannot connect to 127.0.0.1:%d: %s" port
-              (Unix.error_message e) )
-    | sock -> (
-        let ic = Unix.in_channel_of_descr sock in
-        let oc = Unix.out_channel_of_descr sock in
-        output_string oc "{\"op\":\"metrics\"}\n";
-        flush oc;
-        let line = In_channel.input_line ic in
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        match line with
-        | None -> `Error (false, "server closed the connection without answering")
-        | Some line -> (
-            match Wire_json.parse line with
-            | Error e ->
-                `Error (false, Printf.sprintf "unparseable response: %s" e)
-            | Ok j when json ->
-                print_endline (Wire_json.to_string j);
+    match request port [ ("op", Wire_json.Str "metrics") ] with
+    | Error e -> `Error (false, e)
+    | Ok line -> (
+        match Wire_json.parse line with
+        | Error e -> `Error (false, Printf.sprintf "unparseable response: %s" e)
+        | Ok j when json ->
+            print_endline (Wire_json.to_string j);
+            `Ok 0
+        | Ok j -> (
+            match Wire_json.member "metrics" j with
+            | Some (Wire_json.List rows) ->
+                print_string (Metrics.render_table (List.map row_of_json rows));
                 `Ok 0
-            | Ok j -> (
-                match Wire_json.member "metrics" j with
-                | Some (Wire_json.List rows) ->
-                    print_string
-                      (Metrics.render_table (List.map row_of_json rows));
-                    `Ok 0
-                | _ ->
-                    `Error
-                      ( false,
-                        Printf.sprintf "not a metrics response: %s" line ))))
+            | _ -> `Error (false, Printf.sprintf "not a metrics response: %s" line)))
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -893,19 +899,12 @@ let metrics_cmd =
    query arguments ship as raw text — the server is the single validator,
    so a syntax error comes back as the same structured bad_request every
    other client sees. *)
-let roundtrip_over sock fields =
-  let ic = Unix.in_channel_of_descr sock in
-  let oc = Unix.out_channel_of_descr sock in
-  output_string oc (Wire_json.to_string (Wire_json.Obj fields));
-  output_char oc '\n';
-  flush oc;
-  let line = In_channel.input_line ic in
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  match line with
-  | None ->
-      Printf.eprintf "bagcq: server closed the connection without answering\n";
+let roundtrip ?require_ops port fields =
+  match request ?require_ops port fields with
+  | Error e ->
+      Printf.eprintf "bagcq: %s\n" e;
       exit_input
-  | Some line -> (
+  | Ok line -> (
       print_endline line;
       match Wire_json.parse line with
       | Error _ -> exit_input
@@ -914,18 +913,6 @@ let roundtrip_over sock fields =
           | Some (Wire_json.Str "ok") -> exit_found
           | Some (Wire_json.Str "exhausted") -> exit_exhausted
           | _ -> exit_none))
-
-let store_roundtrip port fields =
-  match
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    sock
-  with
-  | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "bagcq: cannot connect to 127.0.0.1:%d: %s\n" port
-        (Unix.error_message e);
-      exit_input
-  | sock -> roundtrip_over sock fields
 
 let store_cmd =
   let port =
@@ -939,13 +926,6 @@ let store_cmd =
   let timeout =
     Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~docv:"MS"
            ~doc:"Per-request wall-clock budget (clamped by the server's cap).")
-  in
-  let budget_fields fuel timeout =
-    (match fuel with Some f -> [ ("fuel", Wire_json.Int f) ] | None -> [])
-    @
-    match timeout with
-    | Some t -> [ ("timeout_ms", Wire_json.Int t) ]
-    | None -> []
   in
   let name_pos =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME"
@@ -977,7 +957,7 @@ let store_cmd =
           Printf.eprintf "bagcq: %s\n" e;
           exit_input
       | Ok text ->
-          store_roundtrip port
+          roundtrip port
             ([ ("op", Wire_json.Str "db_create"); ("name", Wire_json.Str name) ]
             @ (match text with
               | Some t -> [ ("db", Wire_json.Str t) ]
@@ -991,7 +971,7 @@ let store_cmd =
   in
   let mutation_cmd op ~cmd_name ~doc =
     let run port name fact fuel timeout =
-      store_roundtrip port
+      roundtrip port
         ([
            ("op", Wire_json.Str op);
            ("name", Wire_json.Str name);
@@ -1005,7 +985,7 @@ let store_cmd =
   in
   let registration_cmd op ~cmd_name ~doc =
     let run port name query fuel timeout =
-      store_roundtrip port
+      roundtrip port
         ([
            ("op", Wire_json.Str op);
            ("name", Wire_json.Str name);
@@ -1019,7 +999,7 @@ let store_cmd =
   in
   let counts_cmd =
     let run port name fuel timeout =
-      store_roundtrip port
+      roundtrip port
         ([ ("op", Wire_json.Str "counts"); ("name", Wire_json.Str name) ]
         @ budget_fields fuel timeout)
     in
@@ -1057,11 +1037,7 @@ let store_cmd =
    [Load.connect ~require_ops] runs the ping capability handshake and
    refuses to send ucq_* to a server that does not advertise it. *)
 let ucq_roundtrip port ~op fields =
-  match Load.connect ~require_ops:[ op ] ~port () with
-  | Error e ->
-      Printf.eprintf "bagcq: 127.0.0.1:%d: %s\n" port e;
-      exit_input
-  | Ok sock -> roundtrip_over sock (("op", Wire_json.Str op) :: fields)
+  roundtrip ~require_ops:[ op ] port (("op", Wire_json.Str op) :: fields)
 
 let ucq_cmd =
   let port =
@@ -1083,13 +1059,6 @@ let ucq_cmd =
                  per-request timeout_ms field (with $(b,--port)).")
   in
   let budget_of fuel timeout_ms = Budget.create ?fuel ?timeout_ms () in
-  let budget_json fuel timeout =
-    (match fuel with Some f -> [ ("fuel", Wire_json.Int f) ] | None -> [])
-    @
-    match timeout with
-    | Some t -> [ ("timeout_ms", Wire_json.Int t) ]
-    | None -> []
-  in
   let eval_cmd =
     let query =
       Arg.(required & opt (some string) None & info [ "q"; "query" ] ~docv:"UCQ"
@@ -1114,7 +1083,7 @@ let ucq_cmd =
       | Some port, Some name ->
           ucq_roundtrip port ~op:"ucq_eval"
             ([ ("query", Wire_json.Str text); ("db_name", Wire_json.Str name) ]
-            @ budget_json fuel timeout)
+            @ budget_fields fuel timeout)
       | Some port, None -> (
           match read_database path with
           | Error e ->
@@ -1126,7 +1095,7 @@ let ucq_cmd =
                    ("query", Wire_json.Str text);
                    ("db", Wire_json.Str (Encode.to_string d));
                  ]
-                @ budget_json fuel timeout))
+                @ budget_fields fuel timeout))
       | None, None -> (
           match Parse.parse_ucq text with
           | Error e ->
@@ -1184,7 +1153,7 @@ let ucq_cmd =
       | Some port ->
           ucq_roundtrip port ~op:"ucq_contain"
             ([ ("small", Wire_json.Str small); ("big", Wire_json.Str big) ]
-            @ budget_json fuel timeout)
+            @ budget_fields fuel timeout)
       | None ->
           parse_pair small big (fun small big ->
               let budget = budget_of fuel timeout in
@@ -1242,11 +1211,6 @@ let ucq_cmd =
       Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"N"
              ~doc:"Random seed.")
     in
-    let print_witness small big d =
-      let cs, cb = Containment.ucq_bag_counts ~small ~big d in
-      Printf.printf "VIOLATED: small(D) = %s > big(D) = %s on:\n%s"
-        (Nat.to_string cs) (Nat.to_string cb) (Encode.to_string d)
-    in
     let run small big samples max_size seed port fuel timeout =
       match port with
       | Some port ->
@@ -1258,7 +1222,7 @@ let ucq_cmd =
                ("exhaustive_size", Wire_json.Int max_size);
                ("seed", Wire_json.Int seed);
              ]
-            @ budget_json fuel timeout)
+            @ budget_fields fuel timeout)
       | None ->
           parse_pair small big (fun small big ->
               let budget = budget_of fuel timeout in
@@ -1269,41 +1233,9 @@ let ucq_cmd =
                     { Sampler.default with Sampler.samples; Sampler.seed };
                 }
               in
-              match
-                Hunt.ucq_counterexample_guarded ~strategy ~budget ~small ~big ()
-              with
-              | Outcome.Complete (report, _) -> (
-                  match report.Hunt.witness with
-                  | Some d ->
-                      print_witness small big d;
-                      exit_found
-                  | None ->
-                      (match report.Hunt.unverified with
-                      | Some d ->
-                          Printf.eprintf
-                            "bagcq: INCONSISTENCY: the hunt reported a witness \
-                             that failed re-verification:\n%s"
-                            (Encode.to_string d)
-                      | None -> ());
-                      Printf.printf
-                        "no counterexample found (exhaustive to size %d \
-                         complete: %b; %d random samples)\n"
-                        max_size report.Hunt.exhaustive_complete
-                        report.Hunt.tested_random;
-                      exit_none)
-              | Outcome.Exhausted ((report, progress), reason) ->
-                  (match report.Hunt.witness with
-                  | Some d -> print_witness small big d
-                  | None -> ());
-                  Printf.printf
-                    "budget exhausted (%s): %s, %d databases tested \
-                     (exhaustive complete to size %d; %d random samples)\n"
-                    (Budget.reason_to_string reason)
-                    (Budget.snapshot_to_string (Budget.snapshot budget))
-                    progress.Hunt.databases_tested
-                    progress.Hunt.largest_size_completed
-                    report.Hunt.tested_random;
-                  exit_exhausted)
+              print_hunt ~counts:(Containment.ucq_bag_counts ~small ~big)
+                ~max_size budget
+                (Hunt.ucq_counterexample_guarded ~strategy ~budget ~small ~big ()))
     in
     Cmd.v
       (Cmd.info "hunt" ~exits:budget_exits

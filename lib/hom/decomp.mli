@@ -9,7 +9,7 @@
     components with multiplicities (so [θ↑k] costs one component search
     plus one [Nat.pow]), and {!choose} classifies each component — GYO
     reduction sends α-acyclic components to the join-tree dynamic program
-    ({!count_tree}: polynomial in the structure), components with
+    ({!Jtree}: polynomial in the structure), components with
     inequalities and cyclic ones run the leapfrog kernel ({!Wcoj}) or, when
     a cyclic order is weak and a width ≤ 2 decomposition exists, the
     join-tree DP over hypertree bags ({!Ghd}).  {!count} runs whichever
@@ -40,19 +40,19 @@ val factor : Query.t -> (Query.t * int) list
     order.  [count q D = Π_i count cᵢ D ^ mᵢ] over [factor q]; the empty
     conjunction factors into [[]]. *)
 
-type tree = {
-  atom : Atom.t;
-  key : string list;  (** shared variables with the parent, sorted; [[]] at
-                          the root *)
-  children : tree list;
-}
-(** A join tree over a component's atoms.  The GYO parent relation has the
-    running-intersection property, so each edge's [key] — the variables the
-    child atom shares with its parent atom — is exactly the interface
-    between the child's subtree and the rest of the query. *)
+type tree
+(** A join tree over a component's atoms, from GYO reduction: the parent
+    relation has the running-intersection property, so each edge's key —
+    the variables a child atom shares with its parent atom — is exactly
+    the interface between the child's subtree and the rest of the query.
+    It carries its DP, compiled once. *)
+
+val jtree : tree -> Jtree.t
+(** The tree's DP: one atom-scan node per atom.  The store builds its
+    maintained counts from it. *)
 
 type strategy =
-  | Dp of tree  (** α-acyclic, no inequalities: count by {!count_tree} *)
+  | Dp of tree  (** α-acyclic, no inequalities: the join-tree DP *)
   | Wcoj of Wcoj.plan
       (** cyclic, or carrying inequalities: worst-case-optimal leapfrog
           join *)
@@ -85,14 +85,10 @@ val record_choice : strategy -> unit
 
 val count_tree :
   ?budget:Bagcq_guard.Budget.t -> tree -> Bagcq_relational.Structure.t -> Nat.t
-(** Counts homomorphisms of an acyclic component by dynamic programming
-    over the join tree: each node's table maps a [key] projection to the
-    [Nat] weight of its subtree, computed bottom-up in one pass over the
-    node's tuples — O(Σ_nodes tuples·arity), never exponential.  Weights
-    are bignums: unlike backtracking, the DP can produce counts that
-    dwarf the work done computing them.  With [?budget] every tuple
-    considered ticks once per node (plus one tick per node entered), and
-    the call unwinds with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
+(** [Jtree.count (jtree t)]: the engine's one-shot count, kept as a name
+    because perfbench's replay calls it.  Polynomial in the structure,
+    with bignum weights; with [?budget] one tick per node entered and one
+    per tuple scanned. *)
 
 val count :
   ?budget:Bagcq_guard.Budget.t ->
@@ -104,61 +100,6 @@ val count :
     [choose comp], or [Backtrack], which runs any component.  The
     component executor that [Eval] and the store share.  [?budget] ticks
     as the chosen kernel documents. *)
-
-(** {2 Materialised DP state}
-
-    The same dynamic program as {!count_tree} with the per-node bignum
-    weight tables kept alive — the substrate of incremental hom-count
-    maintenance ([lib/store]).  A single tuple insert/delete updates the
-    tables of the nodes carrying the mutated symbol with one exact
-    {!Bagcq_bignum.Nat.add}/[sub] at the tuple's key projection; the change
-    then climbs the tree as per-key deltas through reverse maps (child
-    join-key → matching parent tuples), so each ancestor re-weighs only
-    the tuples joining a changed key: O(tree depth × fan-in of the mutated
-    key) per delta instead of a full bottom-up pass.  Only when the
-    mutated symbol reaches a node through several subtree paths does that
-    node fall back to rescanning its relation. *)
-
-type dp
-(** Materialised per-node tables for one acyclic component against one
-    evolving database.  Mutable: {!dp_delta} updates it in place, so a [dp]
-    must be guarded by whatever lock guards its database.  After a budget
-    trip mid-{!dp_delta} the tables may be half-propagated — discard the
-    state and rebuild; never read {!dp_count} from it. *)
-
-val dp_build :
-  ?budget:Bagcq_guard.Budget.t ->
-  tree ->
-  Bagcq_relational.Structure.t ->
-  dp option
-(** One bottom-up pass materialising every node table.  [None] when the
-    component mentions a constant the structure does not interpret — the
-    count is zero and not maintainable (a later insert can bind the
-    constant), so callers fall back to recompute-on-delta.  Ticks
-    [?budget] like {!count_tree} and unwinds on a trip. *)
-
-val dp_count : dp -> Nat.t
-(** The root table's entry at the empty key: |Hom(component, D)|.  O(1). *)
-
-val dp_mentions : dp -> Bagcq_relational.Symbol.t -> bool
-(** Whether a node of the tree scans the given symbol — deltas on other
-    symbols cannot change the count and skip propagation entirely. *)
-
-val dp_delta :
-  ?budget:Bagcq_guard.Budget.t ->
-  dp ->
-  Bagcq_relational.Structure.t ->
-  Bagcq_relational.Symbol.t ->
-  Bagcq_relational.Tuple.t ->
-  add:bool ->
-  unit
-(** [dp_delta dp d sym tup ~add] folds one tuple insert ([add:true]) or
-    delete ([add:false]) into the tables.  [d] is the structure {e after}
-    the mutation (ancestor re-aggregation scans it); the caller guarantees
-    the mutation was exactly this tuple — inserted while absent, deleted
-    while present — which is what makes the delete-side {!Nat.sub} exact.
-    Ticks [?budget] per node entered and per tuple re-scanned; on a trip
-    the state is half-propagated and must be discarded. *)
 
 val render : strategy -> string list
 (** Human-readable plan lines for [bagcq explain]: the join tree indented

@@ -189,11 +189,6 @@ let pquery_geq ?budget ?cache pq d bound =
     end
   end
 
-let satisfies_pquery ?budget ?cache d pq =
-  List.for_all
-    (fun (q, e) -> Nat.is_zero e || satisfies ?budget ?cache d q)
-    (Pquery.factors pq)
-
 let count_ucq ?budget ?cache u d =
   List.fold_left
     (fun acc q -> Nat.add acc (count ?budget ?cache q d))

@@ -102,9 +102,6 @@ val pquery_geq :
     [b^e ≥ 2^e ≥ e + 1]).  Anti-cheating arguments (Lemmas 18, 21) only
     need such comparisons. *)
 
-val satisfies_pquery :
-  ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Structure.t -> Pquery.t -> bool
-
 val count_ucq : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Ucq.t -> Structure.t -> Nat.t
 (** Bag-semantics union: the sum of the disjunct counts. *)
 

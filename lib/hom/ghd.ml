@@ -1,17 +1,12 @@
-open Bagcq_relational
 open Bagcq_cq
-module Nat = Bagcq_bignum.Nat
-module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 module StringSet = Set.Make (String)
 
-(* GHD metrics.  Handles resolve once at module initialisation so the
-   family is present (at zero) in every metrics dump — the check.sh
-   contract.  The module is always linked: [Decomp.strategy] carries a
-   [Ghd.t]. *)
+(* Resolved once at module initialisation so the cell is present (at zero)
+   in every metrics dump — the check.sh contract.  The module is always
+   linked: [Decomp.strategy] carries a [Ghd.t].  [ghd_runs] and
+   [ghd_bag_rows] belong to the bag join, in [Jtree]. *)
 let plans_built = Metrics.counter Metrics.global "ghd_plans_built"
-let ghd_runs = Metrics.counter Metrics.global "ghd_runs"
-let ghd_bag_rows = Metrics.counter Metrics.global "ghd_bag_rows"
 
 (* One bag of a generalised hypertree decomposition.  [b_chi] is χ(B) —
    the bag's variables, sorted.  [b_cover] is λ(B) — atoms whose variables
@@ -28,11 +23,12 @@ type bag = {
   b_children : bag list;
 }
 
-type t = { g_root : bag; g_width : int; g_nbags : int }
+type t = { g_root : bag; g_width : int; g_nbags : int; g_dp : Jtree.t }
 
 let width g = g.g_width
 let nbags g = g.g_nbags
 let root g = g.g_root
+let jtree g = g.g_dp
 let bag_vars b = Array.to_list b.b_chi
 let bag_cover b = Array.to_list b.b_cover
 let bag_atoms b = Array.to_list b.b_atoms
@@ -393,7 +389,9 @@ let plan (q : Query.t) : t option =
           if not !cover_ok then None
           else begin
             Metrics.incr plans_built;
-            Some { g_root; g_width = !width; g_nbags = !nbags }
+            let view b = (Jtree.Join (b.b_chi, b.b_atoms), bag_key b, b.b_children) in
+            let g_dp = Jtree.compile view g_root in
+            Some { g_root; g_width = !width; g_nbags = !nbags; g_dp }
           end
         end
       end
@@ -402,231 +400,11 @@ let plan (q : Query.t) : t option =
 
 (* ------------------------------ counting ------------------------------ *)
 
-module KeyTbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (Value.equal a.(i) b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
-
-  let hash (t : Value.t array) =
-    Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 t
-end)
-
-exception Unsat_const
-
-type op = Op_cst of Value.t | Op_check of int | Op_bind of int
-
-(* The bag-relation DP.  Bottom-up over the decomposition: each bag
-   materialises the *distinct* projections onto χ(B) of the join of its
-   atoms (a backtracking join over [Index] probes — duplicates from the
-   projection are folded by the seen-set, because a bag row asserts only
-   the *existence* of an extension), weights each row by the product of
-   its children's table entries under the shared-variable projection, and
-   aggregates by the bag's parent key.  Every atom is enforced in exactly
-   one bag and χ-sets of any variable form a connected subtree, so the
-   glued rows are in bijection with the satisfying assignments and the
-   root's single entry is exactly |Hom(component, D)|.  One budget tick
-   per candidate tuple keeps fuel semantics: a fuel-limited run trips
-   mid-materialisation. *)
-let count ?budget (g : t) d =
-  Metrics.incr ghd_runs;
-  let rows_seen = ref 0 in
-  let tick =
-    match budget with None -> fun () -> () | Some b -> fun () -> Budget.tick b
-  in
-  let idx = Index.get d in
-  let interp c =
-    match Structure.interpretation d c with
-    | Some v -> v
-    | None -> raise_notrace Unsat_const
-  in
-  let compute () =
-    let rec pass bag =
-      let nchi = Array.length bag.b_chi in
-      (* variable frame: χ first, then extension variables of the cover *)
-      let var_pos = Hashtbl.create 8 in
-      Array.iteri (fun i x -> Hashtbl.add var_pos x i) bag.b_chi;
-      let nvars = ref nchi in
-      Array.iter
-        (fun a ->
-          List.iter
-            (fun x ->
-              if not (Hashtbl.mem var_pos x) then begin
-                Hashtbl.add var_pos x !nvars;
-                incr nvars
-              end)
-            (Atom.vars a))
-        bag.b_atoms;
-      let env = Array.make (max 1 !nvars) (Value.int 0) in
-      let bound = Array.make (max 1 !nvars) false in
-      (* per-atom ops in join order; [probe] is the first position whose
-         variable is bound by an earlier atom, if any — the index probe *)
-      let steps =
-        Array.map
-          (fun a ->
-            let args = Atom.args a in
-            (* positions bound by *earlier atoms* — a same-atom repeat is
-               an [Op_check] too but its env slot is not yet set when the
-               probe runs, so it must not be used as one *)
-            let pre_bound = Array.copy bound in
-            let ops =
-              Array.map
-                (function
-                  | Term.Cst c -> Op_cst (interp c)
-                  | Term.Var x ->
-                      let i = Hashtbl.find var_pos x in
-                      if bound.(i) then Op_check i
-                      else begin
-                        bound.(i) <- true;
-                        Op_bind i
-                      end)
-                args
-            in
-            let probe = ref None in
-            Array.iteri
-              (fun p op ->
-                if !probe = None then
-                  match op with
-                  | Op_cst v -> probe := Some (p, `V v)
-                  | Op_check i when pre_bound.(i) -> probe := Some (p, `E i)
-                  | Op_check _ | Op_bind _ -> ())
-              ops;
-            (Index.sym_index idx (Atom.sym a), ops, !probe))
-          bag.b_atoms
-      in
-      (* A cover atom can carry *private* variables: bound here, outside
-         χ, read by no other atom (pure range restrictors, e.g. the v in
-         E(v,x) covering only x).  Enumerating them multiplies work by
-         their degree only for the seen-set to fold it away again — so
-         env-independent steps (no probe) are pre-projected: private
-         positions are blanked and the tuple list deduped once per bag. *)
-      let checked = Array.make (max 1 !nvars) false in
-      Array.iter
-        (fun (_, ops, _) ->
-          Array.iter
-            (function Op_check j -> checked.(j) <- true | _ -> ())
-            ops)
-        steps;
-      let blank = Value.int 0 in
-      let steps =
-        Array.map
-          (fun (si, ops, probe) ->
-            let private_pos =
-              Array.map
-                (function
-                  | Op_bind j -> j >= nchi && not checked.(j)
-                  | Op_cst _ | Op_check _ -> false)
-                ops
-            in
-            let projected =
-              if probe <> None || not (Array.exists Fun.id private_pos) then
-                None
-              else begin
-                let dedup = KeyTbl.create 64 in
-                let out = ref [] in
-                Array.iter
-                  (fun (tup : Tuple.t) ->
-                    tick ();
-                    let norm =
-                      Array.mapi
-                        (fun p v -> if private_pos.(p) then blank else v)
-                        tup
-                    in
-                    if not (KeyTbl.mem dedup norm) then begin
-                      KeyTbl.add dedup norm ();
-                      out := norm :: !out
-                    end)
-                  (Index.all si);
-                Some (Array.of_list (List.rev !out))
-              end
-            in
-            (si, ops, probe, projected))
-          steps
-      in
-      let children =
-        List.map
-          (fun ch ->
-            let tbl = pass ch in
-            let lookup =
-              Array.map (fun p -> Hashtbl.find var_pos ch.b_chi.(p)) ch.b_key
-            in
-            (tbl, lookup))
-          bag.b_children
-      in
-      let seen = KeyTbl.create 64 in
-      let tbl = KeyTbl.create 64 in
-      let nsteps = Array.length steps in
-      let rec join s =
-        if s = nsteps then begin
-          let row = Array.sub env 0 nchi in
-          if not (KeyTbl.mem seen row) then begin
-            KeyTbl.add seen row ();
-            incr rows_seen;
-            let w =
-              List.fold_left
-                (fun acc (ctbl, cpos) ->
-                  if Nat.is_zero acc then acc
-                  else
-                    match
-                      KeyTbl.find_opt ctbl (Array.map (fun p -> env.(p)) cpos)
-                    with
-                    | Some s -> Nat.mul acc s
-                    | None -> Nat.zero)
-                Nat.one children
-            in
-            if not (Nat.is_zero w) then begin
-              let key = Array.map (fun p -> row.(p)) bag.b_key in
-              let prev = Option.value ~default:Nat.zero (KeyTbl.find_opt tbl key) in
-              KeyTbl.replace tbl key (Nat.add prev w)
-            end
-          end
-        end
-        else begin
-          let si, ops, probe, projected = steps.(s) in
-          let tuples =
-            match (projected, probe) with
-            | Some ts, _ -> ts
-            | None, None -> Index.all si
-            | None, Some (p, `V v) -> Index.candidates si ~pos:p v
-            | None, Some (p, `E i) -> Index.candidates si ~pos:p env.(i)
-          in
-          let nops = Array.length ops in
-          Array.iter
-            (fun (tup : Tuple.t) ->
-              tick ();
-              let rec matches i =
-                i = nops
-                || (match ops.(i) with
-                   | Op_cst v -> Value.equal tup.(i) v
-                   | Op_check j -> Value.equal tup.(i) env.(j)
-                   | Op_bind j ->
-                       env.(j) <- tup.(i);
-                       true)
-                   && matches (i + 1)
-              in
-              if matches 0 then join (s + 1))
-            tuples
-        end
-      in
-      join 0;
-      tbl
-    in
-    let tbl = pass g.g_root in
-    Option.value ~default:Nat.zero (KeyTbl.find_opt tbl [||])
-  in
-  match compute () with
-  | n ->
-      Metrics.add ghd_bag_rows !rows_seen;
-      n
-  | exception Unsat_const ->
-      Metrics.add ghd_bag_rows !rows_seen;
-      Nat.zero
-  | exception e ->
-      Metrics.add ghd_bag_rows !rows_seen;
-      raise e
+(* Every atom is enforced in exactly one bag and each variable's bags form
+   a connected subtree, so the join-tree DP over the bag joins counts
+   |Hom(component, D)|.  The engine's one-shot count, kept as a name for
+   perfbench's replay. *)
+let count ?budget g d = Jtree.count ?budget g.g_dp d
 
 (* ------------------------------ reporting ----------------------------- *)
 

@@ -5,10 +5,9 @@
     cover [λ(B)] of at most [w] atoms with [χ(B) ⊆ vars(λ(B))], the bags
     form a tree in which every variable's bags are connected (the
     running-intersection property), and every query atom fits inside some
-    bag.  Materialising each bag — the distinct projections onto [χ(B)] of
-    the join of its atoms — and running the join-tree bignum DP over the
-    bag relations then counts homomorphisms in time polynomial in the bag
-    sizes, where the leapfrog kernel on the flat query can degrade toward
+    bag.  Joining each bag — the distinct projections onto [χ(B)] of the
+    join of its atoms — inside the join-tree bignum DP ({!Jtree}) then
+    counts homomorphisms in time polynomial in the bag sizes, where the leapfrog kernel on the flat query can degrade toward
     its worst case ([AGM] bound) on large relation intersections.
 
     The decomposition search runs on the query's variable graph (a clique
@@ -21,8 +20,6 @@
 
 open Bagcq_relational
 open Bagcq_cq
-module Nat = Bagcq_bignum.Nat
-module Budget = Bagcq_guard.Budget
 
 type bag
 (** One bag: χ, λ, the assigned atoms, the parent interface, children. *)
@@ -42,11 +39,15 @@ val width : t -> int
 
 val nbags : t -> int
 
-val count : ?budget:Budget.t -> t -> Structure.t -> Nat.t
-(** [|Hom(component, D)|] by bag materialisation + join-tree DP.  An
-    uninterpreted constant yields zero (no homomorphism can exist).  One
-    budget tick per candidate tuple during bag materialisation, so fuel
-    trips mid-bag; bumps [ghd_runs] and [ghd_bag_rows]. *)
+val jtree : t -> Jtree.t
+(** The decomposition's DP, compiled by {!plan}: one bag-join node per
+    bag.  {!Decomp.count} runs it. *)
+
+val count : ?budget:Bagcq_guard.Budget.t -> t -> Structure.t -> Bagcq_bignum.Nat.t
+(** [Jtree.count (jtree g)]: the engine's one-shot count, kept as a name
+    because perfbench's replay calls it.  An uninterpreted constant yields
+    zero; one budget tick per candidate tuple, so fuel trips mid-bag;
+    bumps [ghd_runs] and [ghd_bag_rows]. *)
 
 (** {2 Reporting} — the decomposition shape, for [bagcq explain]. *)
 

@@ -19,14 +19,6 @@ let bag_violation ?budget ?cache ~small ~big d =
   let cs, cb = bag_counts ?budget ?cache ~small ~big d in
   Nat.compare cs cb > 0
 
-let bag_violation_guarded ?cache ~budget ~small ~big d =
-  Bagcq_guard.Outcome.guard
-    ~partial:(fun () -> ())
-    (fun () -> bag_violation ~budget ?cache ~small ~big d)
-
-let bag_violation_pquery ?budget ?cache ~small ~big d =
-  not (Eval.pquery_geq ?budget ?cache big d (Eval.count_pquery ?budget ?cache small d))
-
 (* UCQ containment.  Set semantics is decidable (Sagiv–Yannakakis); the
    counters are registered eagerly so metric dumps always show the family. *)
 
@@ -88,7 +80,3 @@ let ucq_bag_violation ?budget ?cache ~small ~big d =
   let cs, cb = ucq_bag_counts ?budget ?cache ~small ~big d in
   Nat.compare cs cb > 0
 
-let ucq_bag_violation_guarded ?cache ~budget ~small ~big d =
-  Bagcq_guard.Outcome.guard
-    ~partial:(fun () -> ())
-    (fun () -> ucq_bag_violation ~budget ?cache ~small ~big d)

@@ -45,26 +45,6 @@ val bag_violation :
     [?budget] the two exact counts tick it; the call unwinds with
     {!Bagcq_guard.Budget.Exhausted_} when it trips. *)
 
-val bag_violation_guarded :
-  ?cache:Bagcq_hom.Eval.cache ->
-  budget:Bagcq_guard.Budget.t ->
-  small:Query.t ->
-  big:Query.t ->
-  Structure.t ->
-  (bool, unit) Bagcq_guard.Outcome.t
-(** Structured variant of {!bag_violation}: [Complete verdict], or
-    [Exhausted ((), reason)] if the budget tripped mid-count — ticks spent
-    remain readable from the budget itself. *)
-
-val bag_violation_pquery :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?cache:Bagcq_hom.Eval.cache ->
-  small:Pquery.t ->
-  big:Pquery.t ->
-  Structure.t ->
-  bool
-(** The power-product variant, decided without materialising counts. *)
-
 (** {2 Unions of CQs}
 
     Set-semantics UCQ containment stays decidable (Sagiv–Yannakakis):
@@ -112,13 +92,3 @@ val ucq_bag_violation :
   Structure.t ->
   bool
 (** [small(D) > big(D)] under bag-union semantics. *)
-
-val ucq_bag_violation_guarded :
-  ?cache:Bagcq_hom.Eval.cache ->
-  budget:Bagcq_guard.Budget.t ->
-  small:Ucq.t ->
-  big:Ucq.t ->
-  Structure.t ->
-  (bool, unit) Bagcq_guard.Outcome.t
-(** Structured variant of {!ucq_bag_violation}, mirroring
-    {!bag_violation_guarded}. *)

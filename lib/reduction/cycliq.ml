@@ -63,8 +63,6 @@ let cycliques d sym =
     (fun tup -> List.for_all (fun shift -> Structure.mem_atom d sym shift) (cyclass tup))
     (Structure.tuples d sym)
 
-let count_cycliques d sym = Nat.of_int (List.length (cycliques d sym))
-
 let cyclasses d sym =
   let all = Tuple.Set.of_list (cycliques d sym) in
   let rec group seen acc = function

@@ -48,8 +48,6 @@ val cyclass : Tuple.t -> Tuple.t list
 
 val classify : Tuple.t -> kind
 
-val count_cycliques : Structure.t -> Symbol.t -> Nat.t
-
 (** {2 The Lemma 9 case analysis}
 
     The proof of Lemma 5 rests on Lemma 9: conditioned on the two drawn

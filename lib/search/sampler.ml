@@ -72,20 +72,6 @@ let hunt_queries ?(config = default) ?budget ~small ~big () =
   sample_stream ?budget config (schema_of_pair small big) (fun d ->
       Containment.bag_violation ?budget ~small ~big d)
 
-let hunt_queries_guarded ?(config = default) ~budget ~small ~big () =
-  sample_stream_guarded ~budget config (schema_of_pair small big) (fun d ->
-      Containment.bag_violation ~budget ~small ~big d)
-
-let pquery_schema pq =
-  List.fold_left
-    (fun acc (q, _) -> Schema.union acc (Query.schema q))
-    Schema.empty (Pquery.factors pq)
-
-let hunt_pqueries ?(config = default) ?budget ~small ~big () =
-  let schema = Schema.union (pquery_schema small) (pquery_schema big) in
-  sample_stream ?budget config schema (fun d ->
-      Containment.bag_violation_pquery ?budget ~small ~big d)
-
 let check_all ?(config = default) ?budget ~schema pred =
   sample_stream ?budget config schema (fun d -> not (pred d))
 

@@ -55,22 +55,6 @@ val hunt_queries :
   outcome
 (** Search for [small(D) > big(D)]. *)
 
-val hunt_queries_guarded :
-  ?config:config ->
-  budget:Bagcq_guard.Budget.t ->
-  small:Query.t ->
-  big:Query.t ->
-  unit ->
-  (outcome, outcome) Bagcq_guard.Outcome.t
-
-val hunt_pqueries :
-  ?config:config ->
-  ?budget:Bagcq_guard.Budget.t ->
-  small:Pquery.t ->
-  big:Pquery.t ->
-  unit ->
-  outcome
-
 val check_all :
   ?config:config ->
   ?budget:Bagcq_guard.Budget.t ->

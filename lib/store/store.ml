@@ -4,15 +4,16 @@ module Nat = Bagcq_bignum.Nat
 module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 module Decomp = Bagcq_hom.Decomp
+module Jtree = Bagcq_hom.Jtree
 
 (* How a registered count's component reacts to a tuple delta on one of its
    symbols: acyclic inequality-free components keep materialised join-tree
-   tables and fold the delta in ([Decomp.dp_delta]); everything else —
+   tables and fold the delta in ([Jtree.delta]); everything else —
    cyclic cores, components with inequalities, components whose constants
    the database does not (yet) interpret — recounts through
    [Decomp.count], but only this component: the siblings' cached counts
    are reused through the factor product. *)
-type comp_plan = Maintained of Decomp.dp | Recount of Decomp.strategy
+type comp_plan = Maintained of Jtree.state | Recount of Decomp.strategy
 
 type comp_state = {
   c_query : Query.t;
@@ -160,8 +161,8 @@ let build_comp ?budget d (q, mult) =
   let plan, count =
     match choice with
     | Decomp.Dp tr -> (
-        match Decomp.dp_build ?budget tr d with
-        | Some dp -> (Maintained dp, Decomp.dp_count dp)
+        match Jtree.build ?budget (Decomp.jtree tr) d with
+        | Some st -> (Maintained st, Jtree.total st)
         | None ->
             (* an uninterpreted constant: the count is zero but a later
                insert can auto-bind the constant, so stay recomputable *)
@@ -209,9 +210,9 @@ let apply_delta ?budget t d sym tup ~add r =
     (fun c ->
       if c.c_watches sym then
         match c.c_plan with
-        | Maintained dp ->
-            Decomp.dp_delta ?budget dp d sym tup ~add;
-            c.c_count <- Decomp.dp_count dp;
+        | Maintained st ->
+            Jtree.delta ?budget st d sym tup ~add;
+            c.c_count <- Jtree.total st;
             Metrics.incr t.delta_maintained
         | Recount how ->
             recomputed := true;

@@ -17,7 +17,7 @@
     contribute their cached counts through the factor product
     [Π cᵢ^mᵢ].  Acyclic inequality-free components keep the join-tree
     DP's per-node bignum weight tables materialised
-    ({!Bagcq_hom.Decomp.dp}): a delta costs one exact
+    ({!Bagcq_hom.Jtree.state}): a delta costs one exact
     [Nat.add]/[Nat.sub] at the mutated leaf's key projection plus a
     per-key delta propagation along the ancestor path — O(tree depth ×
     fan-in of the mutated key), not a full recount.  Other components

@@ -208,6 +208,19 @@ echo "$client_out" | grep -q '200 requests' \
 wait "$server_pid" \
   || { echo "overload round-trip: server exited nonzero" >&2; exit 1; }
 
+echo "== perfbench --selftest: each workload's seed-1 work repeats, at the pinned figures =="
+selftest_out=$(sh perfbench/run.sh --selftest) \
+  || { echo "$selftest_out"; echo "perfbench selftest: counters differ between two runs" >&2; exit 1; }
+echo "$selftest_out"
+# A change that moves one of these re-derives it exactly and says why.
+for pin in 'eval-inline .*  budget ticks 266551  index builds 46  counters identical' \
+           'eval-named .*  budget ticks 382607  index builds 0  counters identical' \
+           'store-churn .*  budget ticks 2826247  index builds 24  counters identical' \
+           'hunt-contained .*  budget ticks 94762  index builds 5390  counters identical'; do
+  echo "$selftest_out" | grep -q "^$pin\$" \
+    || { echo "perfbench selftest: no line matches '$pin'" >&2; exit 1; }
+done
+
 if command -v ocamlformat >/dev/null 2>&1 && [ -f .ocamlformat ]; then
   echo "== dune fmt --check =="
   if ! dune build @fmt >/dev/null 2>&1; then

@@ -15,6 +15,10 @@ module Value = Bagcq_relational.Value
 module Parse = Bagcq_cq.Parse
 module Query = Bagcq_cq.Query
 module Solver_ref = Bagcq_hom.Solver_ref
+module Decomp = Bagcq_hom.Decomp
+module Jtree = Bagcq_hom.Jtree
+module Atom = Bagcq_cq.Atom
+module Build = Bagcq_cq.Build
 module Nat = Bagcq_bignum.Nat
 module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
@@ -375,14 +379,22 @@ let test_index_rebuilt_after_mutation () =
 (* differential property: maintained == from-scratch, always           *)
 (* ------------------------------------------------------------------ *)
 
-(* The last two read the whole domain through inequality-only variables
-   (one of them atom-free), so a delta on any symbol can move them. *)
+(* The five after the triangle carry one symbol at two nodes (a delta
+   rescans) or leave a node with siblings (per-key propagation multiplies
+   by them).  The last two read the whole domain through inequality-only
+   variables (one of them atom-free), so a delta on any symbol can move
+   them. *)
 let diff_queries =
   List.map Parse.parse_exn
     [
       "E(x,y)";
       "E(x,y) & F(y,z)";
       "E(x,y) & E(y,z) & E(z,x)";
+      "E(x,y) & E(y,z) & E(z,w)";
+      "F(x,y) & E(x,z) & G(y)";
+      "E(x,x) & F(x,y) & E(y,z)";
+      "E(x,y) & F(y,z) & E(z,w) & F(w,u)";
+      "E(x,y) & E(y,x) & F(x,z)";
       "E(x,y) & G(u)";
       "E(x,y) & w != y";
       "G(u) & v != w";
@@ -467,11 +479,98 @@ let diff_property steps =
     steps
   && check_against_reference st
 
+(* The join-tree engine alone, on random acyclic components of 1–5 atoms
+   over E/2, F/2 and U/1: each atom after the first draws its shared
+   variables from one earlier atom (so GYO reduction succeeds), with
+   repeated variables and a constant [c] the database interprets half the
+   time.  The one-shot count, the materialised total and the reference
+   agree, and the total keeps equal to a fresh one-shot count through a
+   random sequence of inserts and deletes. *)
+let sym_u = Symbol.make "U" 1
+
+let gen_jtree_case st =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let fresh = ref 0 in
+  let atoms =
+    List.fold_left
+      (fun prev _ ->
+        let sym = pick [ sym_e; sym_f; sym_u ] in
+        let shared = if prev = [] then [] else Atom.vars (pick prev) in
+        let args = Array.make (Symbol.arity sym) (Build.c "c") in
+        Array.iteri
+          (fun p _ ->
+            args.(p) <-
+              (match Random.State.int st 6 with
+              | (0 | 1 | 2) when shared <> [] -> Build.v (pick shared)
+              | 3 when p > 0 -> args.(p - 1)
+              | 4 -> Build.c "c"
+              | _ ->
+                  incr fresh;
+                  Build.v (Printf.sprintf "v%d" !fresh)))
+          args;
+        prev @ [ Build.atom sym (Array.to_list args) ])
+      [] (List.init (1 + Random.State.int st 5) Fun.id)
+  in
+  let fact () =
+    match Random.State.int st 3 with
+    | 0 -> (sym_e, tup2 (Random.State.int st 3) (Random.State.int st 3))
+    | 1 -> (sym_f, tup2 (Random.State.int st 3) (Random.State.int st 3))
+    | _ -> (sym_u, tup1 (Random.State.int st 3))
+  in
+  let d =
+    List.fold_left
+      (fun d (s, t) -> if Structure.mem_atom d s t then d else Structure.add_atom d s t)
+      (Structure.empty Schema.empty)
+      (List.init (Random.State.int st 10) (fun _ -> fact ()))
+  in
+  let d =
+    if Random.State.bool st then
+      Structure.bind_constant d "c" (Value.int (Random.State.int st 3))
+    else d
+  in
+  (Build.query atoms, d, List.init (Random.State.int st 12) (fun _ -> fact ()))
+
+let arb_jtree_case =
+  QCheck.make
+    ~print:(fun (q, d, toggles) ->
+      Printf.sprintf "%s on %s then toggle %s" (Query.to_string q) (Encode.to_string d)
+        (String.concat " "
+           (List.map (fun (s, t) -> Encode.fact_to_string s t) toggles)))
+    gen_jtree_case
+
+let jtree_property (q, d, toggles) =
+  let jt =
+    match Decomp.choose q with
+    | Decomp.Dp t -> Decomp.jtree t
+    | _ -> QCheck.Test.fail_report "an ear-built component must be acyclic"
+  in
+  let agree d n =
+    Nat.equal n (Jtree.count jt d)
+    && Nat.to_string n = string_of_int (Solver_ref.count q d)
+  in
+  match Jtree.build jt d with
+  | None -> Structure.interpretation d "c" = None && agree d Nat.zero
+  | Some st ->
+      agree d (Jtree.total st)
+      && snd
+           (List.fold_left
+              (fun (d, ok) (s, t) ->
+                let add = not (Structure.mem_atom d s t) in
+                let d' =
+                  if add then Structure.add_atom d s t else Structure.remove_atom d s t
+                in
+                Jtree.delta st d' s t ~add;
+                (d', ok && Nat.equal (Jtree.total st) (Jtree.count jt d')))
+              (d, true) toggles)
+
 let diff_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"maintained counts equal reference recount"
-         ~count:60 arb_steps diff_property);
+         ~count:200 arb_steps diff_property);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"join-tree one-shot = materialised = reference"
+         ~count:500 arb_jtree_case jtree_property);
   ]
 
 let () =
