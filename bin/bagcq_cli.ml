@@ -839,9 +839,7 @@ let row_of_json j =
    given): the response line, or the error to print. *)
 let request ?require_ops port fields =
   match Load.connect ?require_ops ~port () with
-  | Error e when require_ops = None ->
-      Error (Printf.sprintf "cannot connect to 127.0.0.1:%d: %s" port e)
-  | Error e -> Error (Printf.sprintf "127.0.0.1:%d: %s" port e)
+  | Error e -> Error (Printf.sprintf "cannot connect to 127.0.0.1:%d: %s" port e)
   | Ok sock -> (
       let ic = Unix.in_channel_of_descr sock in
       let oc = Unix.out_channel_of_descr sock in

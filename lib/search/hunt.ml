@@ -40,7 +40,6 @@ type target = {
 }
 
 let verified ~small ~big d = Containment.bag_violation ~small ~big d
-let ucq_verified ~small ~big d = Containment.ucq_bag_violation ~small ~big d
 
 let cq_target ~small ~big =
   {
@@ -55,7 +54,7 @@ let ucq_target ~small ~big =
     schema = Schema.union (Ucq.schema small) (Ucq.schema big);
     small = Ucq.disjuncts small;
     big = Ucq.disjuncts big;
-    verify = ucq_verified ~small ~big;
+    verify = Containment.ucq_bag_violation ~small ~big;
   }
 
 (* The violation test [small(D) > big(D)] over queries prepared once per
@@ -96,140 +95,47 @@ let feasible_size schema requested =
 (* One evaluation cache per domain: worker predicates running on spawned
    domains each get their own (counts memoise per structure), with no
    cross-domain sharing to synchronise.  The calling domain's cache also
-   holds the plans the parallel path prepares, so planning stays warm
-   across hunts. *)
+   holds the plans the hunt prepares, so planning stays warm across
+   hunts. *)
 let dls_cache : Eval.cache Domain.DLS.key = Domain.DLS.new_key Eval.create_cache
 
-(* The exhaustive phase is complete iff the swept size is the requested
-   one — also when both are 0 — on either path. *)
-let serial_guarded ~strategy ~budget ~target () =
-  let schema = target.schema in
-  let cache = Eval.create_cache () in
-  let violation = prepare target cache in
-  let pred d = violation ~budget ~cache d in
-  let witness = ref None in
-  let exhaustive_complete = ref false in
-  let tested_exhaustive = ref 0 in
-  let largest = ref 0 in
-  let tested_random = ref 0 in
-  let unverified = ref None in
-  let report () =
-    {
-      witness = !witness;
-      exhaustive_complete = !exhaustive_complete;
-      tested_random = !tested_random;
-      unverified = !unverified;
-    }
-  in
-  let progress () =
-    {
-      databases_tested = !tested_exhaustive + !tested_random;
-      ticks_spent = Budget.ticks budget;
-      largest_size_completed = !largest;
-    }
-  in
-  Outcome.guard
-    ~partial:(fun () -> (report (), progress ()))
-    (fun () ->
-      let size = feasible_size schema strategy.exhaustive_max_size in
-      let found =
-        if size < 1 then None
-        else
-          match Dbspace.find_guarded ~budget schema ~max_size:size pred with
-          | Outcome.Complete (w, stats) ->
-              tested_exhaustive := stats.Dbspace.databases_tested;
-              largest := stats.Dbspace.largest_size_completed;
-              w
-          | Outcome.Exhausted (stats, reason) ->
-              (* record best-so-far, then let the outer guard shape the
-                 partial outcome *)
-              tested_exhaustive := stats.Dbspace.databases_tested;
-              largest := stats.Dbspace.largest_size_completed;
-              raise_notrace (Budget.Exhausted_ reason)
-      in
-      exhaustive_complete := size = strategy.exhaustive_max_size;
-      let found =
-        match found with
-        | Some _ -> found
-        | None ->
-            let outcome =
-              Sampler.sample_stream ~budget strategy.sampler schema (fun d ->
-                  incr tested_random;
-                  pred d)
-            in
-            tested_random := outcome.Sampler.tested;
-            outcome.Sampler.witness
-      in
-      let w, u = settle target found in
-      witness := w;
-      unverified := u;
-      (report (), progress ()))
-
-(* The parallel path shares no phase code with [serial_guarded]: its two
-   phases return structured outcomes (shards are absorbed inside
-   [Dbspace.find_guarded_par] / [Sampler.sample_batches_guarded]), so no
-   [Exhausted_] unwinds through here and there is no outer guard.  The
-   queries are prepared once, on the calling domain; each worker counts
-   them through its own cache. *)
-let parallel_guarded ~strategy ~jobs ~budget ~target () =
+(* The one hunt driver.  Both phases return structured outcomes (shards
+   are absorbed inside [Dbspace.find_guarded_par] and
+   [Sampler.sample_batches_guarded]), so no [Exhausted_] unwinds through
+   here.  The queries are prepared once, on the calling domain; each
+   worker counts them through its own cache.  The exhaustive phase is
+   complete iff the swept size is the requested one, also when both are
+   0. *)
+let hunt_guarded ?(strategy = default) ?(jobs = 1) ~budget ~target () =
   if jobs < 1 then invalid_arg "Hunt.counterexample_guarded: jobs must be >= 1";
   let schema = target.schema in
   let violation = prepare target (Domain.DLS.get dls_cache) in
   let pred ~budget d = violation ~budget ~cache:(Domain.DLS.get dls_cache) d in
-  let witness = ref None in
-  let exhaustive_complete = ref false in
-  let tested_exhaustive = ref 0 in
-  let largest = ref 0 in
-  let tested_random = ref 0 in
-  let unverified = ref None in
-  let report () =
-    {
-      witness = !witness;
-      exhaustive_complete = !exhaustive_complete;
-      tested_random = !tested_random;
-      unverified = !unverified;
-    }
-  in
-  let progress () =
-    {
-      databases_tested = !tested_exhaustive + !tested_random;
-      ticks_spent = Budget.ticks budget;
-      largest_size_completed = !largest;
-    }
-  in
-  let complete found =
-    let w, u = settle target found in
-    witness := w;
-    unverified := u;
-    Outcome.Complete (report (), progress ())
-  in
   let size = feasible_size schema strategy.exhaustive_max_size in
+  let result ~complete ?(random = 0) ?found (stats : Dbspace.stats) =
+    let witness, unverified = settle target found in
+    ( { witness; exhaustive_complete = complete; tested_random = random; unverified },
+      {
+        databases_tested = stats.databases_tested + random;
+        ticks_spent = Budget.ticks budget;
+        largest_size_completed = stats.largest_size_completed;
+      } )
+  in
   let exhaustive =
     if size >= 1 then Dbspace.find_guarded_par ~budget ~jobs schema ~max_size:size pred
-    else
-      Outcome.Complete (None, Dbspace.{ databases_tested = 0; largest_size_completed = 0 })
+    else Outcome.Complete (None, { Dbspace.databases_tested = 0; largest_size_completed = 0 })
   in
+  let complete = size = strategy.exhaustive_max_size in
   match exhaustive with
   | Outcome.Exhausted (stats, reason) ->
-      tested_exhaustive := stats.Dbspace.databases_tested;
-      largest := stats.Dbspace.largest_size_completed;
-      Outcome.Exhausted ((report (), progress ()), reason)
-  | Outcome.Complete (w, stats) -> (
-      tested_exhaustive := stats.Dbspace.databases_tested;
-      largest := stats.Dbspace.largest_size_completed;
-      exhaustive_complete := size = strategy.exhaustive_max_size;
-      match w with
-      | Some _ -> complete w
-      | None -> (
-          match
-            Sampler.sample_batches_guarded ~budget ~jobs strategy.sampler schema pred
-          with
-          | Outcome.Exhausted (outcome, reason) ->
-              tested_random := outcome.Sampler.tested;
-              Outcome.Exhausted ((report (), progress ()), reason)
-          | Outcome.Complete outcome ->
-              tested_random := outcome.Sampler.tested;
-              complete outcome.Sampler.witness))
+      Outcome.Exhausted (result ~complete:false stats, reason)
+  | Outcome.Complete (Some d, stats) -> Outcome.Complete (result ~complete ~found:d stats)
+  | Outcome.Complete (None, stats) -> (
+      match Sampler.sample_batches_guarded ~budget ~jobs strategy.sampler schema pred with
+      | Outcome.Exhausted (o, reason) ->
+          Outcome.Exhausted (result ~complete ~random:o.tested stats, reason)
+      | Outcome.Complete o ->
+          Outcome.Complete (result ~complete ~random:o.tested ?found:o.witness stats))
 
 (* Hunt metrics, recorded once per hunt from the structured outcome —
    the hot loops inside Dbspace/Sampler stay untouched.  Both exhaustion
@@ -269,11 +175,6 @@ let record ~runs ~witnesses outcome =
   | Some Budget.Deadline -> Metrics.incr hunt_exhausted_deadline
   | None -> ());
   outcome
-
-let hunt_guarded ?(strategy = default) ?jobs ~budget ~target () =
-  match jobs with
-  | None -> serial_guarded ~strategy ~budget ~target ()
-  | Some jobs -> parallel_guarded ~strategy ~jobs ~budget ~target ()
 
 let counterexample_guarded ?strategy ?jobs ~budget ~small ~big () =
   record ~runs:hunt_runs ~witnesses:hunt_witnesses

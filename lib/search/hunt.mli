@@ -73,22 +73,19 @@ val counterexample_guarded :
     exhaustive sweep finished, and any witness found (which always
     re-verifies).
 
-    Without [?jobs] the hunt runs the seed's serial phases on the calling
-    domain, preparing the queries through a cache of its own.  With
-    [~jobs:n] it runs the chunked parallel phases
-    ({!Dbspace.find_guarded_par} and {!Sampler.sample_batches_guarded})
-    over [n] worker domains, each with its own budget shard and evaluation
-    cache; ticks are summed back into [budget], exhaustion in any shard
-    stops the hunt, and the witness (lowest candidate index) is the same
-    for every [n].  The queries are prepared once, on the calling domain,
-    through that domain's long-lived evaluation cache (so plans stay warm
-    across hunts), and the prepared value is shared with the workers.
-    [~jobs:1] uses the same chunked phases inline — note
-    its random phase draws a {e different} (equally deterministic) sample
-    sequence than the serial path, so pass [?jobs] for jobs-count
-    comparisons and omit it for seed-compatible behaviour.  Both paths
-    report [exhaustive_complete] iff the swept size equals the requested
-    [exhaustive_max_size] (so a requested size of 0 is complete). *)
+    Every hunt runs the same two phases, {!Dbspace.find_guarded_par}
+    then {!Sampler.sample_batches_guarded}, over [jobs] worker domains
+    (default 1).  [?jobs] sets only the worker count: the candidates, in
+    order, and the witness (the lowest-index one) are the same for every
+    [n], and omitting it is [~jobs:1].  At one job [budget]
+    is ticked directly; otherwise each worker draws on a shard of it,
+    summed back into [budget], and exhaustion in any shard stops the hunt.
+    The queries are prepared once, on the calling domain, through that
+    domain's long-lived evaluation cache (so plans stay warm across hunts),
+    and the prepared value is shared with the workers; each worker counts
+    through its own cache.  [exhaustive_complete] holds iff the swept size
+    equals the requested [exhaustive_max_size] (so a requested size of 0
+    is complete). *)
 
 val ucq_counterexample :
   ?strategy:strategy -> ?jobs:int -> small:Ucq.t -> big:Ucq.t -> unit -> report
@@ -97,7 +94,9 @@ val ucq_counterexample :
     {e undecidable} [QCP^bag_UCQ].  Same two phases, same sampler; every
     disjunct is prepared once per hunt through one cache, so components
     appearing in several disjuncts plan once and count once per
-    candidate.  Witnesses are re-verified by {!ucq_verified}. *)
+    candidate.  Witnesses are re-verified by
+    {!Bagcq_reduction.Containment.ucq_bag_violation} with no budget and no
+    cache. *)
 
 val ucq_counterexample_guarded :
   ?strategy:strategy ->
@@ -107,19 +106,15 @@ val ucq_counterexample_guarded :
   big:Ucq.t ->
   unit ->
   (report * progress, report * progress) Bagcq_guard.Outcome.t
-(** Budgeted UCQ hunt, mirroring {!counterexample_guarded} (including the
-    serial-vs-[?jobs] sampling caveat).  Recorded under the [ucq_hunt_*]
-    metric family on top of the shared [hunt_candidates_tested] /
-    [hunt_ticks_spent] / [hunt_exhausted] cells. *)
+(** Budgeted UCQ hunt, mirroring {!counterexample_guarded}: the same
+    driver and, for the same strategy, the same candidates.  Recorded
+    under the [ucq_hunt_*] metric family on top of the shared
+    [hunt_candidates_tested] / [hunt_ticks_spent] / [hunt_exhausted]
+    cells. *)
 
 val verified : small:Query.t -> big:Query.t -> Structure.t -> bool
 (** Exact re-check of a candidate witness: {!Bagcq_reduction.Containment.bag_violation}
     with no budget and no cache. *)
-
-val ucq_verified : small:Ucq.t -> big:Ucq.t -> Structure.t -> bool
-(** Exact re-check of a candidate UCQ witness:
-    {!Bagcq_reduction.Containment.ucq_bag_violation} with no budget and no
-    cache. *)
 
 val feasible_size : Schema.t -> int -> int
 (** [feasible_size schema requested] — the largest domain size [≤

@@ -1,7 +1,8 @@
 open Bagcq_relational
 open Bagcq_cq
-module Eval = Bagcq_hom.Eval
-module Containment = Bagcq_reduction.Containment
+module Budget = Bagcq_guard.Budget
+module Outcome = Bagcq_guard.Outcome
+module Pool = Bagcq_parallel.Pool
 
 type config = {
   sizes : int list;
@@ -25,64 +26,11 @@ type outcome = {
   tested : int;
 }
 
-let sample_stream ?budget config schema f =
-  let tick =
-    match budget with
-    | None -> fun () -> ()
-    | Some b -> fun () -> Bagcq_guard.Budget.tick b
-  in
-  let rng = Random.State.make [| config.seed |] in
-  let sizes = Array.of_list config.sizes in
-  let densities = Array.of_list config.densities in
-  let tested = ref 0 in
-  let witness = ref None in
-  (try
-     for i = 0 to config.samples - 1 do
-       tick ();
-       let size = sizes.(i mod Array.length sizes) in
-       let density = densities.(i / Array.length sizes mod Array.length densities) in
-       let d =
-         if config.require_nontrivial then
-           Generate.random_nontrivial ~density rng schema ~size
-         else Generate.random ~density rng schema ~size
-       in
-       incr tested;
-       if f d then begin
-         witness := Some d;
-         raise_notrace Exit
-       end
-     done
-   with Exit -> ());
-  { witness = !witness; tested = !tested }
-
-(* The ref cell outlives the budget trip, so the partial outcome still
-   reports how many samples were completed before exhaustion. *)
-let sample_stream_guarded ~budget config schema f =
-  let tested = ref 0 in
-  Bagcq_guard.Outcome.guard
-    ~partial:(fun () -> { witness = None; tested = !tested })
-    (fun () ->
-      sample_stream ~budget config schema (fun d ->
-          incr tested;
-          f d))
-
 let schema_of_pair q1 q2 = Schema.union (Query.schema q1) (Query.schema q2)
 
-let hunt_queries ?(config = default) ?budget ~small ~big () =
-  sample_stream ?budget config (schema_of_pair small big) (fun d ->
-      Containment.bag_violation ?budget ~small ~big d)
-
-let check_all ?(config = default) ?budget ~schema pred =
-  sample_stream ?budget config schema (fun d -> not (pred d))
-
-(* ------------------------------------------------------------------ *)
-(* Parallel batches                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = Bagcq_parallel.Pool
-module Budget = Bagcq_guard.Budget
-
-let default_batch = 16
+(* Samples per RNG: chunk [c] draws samples [16c .. 16c + 15] from one
+   generator seeded with (seed, 16c). *)
+let chunk = 16
 
 type batch_worker = {
   w_budget : Budget.t;
@@ -90,14 +38,14 @@ type batch_worker = {
   mutable w_found : (int * Structure.t) option;  (* global sample index *)
 }
 
-(* Chunked sampling with a per-chunk RNG seeded from (seed, chunk start)
-   and the size/density schedule driven by the *global* sample index: the
-   i-th candidate database is identical whatever the job count, so seeded
-   hunts stay reproducible when parallelised.  Note this stream differs
-   from {!sample_stream}'s single-RNG stream — batch and serial sampling
-   are distinct (both deterministic) sample sequences. *)
-let sample_batches_guarded ~budget ?(jobs = 1) ?(chunk = default_batch) config schema pred
-    =
+(* The one sampling loop.  Each chunk of samples gets its own RNG seeded
+   from (seed, chunk start), and the size/density schedule follows the
+   global sample index, so sample [i] depends only on the seed and [i]
+   whatever the job count.  Only a trip of the worker's own budget stops
+   the sweep; a trip of any other budget is the predicate's own failure
+   and propagates, after the shards' ticks are absorbed (the rule
+   [Dbspace.sweep] follows). *)
+let sample_batches_guarded ~budget ?(jobs = 1) config schema pred =
   if jobs < 1 then invalid_arg "Sampler.sample_batches_guarded: jobs must be >= 1";
   let pool = if jobs = 1 then None else Some (Budget.shard_pool budget) in
   let workers =
@@ -139,13 +87,15 @@ let sample_batches_guarded ~budget ?(jobs = 1) ?(chunk = default_batch) config s
            done
          with Exit -> ());
         `Continue
-      with Budget.Exhausted_ _ -> `Stop
+      with Budget.Exhausted_ _ when Budget.tripped w.w_budget <> None -> `Stop
     end
   in
-  Pool.sweep ~chunk ~n:config.samples ~workers ~body ();
-  (match pool with
-  | None -> ()
-  | Some _ -> Array.iter (fun w -> Budget.absorb w.w_budget ~into:budget) workers);
+  let absorb () =
+    if Option.is_some pool then
+      Array.iter (fun w -> Budget.absorb w.w_budget ~into:budget) workers
+  in
+  Fun.protect ~finally:absorb (fun () ->
+      Pool.sweep ~chunk ~n:config.samples ~workers ~body ());
   let tested = Array.fold_left (fun a w -> a + w.w_tested) 0 workers in
   let witness =
     Array.fold_left
@@ -157,6 +107,14 @@ let sample_batches_guarded ~budget ?(jobs = 1) ?(chunk = default_batch) config s
       None workers
   in
   match (witness, Budget.tripped budget) with
-  | Some (_, d), _ -> Bagcq_guard.Outcome.Complete { witness = Some d; tested }
-  | None, Some r -> Bagcq_guard.Outcome.Exhausted ({ witness = None; tested }, r)
-  | None, None -> Bagcq_guard.Outcome.Complete { witness = None; tested }
+  | Some (_, d), _ -> Outcome.Complete { witness = Some d; tested }
+  | None, Some r -> Outcome.Exhausted ({ witness = None; tested }, r)
+  | None, None -> Outcome.Complete { witness = None; tested }
+
+(* No budget of its own, so nothing stops it but a failing sample. *)
+let check_all ?(config = default) ~schema pred =
+  match
+    sample_batches_guarded ~budget:(Budget.unlimited ()) config schema (fun ~budget:_ d ->
+        not (pred d))
+  with
+  | Outcome.Complete o | Outcome.Exhausted (o, _) -> o

@@ -25,65 +25,33 @@ type outcome = {
   tested : int;  (** databases actually evaluated *)
 }
 
-val sample_stream :
-  ?budget:Bagcq_guard.Budget.t ->
-  config ->
-  Schema.t ->
-  (Structure.t -> bool) ->
-  outcome
-(** The underlying loop: generate [config.samples] random databases and
-    return the first for which the predicate holds.  A [?budget] is ticked
-    once per sample; when it trips the stream unwinds with
-    {!Bagcq_guard.Budget.Exhausted_} — use {!sample_stream_guarded} to keep
-    the partial progress instead. *)
-
-val sample_stream_guarded :
-  budget:Bagcq_guard.Budget.t ->
-  config ->
-  Schema.t ->
-  (Structure.t -> bool) ->
-  (outcome, outcome) Bagcq_guard.Outcome.t
-(** Budgeted sampling with graceful degradation: [Exhausted] carries the
-    number of samples completed before the budget tripped. *)
-
-val hunt_queries :
-  ?config:config ->
-  ?budget:Bagcq_guard.Budget.t ->
-  small:Query.t ->
-  big:Query.t ->
-  unit ->
-  outcome
-(** Search for [small(D) > big(D)]. *)
-
-val check_all :
-  ?config:config ->
-  ?budget:Bagcq_guard.Budget.t ->
-  schema:Schema.t ->
-  (Structure.t -> bool) ->
-  outcome
-(** Dual use: sample databases and return the first {e failing} the
-    predicate (as [witness]) — for probabilistically validating universal
-    statements such as Definition 3 (≤). *)
-
-val schema_of_pair : Query.t -> Query.t -> Schema.t
-
-(** {2 Parallel batches} *)
-
-val default_batch : int
-(** Samples per worker chunk (16). *)
-
 val sample_batches_guarded :
   budget:Bagcq_guard.Budget.t ->
   ?jobs:int ->
-  ?chunk:int ->
   config ->
   Schema.t ->
   (budget:Bagcq_guard.Budget.t -> Structure.t -> bool) ->
   (outcome, outcome) Bagcq_guard.Outcome.t
-(** Batched, parallel variant of {!sample_stream_guarded}: sample chunks
-    are fanned over [jobs] worker domains, each with its own budget shard
-    absorbed back into [budget] on return.  The i-th candidate database
-    depends only on [(config.seed, i)] — not on [jobs] — and the witness
-    returned is the lowest-index one, so results are reproducible across
-    job counts.  The sample sequence intentionally differs from
-    {!sample_stream} (per-chunk RNGs instead of one stream). *)
+(** The one sample stream: generate [config.samples] random databases and
+    return the first on which the predicate holds.  Sample [i] cycles
+    through [config.sizes] by [i] and through [config.densities] by
+    [i / |sizes|], and is drawn from an RNG seeded with [config.seed] and
+    the start of [i]'s chunk of 16 samples — so sample [i] depends only on
+    the seed and [i], and every caller (library, CLI, [serve]) draws the
+    same sequence.
+
+    Chunks are fanned over [jobs] worker domains (default 1).  At one job
+    [budget] is ticked directly, once per sample; otherwise each worker
+    draws on a shard of it, absorbed back on return.  The witness is the
+    lowest-index one, so it does not depend on [jobs].  [Exhausted]
+    carries the samples completed before [budget] tripped.  A trip of a
+    budget other than the one passed to the predicate propagates as
+    {!Bagcq_guard.Budget.Exhausted_}. *)
+
+val check_all :
+  ?config:config -> schema:Schema.t -> (Structure.t -> bool) -> outcome
+(** Dual use: run the same stream at one job and return the first database
+    {e failing} the predicate (as [witness]) — for probabilistically
+    validating universal statements such as Definition 3 (≤). *)
+
+val schema_of_pair : Query.t -> Query.t -> Schema.t

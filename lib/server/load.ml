@@ -326,17 +326,6 @@ let with_socket ~port f =
         ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
         (fun () -> Ok (f sock))
 
-let slow_loris ~port ?(chunks = [ "{\"op\":"; "\"ev"; "al\"" ]) ?(pause_s = 0.05)
-    () =
-  with_socket ~port (fun sock ->
-      List.iter
-        (fun chunk ->
-          write_all sock chunk;
-          Unix.sleepf pause_s)
-        chunks
-      (* never a newline: the frame stays forever incomplete, and the
-         connection is abandoned mid-line *))
-
 let mid_frame_disconnect ~port ?(complete = []) ?(partial = "{\"op\":\"eval\",")
     () =
   with_socket ~port (fun sock ->

@@ -86,14 +86,6 @@ val connect :
     way.  They return [Error] only when the initial connect fails —
     the misbehaviour itself is always "successful". *)
 
-val slow_loris :
-  port:int -> ?chunks:string list -> ?pause_s:float -> unit ->
-  (unit, string) result
-(** Dribble a frame a few bytes at a time with pauses and never send the
-    newline, then drop the connection — the classic hold-a-slot-forever
-    attack.  A resilient server keeps serving others and eventually
-    reaps the connection via its idle timeout. *)
-
 val mid_frame_disconnect :
   port:int -> ?complete:string list -> ?partial:string -> unit ->
   (unit, string) result

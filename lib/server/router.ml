@@ -181,27 +181,26 @@ let spend t budget response =
   Metrics.add t.budget_ticks (Budget.ticks budget);
   response
 
-let eval_db ?key ?db_name ?deadline t (req : Proto.request) ~query ~db =
+(* Every query op, counts and hunts alike: a budget from the request,
+   spent whatever the answer; the memo; then [run] on the budget.
+   [Complete v] becomes the memoised core [core v ~ticks]; [Exhausted (p,
+   reason)] an exhausted body under [op] with the budget snapshot and
+   [extra p]. *)
+let answer ?key ?db_name ?deadline ?(extra = fun _ -> []) t (req : Proto.request) ~op
+    ~run ~core =
   let budget = make_budget ?deadline t.caps req.Proto.budget in
   spend t budget
   @@ memoised ?key ?db_name t req ~compute:(fun () ->
-         match
-           Outcome.guard
-             ~partial:(fun () -> ())
-             (fun () ->
-               Cache.with_eval t.cache (fun ec ->
-                   Eval.count ~budget ~cache:ec query db))
-         with
-         | Outcome.Complete count ->
-             Ok
-               (Proto.eval_core ~count
-                  ~satisfied:(not (Nat.is_zero count))
-                  ~ticks:(Budget.ticks budget))
-         | Outcome.Exhausted ((), reason) ->
+         match run budget with
+         | Outcome.Complete v -> Ok (core v ~ticks:(Budget.ticks budget))
+         | Outcome.Exhausted (p, reason) ->
              Error
-               (Proto.error_body ?id:req.Proto.id ~op:"eval"
+               (Proto.error_body ?id:req.Proto.id ~op
                   ~kind:(Proto.Exhausted reason)
-                  ~budget:(Budget.snapshot budget) ""))
+                  ~budget:(Budget.snapshot budget) ~extra:(extra p) ""))
+
+(* [run] for a computation that unwinds with [Budget.Exhausted_]. *)
+let guarded f budget = Outcome.guard ~partial:(fun () -> ()) (fun () -> f budget)
 
 (* Resolve the [db]-inline-xor-[db_name] reference shared by [eval] and
    [ucq_eval], then continue with the concrete structure and (for named
@@ -232,178 +231,75 @@ let resolve_db_ref t (req : Proto.request) ~op ~db k =
           in
           k ?key:(Some key) ?db_name:(Some name) db)
 
-let handle_eval ?deadline t (req : Proto.request) ~query ~db =
-  resolve_db_ref t req ~op:"eval" ~db (fun ?key ?db_name db ->
-      eval_db ?key ?db_name ?deadline t req ~query ~db)
-
-let ucq_eval_db ?key ?db_name ?deadline t (req : Proto.request) ~query ~db =
-  let budget = make_budget ?deadline t.caps req.Proto.budget in
-  spend t budget
-  @@ memoised ?key ?db_name t req ~compute:(fun () ->
-         match
-           Outcome.guard
-             ~partial:(fun () -> ())
-             (fun () ->
-               Cache.with_eval t.cache (fun ec ->
-                   Eval.count_ucq ~budget ~cache:ec query db))
-         with
-         | Outcome.Complete count ->
-             Ok
-               (Proto.ucq_eval_core ~count
-                  ~satisfied:(not (Nat.is_zero count))
-                  ~disjuncts:(Bagcq_cq.Ucq.num_disjuncts query)
-                  ~ticks:(Budget.ticks budget))
-         | Outcome.Exhausted ((), reason) ->
-             Error
-               (Proto.error_body ?id:req.Proto.id ~op:"ucq_eval"
-                  ~kind:(Proto.Exhausted reason)
-                  ~budget:(Budget.snapshot budget) ""))
-
-let handle_ucq_eval ?deadline t (req : Proto.request) ~query ~db =
-  resolve_db_ref t req ~op:"ucq_eval" ~db (fun ?key ?db_name db ->
-      ucq_eval_db ?key ?db_name ?deadline t req ~query ~db)
+(* [eval] and [ucq_eval]: [count] is the CQ or UCQ count of the query. *)
+let handle_eval ?deadline t (req : Proto.request) ~op ~db ~count ~core =
+  resolve_db_ref t req ~op ~db (fun ?key ?db_name db ->
+      answer ?key ?db_name ?deadline t req ~op
+        ~run:
+          (guarded (fun budget ->
+               Cache.with_eval t.cache (fun cache -> count ~budget ~cache db)))
+        ~core:(fun n -> core ~count:n ~satisfied:(not (Nat.is_zero n))))
 
 let handle_contain ?deadline t (req : Proto.request) ~small ~big =
-  let budget = make_budget ?deadline t.caps req.Proto.budget in
-  spend t budget
-  @@ memoised t req ~compute:(fun () ->
-         match
-           Outcome.guard
-             ~partial:(fun () -> ())
-             (fun () ->
-               let set_contains =
-                 try Some (Containment.set_contains ~budget ~small ~big ())
-                 with Invalid_argument _ -> None
-               in
-               (set_contains, Containment.bag_equivalent small big))
-         with
-         | Outcome.Complete (set_contains, bag_equivalent) ->
-             Ok
-               (Proto.contain_core ~set_contains ~bag_equivalent
-                  ~ticks:(Budget.ticks budget))
-         | Outcome.Exhausted ((), reason) ->
-             Error
-               (Proto.error_body ?id:req.Proto.id ~op:"contain"
-                  ~kind:(Proto.Exhausted reason)
-                  ~budget:(Budget.snapshot budget) ""))
-
-let handle_hunt ?deadline t (req : Proto.request) ~small ~big ~samples
-    ~exhaustive_size ~seed =
-  let budget = make_budget ?deadline t.caps req.Proto.budget in
-  let strategy =
-    {
-      Hunt.exhaustive_max_size = exhaustive_size;
-      Hunt.sampler = { Sampler.default with Sampler.samples; Sampler.seed };
-    }
-  in
-  let witness_with_counts = function
-    | None -> None
-    | Some d ->
-        let cs, cb = Containment.bag_counts ~small ~big d in
-        Some (d, cs, cb)
-  in
-  spend t budget
-  @@ memoised t req ~compute:(fun () ->
-         match
-           Hunt.counterexample_guarded ~strategy ~jobs:t.hunt_jobs ~budget ~small
-             ~big ()
-         with
-         | Outcome.Complete (report, progress) ->
-             Ok
-               (Proto.hunt_core
-                  ~witness:(witness_with_counts report.Hunt.witness)
-                  ~exhaustive_complete:report.Hunt.exhaustive_complete
-                  ~tested_random:report.Hunt.tested_random
-                  ~ticks:progress.Hunt.ticks_spent ())
-         | Outcome.Exhausted ((report, progress), reason) ->
-             Error
-               (Proto.error_body ?id:req.Proto.id ~op:"hunt"
-                  ~kind:(Proto.Exhausted reason)
-                  ~budget:(Budget.snapshot budget)
-                  ~extra:
-                    (Proto.witness_fields
-                       (witness_with_counts report.Hunt.witness)
-                    @ [
-                        ( "databases_tested",
-                          Json.Int progress.Hunt.databases_tested );
-                        ( "largest_size_completed",
-                          Json.Int progress.Hunt.largest_size_completed );
-                        ("tested_random", Json.Int report.Hunt.tested_random);
-                      ])
-                  ""))
+  answer ?deadline t req ~op:"contain"
+    ~run:
+      (guarded (fun budget ->
+           let set_contains =
+             try Some (Containment.set_contains ~budget ~small ~big ())
+             with Invalid_argument _ -> None
+           in
+           (set_contains, Containment.bag_equivalent small big)))
+    ~core:(fun (set_contains, bag_equivalent) ->
+      Proto.contain_core ~set_contains ~bag_equivalent)
 
 let handle_ucq_contain ?deadline t (req : Proto.request) ~small ~big =
-  let budget = make_budget ?deadline t.caps req.Proto.budget in
-  spend t budget
-  @@ memoised t req ~compute:(fun () ->
-         match
-           Outcome.guard
-             ~partial:(fun () -> ())
-             (fun () ->
-               let set_contains, hom_checks =
-                 try
-                   let v, n =
-                     Containment.ucq_set_contains_counted ~budget ~small ~big ()
-                   in
-                   (Some v, n)
-                 with Invalid_argument _ -> (None, 0)
+  answer ?deadline t req ~op:"ucq_contain"
+    ~run:
+      (guarded (fun budget ->
+           let set_contains, hom_checks =
+             try
+               let v, n =
+                 Containment.ucq_set_contains_counted ~budget ~small ~big ()
                in
-               (set_contains, hom_checks, Containment.ucq_bag_equivalent small big))
-         with
-         | Outcome.Complete (set_contains, hom_checks, bag_equivalent) ->
-             Ok
-               (Proto.ucq_contain_core ~set_contains ~bag_equivalent ~hom_checks
-                  ~ticks:(Budget.ticks budget))
-         | Outcome.Exhausted ((), reason) ->
-             Error
-               (Proto.error_body ?id:req.Proto.id ~op:"ucq_contain"
-                  ~kind:(Proto.Exhausted reason)
-                  ~budget:(Budget.snapshot budget) ""))
+               (Some v, n)
+             with Invalid_argument _ -> (None, 0)
+           in
+           (set_contains, hom_checks, Containment.ucq_bag_equivalent small big)))
+    ~core:(fun (set_contains, hom_checks, bag_equivalent) ->
+      Proto.ucq_contain_core ~set_contains ~bag_equivalent ~hom_checks)
 
-let handle_ucq_hunt ?deadline t (req : Proto.request) ~small ~big ~samples
-    ~exhaustive_size ~seed =
-  let budget = make_budget ?deadline t.caps req.Proto.budget in
+(* [hunt] and [ucq_hunt]: one hunt driver over a CQ or a UCQ pair;
+   [counts] recounts a witness exactly for the response. *)
+let handle_hunt ?deadline t (req : Proto.request) ~op
+    ~(hunt : ?strategy:Hunt.strategy -> ?jobs:int -> budget:Budget.t -> unit -> _)
+    ~counts ~samples ~exhaustive_size ~seed =
   let strategy =
     {
       Hunt.exhaustive_max_size = exhaustive_size;
       Hunt.sampler = { Sampler.default with Sampler.samples; Sampler.seed };
     }
   in
-  let witness_with_counts = function
-    | None -> None
-    | Some d ->
-        let cs, cb = Containment.ucq_bag_counts ~small ~big d in
-        Some (d, cs, cb)
+  let witness report =
+    Option.map
+      (fun d ->
+        let cs, cb = counts d in
+        (d, cs, cb))
+      report.Hunt.witness
   in
-  spend t budget
-  @@ memoised t req ~compute:(fun () ->
-         match
-           Hunt.ucq_counterexample_guarded ~strategy ~jobs:t.hunt_jobs ~budget
-             ~small ~big ()
-         with
-         | Outcome.Complete (report, progress) ->
-             Ok
-               (Proto.hunt_core ~op:"ucq_hunt"
-                  ~witness:(witness_with_counts report.Hunt.witness)
-                  ~exhaustive_complete:report.Hunt.exhaustive_complete
-                  ~tested_random:report.Hunt.tested_random
-                  ~ticks:progress.Hunt.ticks_spent ())
-         | Outcome.Exhausted ((report, progress), reason) ->
-             Error
-               (Proto.error_body ?id:req.Proto.id ~op:"ucq_hunt"
-                  ~kind:(Proto.Exhausted reason)
-                  ~budget:(Budget.snapshot budget)
-                  ~extra:
-                    (Proto.witness_fields
-                       (witness_with_counts report.Hunt.witness)
-                    @ [
-                        ( "databases_tested",
-                          Json.Int progress.Hunt.databases_tested );
-                        ( "largest_size_completed",
-                          Json.Int progress.Hunt.largest_size_completed );
-                        ("tested_random", Json.Int report.Hunt.tested_random);
-                      ])
-                  ""))
+  answer ?deadline t req ~op
+    ~run:(fun budget -> hunt ~strategy ~jobs:t.hunt_jobs ~budget ())
+    ~core:(fun (report, _) ~ticks ->
+      Proto.hunt_core ~op ~witness:(witness report)
+        ~exhaustive_complete:report.Hunt.exhaustive_complete
+        ~tested_random:report.Hunt.tested_random ~ticks ())
+    ~extra:(fun (report, progress) ->
+      Proto.witness_fields (witness report)
+      @ [
+          ("databases_tested", Json.Int progress.Hunt.databases_tested);
+          ( "largest_size_completed",
+            Json.Int progress.Hunt.largest_size_completed );
+          ("tested_random", Json.Int report.Hunt.tested_random);
+        ])
 
 (* ---------------- data-plane handlers ----------------
 
@@ -500,16 +396,29 @@ let dispatch ?deadline t (req : Proto.request) =
     | Proto.Ping -> Proto.ping_response ?id ()
     | Proto.Stats -> Proto.stats_response ?id (stats_fields t)
     | Proto.Metrics -> Proto.metrics_response ?id (metrics_rows t)
-    | Proto.Eval { query; db } -> handle_eval ?deadline t req ~query ~db
+    | Proto.Eval { query; db } ->
+        handle_eval ?deadline t req ~op:"eval" ~db
+          ~count:(fun ~budget ~cache -> Eval.count ~budget ~cache query)
+          ~core:Proto.eval_core
     | Proto.Contain { small; big } -> handle_contain ?deadline t req ~small ~big
     | Proto.Hunt { small; big; samples; exhaustive_size; seed } ->
-        handle_hunt ?deadline t req ~small ~big ~samples ~exhaustive_size ~seed
-    | Proto.Ucq_eval { query; db } -> handle_ucq_eval ?deadline t req ~query ~db
+        handle_hunt ?deadline t req ~op:"hunt"
+          ~hunt:(Hunt.counterexample_guarded ~small ~big)
+          ~counts:(Containment.bag_counts ~small ~big)
+          ~samples ~exhaustive_size ~seed
+    | Proto.Ucq_eval { query; db } ->
+        handle_eval ?deadline t req ~op:"ucq_eval" ~db
+          ~count:(fun ~budget ~cache -> Eval.count_ucq ~budget ~cache query)
+          ~core:
+            (Proto.ucq_eval_core
+               ~disjuncts:(Bagcq_cq.Ucq.num_disjuncts query))
     | Proto.Ucq_contain { small; big } ->
         handle_ucq_contain ?deadline t req ~small ~big
     | Proto.Ucq_hunt { small; big; samples; exhaustive_size; seed } ->
-        handle_ucq_hunt ?deadline t req ~small ~big ~samples ~exhaustive_size
-          ~seed
+        handle_hunt ?deadline t req ~op:"ucq_hunt"
+          ~hunt:(Hunt.ucq_counterexample_guarded ~small ~big)
+          ~counts:(Containment.ucq_bag_counts ~small ~big)
+          ~samples ~exhaustive_size ~seed
     | Proto.Db_create { name; db } -> handle_db_create t req ~name ~db
     | Proto.Db_insert { name; fact } ->
         handle_mutation ?deadline t req ~op:"db_insert" ~name ~fact ~add:true

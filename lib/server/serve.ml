@@ -84,22 +84,12 @@ let stdio ?(pipeline = 1) ?(jobs = 1) ?max_line_bytes router ic oc =
 (* Writing to a peer that already hung up raises SIGPIPE, which by
    default kills the whole process — exactly the failure the
    disconnect-resilience contract forbids.  Ignoring it turns the write
-   into an EPIPE [Unix_error] the connection handler absorbs.  Lazy so
+   into an EPIPE [Unix_error] the event loop absorbs.  Lazy so
    library users that never serve TCP keep their signal disposition. *)
 let ignore_sigpipe =
   lazy
     (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
      with Invalid_argument _ -> ())
-
-let handle_connection router conn =
-  Lazy.force ignore_sigpipe;
-  let ic = Unix.in_channel_of_descr conn in
-  let oc = Unix.out_channel_of_descr conn in
-  (try stdio router ic oc
-   with Unix.Unix_error _ | Sys_error _ | End_of_file ->
-     Metrics.incr
-       (Metrics.counter (Router.metrics router) "server_connections_failed"));
-  try Unix.close conn with Unix.Unix_error _ -> ()
 
 (* ---------------- the event-loop front end ---------------- *)
 

@@ -34,13 +34,6 @@ val stdio :
     — counted under [server_lines_oversized] — and ends the stream, the
     stdio analogue of the TCP loop closing the connection. *)
 
-val handle_connection : Router.t -> Unix.file_descr -> unit
-(** Serve one accepted connection with the blocking stdio loop, then
-    close it.  A peer that disconnects mid-request ends the connection,
-    bumps the router's [server_connections_failed] counter and returns
-    normally.  Exposed for the regression test; {!tcp} itself uses the
-    event loop below. *)
-
 val default_drain_ms : int
 (** 1000. *)
 

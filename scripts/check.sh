@@ -1,8 +1,7 @@
 #!/bin/sh
 # Tier-1 verification in a single command:
-#   build + full test suite (unit + cram), the parallel test binary under
-#   both one and two worker domains, a benchmark-schema check, plus a
-#   formatting check when an ocamlformat binary and a .ocamlformat config
+#   build + full test suite (unit + cram), a benchmark-schema check, plus
+#   a formatting check when an ocamlformat binary and a .ocamlformat config
 #   are present.
 #
 # Usage: scripts/check.sh
@@ -12,13 +11,6 @@ cd "$(dirname "$0")/.."
 
 echo "== dune build @check (build + runtest) =="
 dune build @check
-
-# dune caches test results per binary, not per environment, so the two
-# jobs settings are exercised by running the parallel suite directly.
-for jobs in 1 2; do
-  echo "== test_parallel under BAGCQ_JOBS=$jobs =="
-  BAGCQ_JOBS=$jobs ./_build/default/test/test_parallel.exe >/dev/null
-done
 
 echo "== BENCH_PR10.json schema =="
 dune exec bench/main.exe -- --json-only >/dev/null

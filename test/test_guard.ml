@@ -159,26 +159,46 @@ let test_enumeration_complete_with_ample_fuel () =
   | Outcome.Exhausted _ -> Alcotest.fail "ample fuel must not trip"
 
 (* A trip of a budget the sweep does not own is the predicate's own
-   failure, not the sweep's exhaustion: it propagates, on every path, and
-   leaves the sweep's budget untripped. *)
+   failure, not the sweep's exhaustion: it propagates, from the exhaustive
+   sweep and from the sampler at every job count, and leaves the sweep's
+   budget untripped. *)
 let test_foreign_trip_propagates () =
   let schema = Schema.make [ e ] in
   let foreign = Budget.create ~fuel:0 () in
   let pred ~budget:_ _ = Budget.tick foreign; false in
+  let sweeps =
+    [
+      ( "exhaustive",
+        fun ~budget ~jobs ->
+          ignore
+            (Dbspace.find_guarded_par ~budget ~jobs ~with_constants:false schema ~max_size:2
+               pred) );
+      ( "sampler",
+        fun ~budget ~jobs ->
+          ignore (Sampler.sample_batches_guarded ~budget ~jobs Sampler.default schema pred) );
+    ]
+  in
   List.iter
-    (fun jobs ->
-      let budget = Budget.unlimited () in
-      (match Dbspace.find_guarded_par ~budget ~jobs ~with_constants:false schema ~max_size:2 pred with
-      | _ -> Alcotest.fail "a foreign trip must not end the sweep quietly"
-      | exception Budget.Exhausted_ Budget.Fuel -> ());
-      Alcotest.(check bool) "sweep budget untripped" true (Budget.tripped budget = None))
-    [ 1; 2 ]
+    (fun (name, sweep) ->
+      List.iter
+        (fun jobs ->
+          let budget = Budget.unlimited () in
+          (match sweep ~budget ~jobs with
+          | () ->
+              Alcotest.failf "%s, jobs=%d: a foreign trip must not end the sweep quietly" name
+                jobs
+          | exception Budget.Exhausted_ Budget.Fuel -> ());
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, jobs=%d: sweep budget untripped" name jobs)
+            true (Budget.tripped budget = None))
+        [ 1; 2 ])
+    sweeps
 
 let test_trip_mid_sampling () =
   let schema = Schema.make [ e ] in
   let budget = Budget.fault_at ~tick:7 () in
   let config = { Sampler.default with Sampler.samples = 100 } in
-  match Sampler.sample_stream_guarded ~budget config schema (fun _ -> false) with
+  match Sampler.sample_batches_guarded ~budget config schema (fun ~budget:_ _ -> false) with
   | Outcome.Exhausted (partial, Budget.Fuel) ->
       Alcotest.(check bool) "some samples completed before the trip" true
         (partial.Sampler.tested > 0 && partial.Sampler.tested < 100);

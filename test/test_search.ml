@@ -146,9 +146,19 @@ let test_reduced_sweep_counts () =
 (* Sampler                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The sampling phase alone, on the unprepared violation check. *)
+let sample_hunt ~small ~big () =
+  match
+    Sampler.sample_batches_guarded ~budget:(Budget.unlimited ()) Sampler.default
+      (Sampler.schema_of_pair small big) (fun ~budget d ->
+        Containment.bag_violation ~budget ~small ~big d)
+  with
+  | Outcome.Complete o -> o
+  | Outcome.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
+
 let test_sampler_finds_violation () =
   (* path(D) > edge(D) on dense graphs: easy to hit randomly *)
-  let outcome = Sampler.hunt_queries ~small:path_q ~big:edge_q () in
+  let outcome = sample_hunt ~small:path_q ~big:edge_q () in
   match outcome.Sampler.witness with
   | Some d ->
       Alcotest.(check bool) "verified" true
@@ -158,14 +168,14 @@ let test_sampler_finds_violation () =
 let test_sampler_respects_containment () =
   (* edge(D) ≤ path... no: edge ≥ path is false too. Use small = big:
      never a strict violation *)
-  let outcome = Sampler.hunt_queries ~small:edge_q ~big:edge_q () in
+  let outcome = sample_hunt ~small:edge_q ~big:edge_q () in
   Alcotest.(check bool) "no self-violation" true (outcome.Sampler.witness = None);
   Alcotest.(check int) "tested all samples" (Sampler.default.Sampler.samples)
     outcome.Sampler.tested
 
 let test_sampler_deterministic () =
-  let o1 = Sampler.hunt_queries ~small:path_q ~big:edge_q () in
-  let o2 = Sampler.hunt_queries ~small:path_q ~big:edge_q () in
+  let o1 = sample_hunt ~small:path_q ~big:edge_q () in
+  let o2 = sample_hunt ~small:path_q ~big:edge_q () in
   Alcotest.(check int) "same tested count" o1.Sampler.tested o2.Sampler.tested
 
 let test_check_all () =
@@ -276,10 +286,8 @@ let test_hunt_skips_infeasible_exhaustive () =
    reference for the prepared one: every candidate goes through
    [Containment.bag_violation] (or its UCQ form) with one cache per hunt,
    the phases through [Dbspace.find_guarded_par] and
-   [Sampler.sample_batches_guarded] at jobs=1 — or, for the serial path,
-   [Dbspace.find_guarded] and [Sampler.sample_stream_guarded] — all on
-   the one budget. *)
-let reference_hunt ~serial ~strategy ~budget ~schema violation =
+   [Sampler.sample_batches_guarded] at jobs=1, on the one budget. *)
+let reference_hunt ~strategy ~budget ~schema violation =
   let cache = Eval.create_cache () in
   let pred ~budget d = violation ~budget ~cache d in
   let size = Hunt.feasible_size schema strategy.Hunt.exhaustive_max_size in
@@ -294,7 +302,6 @@ let reference_hunt ~serial ~strategy ~budget ~schema violation =
   let exhaustive =
     if size < 1 then
       Outcome.Complete (None, { Dbspace.databases_tested = 0; largest_size_completed = 0 })
-    else if serial then Dbspace.find_guarded ~budget schema ~max_size:size (pred ~budget)
     else Dbspace.find_guarded_par ~budget ~jobs:1 schema ~max_size:size pred
   in
   let complete = size = strategy.Hunt.exhaustive_max_size in
@@ -303,11 +310,7 @@ let reference_hunt ~serial ~strategy ~budget ~schema violation =
       Outcome.Exhausted (result ~complete:false ~random:0 s, reason)
   | Outcome.Complete (Some w, s) -> Outcome.Complete (result ~witness:w ~complete ~random:0 s)
   | Outcome.Complete (None, s) -> (
-      let sampler = strategy.Hunt.sampler in
-      match
-        if serial then Sampler.sample_stream_guarded ~budget sampler schema (pred ~budget)
-        else Sampler.sample_batches_guarded ~budget ~jobs:1 sampler schema pred
-      with
+      match Sampler.sample_batches_guarded ~budget ~jobs:1 strategy.Hunt.sampler schema pred with
       | Outcome.Exhausted (o, reason) ->
           Outcome.Exhausted (result ~complete ~random:o.Sampler.tested s, reason)
       | Outcome.Complete o ->
@@ -407,12 +410,12 @@ let prop_hunt_matches_reference =
                match pair with
                | Cq (small, big) ->
                    ( Hunt.counterexample_guarded ~strategy ?jobs ~budget:got ~small ~big (),
-                     reference_hunt ~serial:(jobs = None) ~strategy ~budget:want
+                     reference_hunt ~strategy ~budget:want
                        ~schema:(Sampler.schema_of_pair small big)
                        (fun ~budget ~cache -> Containment.bag_violation ~budget ~cache ~small ~big) )
                | Union (small, big) ->
                    ( Hunt.ucq_counterexample_guarded ~strategy ?jobs ~budget:got ~small ~big (),
-                     reference_hunt ~serial:(jobs = None) ~strategy ~budget:want
+                     reference_hunt ~strategy ~budget:want
                        ~schema:(Schema.union (Ucq.schema small) (Ucq.schema big))
                        (fun ~budget ~cache ->
                          Containment.ucq_bag_violation ~budget ~cache ~small ~big) )
@@ -420,7 +423,7 @@ let prop_hunt_matches_reference =
              let got = hunt_summary got and want = hunt_summary want in
              got = want
              || QCheck.Test.fail_reportf "%s:@.hunt      %s@.reference %s"
-                  (if jobs = None then "serial" else "jobs=1")
+                  (if jobs = None then "jobs omitted" else "jobs=1")
                   got want)
            [ None; Some 1 ]))
 
