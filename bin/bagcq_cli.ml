@@ -4,14 +4,21 @@
      eval      evaluate a query on a database under bag semantics
      contain   decidable containment checks (set semantics, bag equivalence)
      hunt      search for a bag-containment counterexample
+     ucq       the same three questions for unions of CQs
      reduce    run the Theorem 1 reduction on a Diophantine polynomial
      multiply  build and validate the Theorem 3 multiplier gadget
+     serve     answer the questions over NDJSON (stdio or TCP)
+     store     named databases with maintained counts, on a server
 
-   The semi-decision searches (eval, contain, hunt) accept --fuel and
-   --timeout-ms budgets and degrade gracefully: exit code 0 means a
-   witness/result was produced, 1 means the search completed empty, 2 means
-   the budget was exhausted (best-so-far statistics are printed), 3 means
-   the input could not be read. *)
+   The query verbs (eval, contain, hunt, ucq eval|contain|hunt) and the
+   store and metrics verbs each build one wire request and take the
+   answer from the router [serve] runs: in process, or from a server
+   with --port.  Budgets, validation and exit codes are therefore decided
+   once: exit code 0 means a result (hunt: a counterexample) was
+   produced, 1 means a hunt completed empty, 2 means the --fuel or
+   --timeout-ms budget was exhausted (best-so-far statistics are
+   printed), 3 means the input could not be read or the request was
+   refused. *)
 
 open Cmdliner
 open Bagcq_relational
@@ -19,17 +26,19 @@ open Bagcq_cq
 open Bagcq_reduction
 module Nat = Bagcq_bignum.Nat
 module Budget = Bagcq_guard.Budget
-module Outcome = Bagcq_guard.Outcome
-module Eval = Bagcq_hom.Eval
 module Decomp = Bagcq_hom.Decomp
-module Plan = Bagcq_hom.Plan
 module Wcoj = Bagcq_hom.Wcoj
 module Ghd = Bagcq_hom.Ghd
 module Json = Bagcq_wire.Json
-module Hunt = Bagcq_search.Hunt
+module Proto = Bagcq_wire.Proto
 module Sampler = Bagcq_search.Sampler
 module Pool = Bagcq_parallel.Pool
 module Lemma11 = Bagcq_poly.Lemma11
+module Router = Bagcq_server.Router
+module Serve = Bagcq_server.Serve
+module Load = Bagcq_server.Load
+module Metrics = Bagcq_obs.Metrics
+module Trace = Bagcq_obs.Trace
 
 let query_conv =
   let parse s = match Parse.parse s with Ok q -> Ok q | Error e -> Error (`Msg e) in
@@ -41,98 +50,190 @@ let poly_conv =
   in
   Arg.conv (parse, Bagcq_poly.Polynomial.pp)
 
-let read_database path =
-  match
-    match path with
-    | "-" -> In_channel.input_all In_channel.stdin
-    | path -> In_channel.with_open_text path In_channel.input_all
-  with
-  | text -> Encode.parse text
-  | exception Sys_error e -> Error e
+(* A file's text, or stdin's for '-'. *)
+let read_text path =
+  try
+    Ok
+      (match path with
+      | "-" -> In_channel.input_all stdin
+      | path -> In_channel.with_open_text path In_channel.input_all)
+  with Sys_error e -> Error e
 
-(* ---------------- budgets and exit codes ---------------- *)
+let read_database path = Result.bind (read_text path) Encode.parse
+
+(* ---------------- one path to the engine ---------------- *)
 
 let exit_found = 0
 let exit_none = 1
 let exit_exhausted = 2
 let exit_input = 3
 
-let budget_term =
-  let nonneg_int =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 0 -> Ok n
-      | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a non-negative integer" s))
-      | Error _ ->
-          Error (`Msg (Printf.sprintf "invalid value '%s', expected a non-negative integer" s))
-    in
-    Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
-  in
-  let fuel =
-    Arg.(value & opt (some nonneg_int) None & info [ "fuel" ] ~docv:"N"
-           ~doc:"Deterministic execution budget: at most $(docv) engine ticks \
-                 (backtracking nodes, candidate databases, random samples). \
-                 Exhaustion exits with code 2 and prints progress statistics.")
-  in
-  let timeout_ms =
-    Arg.(value & opt (some nonneg_int) None & info [ "timeout-ms" ] ~docv:"MS"
-           ~doc:"Wall-clock deadline in milliseconds; checked every few \
-                 thousand ticks. Exhaustion exits with code 2.")
-  in
-  Cmdliner.Term.(
-    const (fun fuel timeout_ms -> Budget.create ?fuel ?timeout_ms ()) $ fuel $ timeout_ms)
-
 let budget_exits =
   [
     Cmd.Exit.info exit_found ~doc:"the computation completed (hunt: a counterexample was found).";
     Cmd.Exit.info exit_none ~doc:"the search completed without finding a counterexample.";
     Cmd.Exit.info exit_exhausted ~doc:"the $(b,--fuel) or $(b,--timeout-ms) budget was exhausted.";
-    Cmd.Exit.info exit_input ~doc:"the input database could not be read or parsed.";
+    Cmd.Exit.info exit_input
+      ~doc:"the input database could not be read, or the request was refused \
+            (a malformed request, an overloaded or unreachable server, an \
+            unparseable answer).";
     Cmd.Exit.info Cmd.Exit.cli_error ~doc:"command line parsing error.";
     Cmd.Exit.info Cmd.Exit.internal_error ~doc:"unexpected internal error.";
   ]
 
-let print_exhausted budget reason =
-  Printf.printf "budget exhausted (%s): %s\n"
-    (Budget.reason_to_string reason)
-    (Budget.snapshot_to_string (Budget.snapshot budget))
+(* The answer line to one request: from the server on 127.0.0.1:[port]
+   (after the ping capability handshake when [require_ops] is given), or
+   from a fresh in-process router with no caps, so that only the
+   request's own budget bounds it.  Either way it is the line [serve]
+   answers. *)
+let answer_line ?port ?require_ops ?hunt_jobs fields =
+  let line = Json.to_string (Json.Obj fields) in
+  match port with
+  | None ->
+      let caps = { Router.max_fuel = None; max_timeout_ms = None } in
+      Ok (Router.handle_line (Router.create ~caps ?hunt_jobs ()) line)
+  | Some port -> (
+      match Load.connect ?require_ops ~port () with
+      | Error e -> Error (Printf.sprintf "cannot connect to 127.0.0.1:%d: %s" port e)
+      | Ok sock ->
+          let ic = Unix.in_channel_of_descr sock in
+          let oc = Unix.out_channel_of_descr sock in
+          output_string oc (line ^ "\n");
+          flush oc;
+          let answer = In_channel.input_line ic in
+          (try Unix.close sock with Unix.Unix_error _ -> ());
+          Option.to_result ~none:"server closed the connection without answering" answer)
 
-(* The report [hunt] and [ucq hunt] print from a guarded hunt; [counts]
-   recounts a witness for the VIOLATED line. *)
-let print_hunt ~counts ~max_size budget outcome =
-  let print_witness d =
-    let cs, cb = counts d in
-    Printf.printf "VIOLATED: small(D) = %s > big(D) = %s on:\n%s"
-      (Nat.to_string cs) (Nat.to_string cb) (Encode.to_string d)
+(* Every verb that sends a request: [print] renders the answer (its line
+   and its parse), and the answer's status is the exit code — 0 for ok
+   (1 for a hunt that found nothing), 2 for exhausted, 3 for anything
+   refused, including no answer at all. *)
+let ask ?port ?require_ops ?hunt_jobs ~print fields =
+  let answer =
+    Result.bind (answer_line ?port ?require_ops ?hunt_jobs fields) (fun line ->
+        match Json.parse line with
+        | Ok j -> Ok (line, j)
+        | Error e -> Error (Printf.sprintf "unparseable answer %S: %s" line e))
   in
-  match outcome with
-  | Outcome.Complete (report, _) -> (
-      match report.Hunt.witness with
-      | Some d ->
-          print_witness d;
-          exit_found
-      | None ->
-          (match report.Hunt.unverified with
-          | Some d ->
-              Printf.eprintf
-                "bagcq: INCONSISTENCY: the hunt reported a witness that failed \
-                 re-verification:\n%s"
-                (Encode.to_string d)
-          | None -> ());
-          Printf.printf
-            "no counterexample found (exhaustive to size %d complete: %b; %d random samples)\n"
-            max_size report.Hunt.exhaustive_complete report.Hunt.tested_random;
-          exit_none)
-  | Outcome.Exhausted ((report, progress), reason) ->
-      (match report.Hunt.witness with Some d -> print_witness d | None -> ());
-      Printf.printf
-        "budget exhausted (%s): %s, %d databases tested \
-         (exhaustive complete to size %d; %d random samples)\n"
-        (Budget.reason_to_string reason)
-        (Budget.snapshot_to_string (Budget.snapshot budget))
-        progress.Hunt.databases_tested
-        progress.Hunt.largest_size_completed report.Hunt.tested_random;
-      exit_exhausted
+  match answer with
+  | Error e ->
+      Printf.eprintf "bagcq: %s\n" e;
+      exit_input
+  | Ok (line, j) -> (
+      print line j;
+      match Proto.status j with
+      | Some "ok" when Json.get_bool "violated" j = Some false -> exit_none
+      | Some "ok" -> exit_found
+      | Some "exhausted" -> exit_exhausted
+      | _ -> exit_input)
+
+(* The wire verbs ([ucq], [store]): [op] with [fields] and the budget
+   fields, answered by printing the answer line itself. *)
+let ask_op ?port ?require_ops op fields budget =
+  ask ?port ?require_ops
+    ((("op", Json.Str op) :: fields) @ budget)
+    ~print:(fun line _ -> print_endline line)
+
+(* An answer's fields, read with a neutral default when absent. *)
+let str name j = Option.value (Json.get_string name j) ~default:""
+let int name j = Option.value (Json.get_int name j) ~default:0
+let bool name j = Option.value (Json.get_bool name j) ~default:false
+
+let num name j =
+  match Json.member name j with
+  | Some (Json.Float f) -> f
+  | Some (Json.Int i) -> float_of_int i
+  | _ -> 0.
+
+(* ["budget exhausted (fuel): 2 ticks in 0ms (fuel left 0)"], from the
+   reason and the budget snapshot an exhausted answer carries. *)
+let exhausted_line j =
+  let snapshot =
+    {
+      Budget.ticks = int "ticks" j;
+      fuel_left = Json.get_int "fuel_left" j;
+      elapsed_ms = num "elapsed_ms" j;
+      tripped = None;
+    }
+  in
+  Printf.sprintf "budget exhausted (%s): %s" (str "reason" j)
+    (Budget.snapshot_to_string snapshot)
+
+(* The text verbs' printer: [ok] and [exhausted] render those answers, a
+   refusal prints its message on stderr. *)
+let text ~ok ?(exhausted = fun j -> print_endline (exhausted_line j)) line j =
+  match Proto.status j with
+  | Some "ok" -> ok j
+  | Some "exhausted" -> exhausted j
+  | _ ->
+      Printf.eprintf "bagcq: %s\n"
+        (Option.value (Json.get_string "error" j) ~default:line)
+
+let nonneg_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 0 -> Ok n
+    | Ok _ | Error _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected a non-negative integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
+(* --fuel and --timeout-ms, as the request's budget fields. *)
+let budget_term =
+  let fuel =
+    Arg.(value & opt (some nonneg_int) None & info [ "fuel" ] ~docv:"N"
+           ~doc:"Deterministic execution budget: at most $(docv) engine ticks \
+                 (backtracking nodes, candidate databases, random samples). \
+                 Exhaustion exits with code 2 and prints progress statistics. \
+                 A server also clamps it to its own cap.")
+  in
+  let timeout_ms =
+    Arg.(value & opt (some nonneg_int) None & info [ "timeout-ms" ] ~docv:"MS"
+           ~doc:"Wall-clock deadline in milliseconds; checked every few \
+                 thousand ticks. Exhaustion exits with code 2. A server also \
+                 clamps it to its own cap.")
+  in
+  let field name = Option.fold ~none:[] ~some:(fun v -> [ (name, Json.Int v) ]) in
+  Cmdliner.Term.(
+    const (fun fuel timeout_ms -> field "fuel" fuel @ field "timeout_ms" timeout_ms)
+    $ fuel $ timeout_ms)
+
+(* --samples, --exhaustive-size and --seed of both hunts: the requested
+   exhaustive size, and the request's strategy fields. *)
+let strategy_term =
+  let int_arg name ~default ~doc =
+    Arg.(value & opt nonneg_int default & info [ name ] ~docv:"N" ~doc)
+  in
+  let samples = int_arg "samples" ~default:500 ~doc:"Random databases to try." in
+  let max_size =
+    int_arg "exhaustive-size" ~default:2
+      ~doc:"Exhaustively enumerate databases up to this many elements first."
+  in
+  let seed = int_arg "seed" ~default:0x5eed ~doc:"Random seed." in
+  Cmdliner.Term.(
+    const (fun samples max_size seed ->
+        ( max_size,
+          [
+            ("samples", Json.Int samples);
+            ("exhaustive_size", Json.Int max_size);
+            ("seed", Json.Int seed);
+          ] ))
+    $ samples $ max_size $ seed)
+
+let small_arg =
+  Arg.(required & opt (some query_conv) None & info [ "small" ] ~docv:"QUERY"
+         ~doc:"The s-query (candidate containee).")
+
+let big_arg =
+  Arg.(required & opt (some query_conv) None & info [ "big" ] ~docv:"QUERY"
+         ~doc:"The b-query (candidate container).")
+
+let pair_fields op small big =
+  [
+    ("op", Json.Str op);
+    ("small", Json.Str (Query.to_string small));
+    ("big", Json.Str (Query.to_string big));
+  ]
 
 (* ---------------- eval ---------------- *)
 
@@ -146,26 +247,28 @@ let eval_cmd =
            ~doc:"Database file in fact-list syntax ('-' for stdin).")
   in
   let run q path budget =
-    match read_database path with
+    match read_text path with
     | Error e ->
         Printf.eprintf "bagcq: %s\n" e;
         exit_input
-    | Ok d -> (
-        Printf.printf "query: %s\n" (Query.to_string q);
-        match
-          Outcome.guard
-            ~partial:(fun () -> ())
-            (fun () ->
-              let count = Eval.count ~budget q d in
-              (count, Eval.satisfies ~budget d q))
-        with
-        | Outcome.Complete (count, sat) ->
-            Printf.printf "bag count  ψ(D) = %s\n" (Nat.to_string count);
-            Printf.printf "satisfied  D ⊨ ψ: %b\n" sat;
-            exit_found
-        | Outcome.Exhausted ((), reason) ->
-            print_exhausted budget reason;
-            exit_exhausted)
+    | Ok db ->
+        let query_line () = Printf.printf "query: %s\n" (Query.to_string q) in
+        ask
+          ([
+             ("op", Json.Str "eval");
+             ("query", Json.Str (Query.to_string q));
+             ("db", Json.Str db);
+           ]
+          @ budget)
+          ~print:
+            (text
+               ~ok:(fun j ->
+                 query_line ();
+                 Printf.printf "bag count  ψ(D) = %s\n" (str "count" j);
+                 Printf.printf "satisfied  D ⊨ ψ: %b\n" (bool "satisfied" j))
+               ~exhausted:(fun j ->
+                 query_line ();
+                 print_endline (exhausted_line j)))
   in
   Cmd.v
     (Cmd.info "eval" ~exits:budget_exits
@@ -290,58 +393,28 @@ let explain_cmd =
 (* ---------------- contain ---------------- *)
 
 let contain_cmd =
-  let small =
-    Arg.(required & opt (some query_conv) None & info [ "small" ] ~docv:"QUERY"
-           ~doc:"The s-query (candidate containee).")
-  in
-  let big =
-    Arg.(required & opt (some query_conv) None & info [ "big" ] ~docv:"QUERY"
-           ~doc:"The b-query (candidate container).")
-  in
   let run small big budget =
-    match
-      Outcome.guard
-        ~partial:(fun () -> ())
-        (fun () ->
-          try Some (Containment.set_contains ~budget ~small ~big ())
-          with Invalid_argument _ -> None)
-    with
-    | Outcome.Complete set ->
-        (match set with
-        | Some v -> Printf.printf "set-semantics containment (Chandra–Merlin): %b\n" v
-        | None -> Printf.printf "set-semantics containment: n/a (inequalities present)\n");
-        Printf.printf "bag equivalence (Chaudhuri–Vardi, isomorphism): %b\n"
-          (Containment.bag_equivalent small big);
-        Printf.printf
-          "bag containment: decidability open — use 'bagcq hunt' to search for\n\
-           a counterexample database.\n";
-        exit_found
-    | Outcome.Exhausted ((), reason) ->
-        print_exhausted budget reason;
-        exit_exhausted
+    ask
+      (pair_fields "contain" small big @ budget)
+      ~print:
+        (text ~ok:(fun j ->
+             (match Json.get_bool "set_contains" j with
+             | Some v -> Printf.printf "set-semantics containment (Chandra–Merlin): %b\n" v
+             | None -> Printf.printf "set-semantics containment: n/a (inequalities present)\n");
+             Printf.printf "bag equivalence (Chaudhuri–Vardi, isomorphism): %b\n"
+               (bool "bag_equivalent" j);
+             Printf.printf
+               "bag containment: decidability open — use 'bagcq hunt' to search for\n\
+                a counterexample database.\n"))
   in
   Cmd.v
     (Cmd.info "contain" ~exits:budget_exits
        ~doc:"Run the decidable containment checks on a pair of queries.")
-    Cmdliner.Term.(const run $ small $ big $ budget_term)
+    Cmdliner.Term.(const run $ small_arg $ big_arg $ budget_term)
 
 (* ---------------- hunt ---------------- *)
 
 let hunt_cmd =
-  let small =
-    Arg.(required & opt (some query_conv) None & info [ "small" ] ~docv:"QUERY" ~doc:"The s-query.")
-  in
-  let big =
-    Arg.(required & opt (some query_conv) None & info [ "big" ] ~docv:"QUERY" ~doc:"The b-query.")
-  in
-  let samples =
-    Arg.(value & opt int 500 & info [ "samples" ] ~docv:"N" ~doc:"Random databases to try.")
-  in
-  let max_size =
-    Arg.(value & opt int 2 & info [ "exhaustive-size" ] ~docv:"N"
-           ~doc:"Exhaustively enumerate databases up to this many elements first.")
-  in
-  let seed = Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"N" ~doc:"Random seed.") in
   let jobs =
     let pos_int =
       let parse s =
@@ -353,10 +426,12 @@ let hunt_cmd =
       Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
     in
     Arg.(value & opt (some pos_int) None & info [ "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the exhaustive sweep and the random                  sampling phase. Defaults to $(b,BAGCQ_JOBS) if set, else the                  number of cores. The witness found is independent of $(docv).")
+           ~doc:"Worker domains for the exhaustive sweep and the random \
+                 sampling phase. Defaults to $(b,BAGCQ_JOBS) if set, else the \
+                 number of cores. The witness found is independent of $(docv).")
   in
-  let run small big samples max_size seed jobs budget =
-    let jobs =
+  let run small big (max_size, strategy) jobs budget =
+    let hunt_jobs =
       match jobs with
       | Some j -> j
       | None -> (
@@ -365,19 +440,32 @@ let hunt_cmd =
             Printf.eprintf "bagcq: %s\n" msg;
             exit exit_input)
     in
-    let strategy =
-      {
-        Hunt.exhaustive_max_size = max_size;
-        Hunt.sampler = { Sampler.default with Sampler.samples; Sampler.seed };
-      }
+    let print_witness j =
+      if bool "violated" j then
+        Printf.printf "VIOLATED: small(D) = %s > big(D) = %s on:\n%s"
+          (str "small_count" j) (str "big_count" j) (str "witness" j)
     in
-    print_hunt ~counts:(Containment.bag_counts ~small ~big) ~max_size budget
-      (Hunt.counterexample_guarded ~strategy ~jobs ~budget ~small ~big ())
+    ask ~hunt_jobs
+      (pair_fields "hunt" small big @ strategy @ budget)
+      ~print:
+        (text
+           ~ok:(fun j ->
+             if bool "violated" j then print_witness j
+             else
+               Printf.printf
+                 "no counterexample found (exhaustive to size %d complete: %b; %d random samples)\n"
+                 max_size (bool "exhaustive_complete" j) (int "tested_random" j))
+           ~exhausted:(fun j ->
+             print_witness j;
+             Printf.printf
+               "%s, %d databases tested (exhaustive complete to size %d; %d random samples)\n"
+               (exhausted_line j) (int "databases_tested" j)
+               (int "largest_size_completed" j) (int "tested_random" j)))
   in
   Cmd.v
     (Cmd.info "hunt" ~exits:budget_exits
        ~doc:"Hunt for a database witnessing small(D) > big(D).")
-    Cmdliner.Term.(const run $ small $ big $ samples $ max_size $ seed $ jobs $ budget_term)
+    Cmdliner.Term.(const run $ small_arg $ big_arg $ strategy_term $ jobs $ budget_term)
 
 (* ---------------- reduce ---------------- *)
 
@@ -529,12 +617,6 @@ let answers_cmd =
 (* ---------------- hde ---------------- *)
 
 let hde_cmd =
-  let small =
-    Arg.(required & opt (some query_conv) None & info [ "small" ] ~docv:"QUERY" ~doc:"The s-query.")
-  in
-  let big =
-    Arg.(required & opt (some query_conv) None & info [ "big" ] ~docv:"QUERY" ~doc:"The b-query.")
-  in
   let run small big =
     match Bagcq_search.Domination.estimate ~small ~big () with
     | est ->
@@ -549,17 +631,9 @@ let hde_cmd =
   Cmd.v
     (Cmd.info "hde"
        ~doc:"Estimate the homomorphism domination exponent (Kopparty-Rossman).")
-    Cmdliner.Term.(ret (const run $ small $ big))
+    Cmdliner.Term.(ret (const run $ small_arg $ big_arg))
 
 (* ---------------- serve ---------------- *)
-
-module Router = Bagcq_server.Router
-module Serve = Bagcq_server.Serve
-module Load = Bagcq_server.Load
-module Wire_json = Bagcq_wire.Json
-module Proto = Bagcq_wire.Proto
-module Metrics = Bagcq_obs.Metrics
-module Trace = Bagcq_obs.Trace
 
 let serve_cmd =
   let stdio =
@@ -583,16 +657,10 @@ let serve_cmd =
            ~doc:"Server-wide cap on per-request wall-clock budget. 0 removes \
                  the cap.")
   in
-  let pipeline =
-    Arg.(value & opt int 1 & info [ "pipeline" ] ~docv:"N"
-           ~doc:"Stdio mode: read up to $(docv) lines ahead and answer them as \
-                 one concurrent batch. Responses are still written in request \
-                 order, so the protocol is unchanged.")
-  in
   let jobs =
     Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
-           ~doc:"Worker domains: the TCP admission pool, or the executor of a \
-                 pipelined stdio batch.")
+           ~doc:"TCP mode: worker domains of the admission pool, which answer \
+                 requests concurrently (stdio answers one at a time).")
   in
   let hunt_jobs =
     Arg.(value & opt int 1 & info [ "hunt-jobs" ] ~docv:"N"
@@ -640,13 +708,13 @@ let serve_cmd =
            ~doc:"Write one NDJSON span record per served request to $(docv) \
                  (span_id, parent_id, name, start_ms, dur_ms).")
   in
-  let run stdio port max_fuel max_timeout pipeline jobs hunt_jobs max_conns
+  let run stdio port max_fuel max_timeout jobs hunt_jobs max_conns
       max_inflight queue_depth drain_ms idle_timeout max_line_bytes trace =
     ignore stdio;
     if max_fuel < 0 || max_timeout < 0 then
       `Error (false, "--max-fuel and --max-timeout-ms must be non-negative")
-    else if pipeline < 1 || jobs < 1 || hunt_jobs < 1 then
-      `Error (false, "--pipeline, --jobs and --hunt-jobs must be positive")
+    else if jobs < 1 || hunt_jobs < 1 then
+      `Error (false, "--jobs and --hunt-jobs must be positive")
     else if max_inflight < 1 || queue_depth < 1 then
       `Error (false, "--max-inflight and --queue-depth must be positive")
     else if drain_ms < 0 || idle_timeout < 0 || max_line_bytes < 0 then
@@ -676,7 +744,7 @@ let serve_cmd =
                      ~finally:(fun () -> Mutex.unlock m)
                      (fun () ->
                        output_string oc
-                         (Wire_json.to_string (Proto.trace_record_json r));
+                         (Json.to_string (Proto.trace_record_json r));
                        output_char oc '\n')));
             fun () ->
               Trace.set_sink None;
@@ -689,8 +757,7 @@ let serve_cmd =
         (fun () ->
           match port with
           | None ->
-              Serve.stdio ~pipeline ~jobs ?max_line_bytes:line_cap router stdin
-                stdout
+              Serve.stdio ?max_line_bytes:line_cap router stdin stdout
           | Some p ->
               (* Graceful shutdown: a signal flips the stop flag, the
                  event loop's select returns with EINTR, and the drain
@@ -724,9 +791,9 @@ let serve_cmd =
              control that sheds excess load, and a shared result cache.")
     Cmdliner.Term.(
       ret
-        (const run $ stdio $ port $ max_fuel $ max_timeout $ pipeline $ jobs
-        $ hunt_jobs $ max_connections $ max_inflight $ queue_depth $ drain_ms
-        $ idle_timeout $ max_line_bytes $ trace))
+        (const run $ stdio $ port $ max_fuel $ max_timeout $ jobs $ hunt_jobs
+        $ max_connections $ max_inflight $ queue_depth $ drain_ms $ idle_timeout
+        $ max_line_bytes $ trace))
 
 (* ---------------- client ---------------- *)
 
@@ -796,216 +863,108 @@ let client_cmd =
    library's own {!Metrics.render_table} — the CLI and an in-process dump
    can never drift apart. *)
 let row_of_json j =
-  let str name =
-    match Wire_json.member name j with Some (Wire_json.Str s) -> s | _ -> ""
-  in
-  let int name =
-    match Wire_json.member name j with Some (Wire_json.Int i) -> i | _ -> 0
-  in
-  let fl name =
-    match Wire_json.member name j with
-    | Some (Wire_json.Float f) -> f
-    | Some (Wire_json.Int i) -> float_of_int i
-    | _ -> 0.
-  in
   let labels =
-    match Wire_json.member "labels" j with
-    | Some (Wire_json.Obj kvs) ->
+    match Json.member "labels" j with
+    | Some (Json.Obj kvs) ->
         List.map
           (fun (k, v) ->
-            (k, match v with Wire_json.Str s -> s | _ -> ""))
+            (k, match v with Json.Str s -> s | _ -> ""))
           kvs
     | _ -> []
   in
   let value =
-    match str "kind" with
-    | "gauge" -> Metrics.Gauge_v (int "value")
+    match str "kind" j with
+    | "gauge" -> Metrics.Gauge_v (int "value" j)
     | "histogram" ->
         Metrics.Histogram_v
           {
-            Metrics.count = int "count";
-            sum_ms = fl "sum_ms";
-            p50_ms = fl "p50_ms";
-            p95_ms = fl "p95_ms";
-            p99_ms = fl "p99_ms";
-            max_ms = fl "max_ms";
+            Metrics.count = int "count" j;
+            sum_ms = num "sum_ms" j;
+            p50_ms = num "p50_ms" j;
+            p95_ms = num "p95_ms" j;
+            p99_ms = num "p99_ms" j;
+            max_ms = num "max_ms" j;
           }
-    | _ -> Metrics.Counter_v (int "value")
+    | _ -> Metrics.Counter_v (int "value" j)
   in
-  { Metrics.name = str "name"; labels; value }
+  { Metrics.name = str "name" j; labels; value }
 
-(* One NDJSON request over a fresh connection to 127.0.0.1:[port]
-   ([Load.connect], with its capability handshake when [require_ops] is
-   given): the response line, or the error to print. *)
-let request ?require_ops port fields =
-  match Load.connect ?require_ops ~port () with
-  | Error e -> Error (Printf.sprintf "cannot connect to 127.0.0.1:%d: %s" port e)
-  | Ok sock -> (
-      let ic = Unix.in_channel_of_descr sock in
-      let oc = Unix.out_channel_of_descr sock in
-      output_string oc (Wire_json.to_string (Wire_json.Obj fields));
-      output_char oc '\n';
-      flush oc;
-      let line = In_channel.input_line ic in
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      match line with
-      | None -> Error "server closed the connection without answering"
-      | Some line -> Ok line)
-
-let budget_fields fuel timeout =
-  (match fuel with Some f -> [ ("fuel", Wire_json.Int f) ] | None -> [])
-  @ match timeout with Some t -> [ ("timeout_ms", Wire_json.Int t) ] | None -> []
+let port_arg ~doc = Arg.(required & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
 
 let metrics_cmd =
-  let port =
-    Arg.(required & opt (some int) None & info [ "port" ] ~docv:"PORT"
-           ~doc:"Query a bagcq server on 127.0.0.1:$(docv).")
-  in
+  let port = port_arg ~doc:"Query a bagcq server on 127.0.0.1:$(docv)." in
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Print the raw metrics response (one JSON object) instead of \
                  the human table.")
   in
   let run port json =
-    match request port [ ("op", Wire_json.Str "metrics") ] with
-    | Error e -> `Error (false, e)
-    | Ok line -> (
-        match Wire_json.parse line with
-        | Error e -> `Error (false, Printf.sprintf "unparseable response: %s" e)
-        | Ok j when json ->
-            print_endline (Wire_json.to_string j);
-            `Ok 0
-        | Ok j -> (
-            match Wire_json.member "metrics" j with
-            | Some (Wire_json.List rows) ->
-                print_string (Metrics.render_table (List.map row_of_json rows));
-                `Ok 0
-            | _ -> `Error (false, Printf.sprintf "not a metrics response: %s" line)))
+    ask ~port [ ("op", Json.Str "metrics") ] ~print:(fun line j ->
+        match Json.member "metrics" j with
+        | Some (Json.List rows) when not json ->
+            print_string (Metrics.render_table (List.map row_of_json rows))
+        | _ -> print_endline line)
   in
   Cmd.v
-    (Cmd.info "metrics"
+    (Cmd.info "metrics" ~exits:budget_exits
        ~doc:"Dump a running server's metrics registry — request counters, \
              latency histograms, cache and engine counters — as a table or \
              JSON.")
-    Cmdliner.Term.(ret (const run $ port $ json))
+    Cmdliner.Term.(const run $ port $ json)
 
 (* ---------------- store (data-plane client) ---------------- *)
 
-(* Each verb is one NDJSON request over a fresh TCP connection; the
-   response line is printed verbatim (it is already the machine-readable
-   answer) and the status maps onto the budget exit codes.  Fact and
-   query arguments ship as raw text — the server is the single validator,
-   so a syntax error comes back as the same structured bad_request every
-   other client sees. *)
-let roundtrip ?require_ops port fields =
-  match request ?require_ops port fields with
-  | Error e ->
-      Printf.eprintf "bagcq: %s\n" e;
-      exit_input
-  | Ok line -> (
-      print_endline line;
-      match Wire_json.parse line with
-      | Error _ -> exit_input
-      | Ok j -> (
-          match Wire_json.member "status" j with
-          | Some (Wire_json.Str "ok") -> exit_found
-          | Some (Wire_json.Str "exhausted") -> exit_exhausted
-          | _ -> exit_none))
-
+(* Each verb is one request to the server; the answer line is printed
+   verbatim (it is already the machine-readable answer).  Fact and query
+   arguments ship as raw text — the server is the single validator, so a
+   syntax error comes back as the same structured bad_request every other
+   client sees. *)
 let store_cmd =
-  let port =
-    Arg.(required & opt (some int) None & info [ "port" ] ~docv:"PORT"
-           ~doc:"Talk to a bagcq server on 127.0.0.1:$(docv).")
-  in
-  let fuel =
-    Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"N"
-           ~doc:"Per-request fuel budget (clamped by the server's cap).")
-  in
-  let timeout =
-    Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~docv:"MS"
-           ~doc:"Per-request wall-clock budget (clamped by the server's cap).")
-  in
+  let port = port_arg ~doc:"Talk to a bagcq server on 127.0.0.1:$(docv)." in
   let name_pos =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME"
            ~doc:"Database name.")
   in
-  let fact_pos =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"FACT"
-           ~doc:"One fact in database syntax, e.g. 'E(1,2)'.")
-  in
-  let query_pos =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY"
-           ~doc:"Conjunctive query, e.g. 'E(x,y) & E(y,z)'.")
-  in
-  let read_text = function
-    | "-" -> Ok (In_channel.input_all stdin)
-    | path -> (
-        try Ok (In_channel.with_open_text path In_channel.input_all)
-        with Sys_error e -> Error e)
-  in
+  let text_pos docv ~doc = Arg.(required & pos 1 (some string) None & info [] ~docv ~doc) in
+  let fact_pos = text_pos "FACT" ~doc:"One fact in database syntax, e.g. 'E(1,2)'." in
+  let query_pos = text_pos "QUERY" ~doc:"Conjunctive query, e.g. 'E(x,y) & E(y,z)'." in
   let create_cmd =
     let db =
       Arg.(value & opt (some string) None & info [ "db" ] ~docv:"FILE"
              ~doc:"Initial contents: a database file in fact-list syntax \
                    ('-' for stdin). Empty when omitted.")
     in
-    let run port name db fuel timeout =
-      match (match db with None -> Ok None | Some p -> Result.map Option.some (read_text p)) with
-      | Error e ->
+    let run port name db budget =
+      match Option.map read_text db with
+      | Some (Error e) ->
           Printf.eprintf "bagcq: %s\n" e;
           exit_input
-      | Ok text ->
-          roundtrip port
-            ([ ("op", Wire_json.Str "db_create"); ("name", Wire_json.Str name) ]
-            @ (match text with
-              | Some t -> [ ("db", Wire_json.Str t) ]
-              | None -> [])
-            @ budget_fields fuel timeout)
+      | Some (Ok text) ->
+          ask_op ~port "db_create" [ ("name", Json.Str name); ("db", Json.Str text) ] budget
+      | None -> ask_op ~port "db_create" [ ("name", Json.Str name) ] budget
     in
     Cmd.v
       (Cmd.info "create" ~exits:budget_exits
          ~doc:"Create a named database on the server.")
-      Cmdliner.Term.(const run $ port $ name_pos $ db $ fuel $ timeout)
+      Cmdliner.Term.(const run $ port $ name_pos $ db $ budget_term)
   in
-  let mutation_cmd op ~cmd_name ~doc =
-    let run port name fact fuel timeout =
-      roundtrip port
-        ([
-           ("op", Wire_json.Str op);
-           ("name", Wire_json.Str name);
-           ("fact", Wire_json.Str fact);
-         ]
-        @ budget_fields fuel timeout)
+  (* A verb taking the name and one more text argument [arg], sent as
+     the request's [field]. *)
+  let with_text_cmd op ~cmd_name ~field arg ~doc =
+    let run port name text budget =
+      ask_op ~port op [ ("name", Json.Str name); (field, Json.Str text) ] budget
     in
     Cmd.v
       (Cmd.info cmd_name ~exits:budget_exits ~doc)
-      Cmdliner.Term.(const run $ port $ name_pos $ fact_pos $ fuel $ timeout)
-  in
-  let registration_cmd op ~cmd_name ~doc =
-    let run port name query fuel timeout =
-      roundtrip port
-        ([
-           ("op", Wire_json.Str op);
-           ("name", Wire_json.Str name);
-           ("query", Wire_json.Str query);
-         ]
-        @ budget_fields fuel timeout)
-    in
-    Cmd.v
-      (Cmd.info cmd_name ~exits:budget_exits ~doc)
-      Cmdliner.Term.(const run $ port $ name_pos $ query_pos $ fuel $ timeout)
+      Cmdliner.Term.(const run $ port $ name_pos $ arg $ budget_term)
   in
   let counts_cmd =
-    let run port name fuel timeout =
-      roundtrip port
-        ([ ("op", Wire_json.Str "counts"); ("name", Wire_json.Str name) ]
-        @ budget_fields fuel timeout)
-    in
+    let run port name budget = ask_op ~port "counts" [ ("name", Json.Str name) ] budget in
     Cmd.v
       (Cmd.info "counts" ~exits:budget_exits
          ~doc:"Read every registered count of a database (repairing stale \
                ones first).")
-      Cmdliner.Term.(const run $ port $ name_pos $ fuel $ timeout)
+      Cmdliner.Term.(const run $ port $ name_pos $ budget_term)
   in
   Cmd.group
     (Cmd.info "store"
@@ -1014,49 +973,35 @@ let store_cmd =
              maintained incrementally under the deltas.")
     [
       create_cmd;
-      mutation_cmd "db_insert" ~cmd_name:"insert"
+      with_text_cmd "db_insert" ~cmd_name:"insert" ~field:"fact" fact_pos
         ~doc:"Insert one tuple, folding the delta into every registered \
               count.";
-      mutation_cmd "db_delete" ~cmd_name:"delete"
+      with_text_cmd "db_delete" ~cmd_name:"delete" ~field:"fact" fact_pos
         ~doc:"Delete one tuple (present, or the request is rejected), \
               folding the delta into every registered count.";
-      registration_cmd "register" ~cmd_name:"register"
+      with_text_cmd "register" ~cmd_name:"register" ~field:"query" query_pos
         ~doc:"Register a query so its bag count is maintained under \
               mutations.";
-      registration_cmd "unregister" ~cmd_name:"unregister"
+      with_text_cmd "unregister" ~cmd_name:"unregister" ~field:"query" query_pos
         ~doc:"Drop a registered count.";
       counts_cmd;
     ]
 
 (* ---------------- ucq (union queries) ---------------- *)
 
-(* Each verb runs locally by default and becomes one NDJSON request over
-   TCP when --port is given.  The TCP path feature-detects first:
-   [Load.connect ~require_ops] runs the ping capability handshake and
-   refuses to send ucq_* to a server that does not advertise it. *)
-let ucq_roundtrip port ~op fields =
-  roundtrip ~require_ops:[ op ] port (("op", Wire_json.Str op) :: fields)
-
+(* Each verb prints the answer line: from an in-process router by
+   default, or from a server with --port, after the ping capability
+   handshake ([Load.connect ~require_ops]) that refuses to send ucq_* to
+   a server that does not advertise it.  The unions ship as raw text, so
+   the router is their one validator. *)
 let ucq_cmd =
   let port =
     Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT"
            ~doc:"Ship the request to a bagcq server on 127.0.0.1:$(docv) \
-                 (after a ping capability handshake) instead of running \
-                 locally.")
+                 (after a ping capability handshake) instead of answering it \
+                 in process.")
   in
-  (* One --fuel/--timeout-ms pair serves both modes: raw ints for the wire
-     budget fields, a [Budget.t] for the local engine. *)
-  let fuel_arg =
-    Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"N"
-           ~doc:"Deterministic execution budget in engine ticks (local), or \
-                 the per-request fuel field (with $(b,--port)).")
-  in
-  let timeout_arg =
-    Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~docv:"MS"
-           ~doc:"Wall-clock deadline in milliseconds (local), or the \
-                 per-request timeout_ms field (with $(b,--port)).")
-  in
-  let budget_of fuel timeout_ms = Budget.create ?fuel ?timeout_ms () in
+  let send port op = ask_op ?port ~require_ops:[ op ] op in
   let eval_cmd =
     let query =
       Arg.(required & opt (some string) None & info [ "q"; "query" ] ~docv:"UCQ"
@@ -1070,186 +1015,61 @@ let ucq_cmd =
     in
     let db_name =
       Arg.(value & opt (some string) None & info [ "db-name" ] ~docv:"NAME"
-             ~doc:"Evaluate against a named data-plane database on the \
-                   server (requires $(b,--port)).")
+             ~doc:"Evaluate against a named data-plane database, which only \
+                   a server holds (so with $(b,--port)).")
     in
-    let run text path db_name port fuel timeout =
-      match (port, db_name) with
-      | None, Some _ ->
-          Printf.eprintf "bagcq: --db-name requires --port\n";
-          exit_input
-      | Some port, Some name ->
-          ucq_roundtrip port ~op:"ucq_eval"
-            ([ ("query", Wire_json.Str text); ("db_name", Wire_json.Str name) ]
-            @ budget_fields fuel timeout)
-      | Some port, None -> (
-          match read_database path with
+    let run text path db_name port budget =
+      let query = ("query", Json.Str text) in
+      match db_name with
+      | Some name -> send port "ucq_eval" [ query; ("db_name", Json.Str name) ] budget
+      | None -> (
+          match read_text path with
           | Error e ->
               Printf.eprintf "bagcq: %s\n" e;
               exit_input
-          | Ok d ->
-              ucq_roundtrip port ~op:"ucq_eval"
-                ([
-                   ("query", Wire_json.Str text);
-                   ("db", Wire_json.Str (Encode.to_string d));
-                 ]
-                @ budget_fields fuel timeout))
-      | None, None -> (
-          match Parse.parse_ucq text with
-          | Error e ->
-              Printf.eprintf "bagcq: %s\n" e;
-              exit_input
-          | Ok u -> (
-              match read_database path with
-              | Error e ->
-                  Printf.eprintf "bagcq: %s\n" e;
-                  exit_input
-              | Ok d -> (
-                  let budget = budget_of fuel timeout in
-                  Printf.printf "ucq: %s (%d disjuncts)\n" (Ucq.to_string u)
-                    (Ucq.num_disjuncts u);
-                  match
-                    Outcome.guard
-                      ~partial:(fun () -> ())
-                      (fun () -> Eval.count_ucq ~budget u d)
-                  with
-                  | Outcome.Complete count ->
-                      Printf.printf "bag count  Σᵢ ψᵢ(D) = %s\n"
-                        (Nat.to_string count);
-                      Printf.printf "satisfied  D ⊨ ∪ψᵢ: %b\n"
-                        (not (Nat.is_zero count));
-                      exit_found
-                  | Outcome.Exhausted ((), reason) ->
-                      print_exhausted budget reason;
-                      exit_exhausted)))
+          | Ok db -> send port "ucq_eval" [ query; ("db", Json.Str db) ] budget)
     in
     Cmd.v
       (Cmd.info "eval" ~exits:budget_exits
          ~doc:"Evaluate a union of CQs under bag semantics: the sum of the \
                disjunct counts.")
-      Cmdliner.Term.(
-        const run $ query $ db $ db_name $ port $ fuel_arg $ timeout_arg)
+      Cmdliner.Term.(const run $ query $ db $ db_name $ port $ budget_term)
   in
-  let small_arg =
-    Arg.(required & opt (some string) None & info [ "small" ] ~docv:"UCQ"
-           ~doc:"The candidate containee union.")
-  in
-  let big_arg =
-    Arg.(required & opt (some string) None & info [ "big" ] ~docv:"UCQ"
-           ~doc:"The candidate container union.")
-  in
-  let parse_pair small big k =
-    match (Parse.parse_ucq small, Parse.parse_ucq big) with
-    | Ok s, Ok b -> k s b
-    | Error e, _ | _, Error e ->
-        Printf.eprintf "bagcq: %s\n" e;
-        exit_input
+  let pair_term =
+    let union name ~doc =
+      Arg.(required & opt (some string) None & info [ name ] ~docv:"UCQ" ~doc)
+    in
+    Cmdliner.Term.(
+      const (fun small big -> [ ("small", Json.Str small); ("big", Json.Str big) ])
+      $ union "small" ~doc:"The candidate containee union."
+      $ union "big" ~doc:"The candidate container union.")
   in
   let contain_cmd =
-    let run small big port fuel timeout =
-      match port with
-      | Some port ->
-          ucq_roundtrip port ~op:"ucq_contain"
-            ([ ("small", Wire_json.Str small); ("big", Wire_json.Str big) ]
-            @ budget_fields fuel timeout)
-      | None ->
-          parse_pair small big (fun small big ->
-              let budget = budget_of fuel timeout in
-              match
-                Outcome.guard
-                  ~partial:(fun () -> ())
-                  (fun () ->
-                    try
-                      Some
-                        (Containment.ucq_set_contains_counted ~budget ~small
-                           ~big ())
-                    with Invalid_argument _ -> None)
-              with
-              | Outcome.Complete set ->
-                  (match set with
-                  | Some (v, checks) ->
-                      Printf.printf
-                        "set-semantics UCQ containment (∀∃ Sagiv–Yannakakis): \
-                         %b (%d hom checks)\n"
-                        v checks
-                  | None ->
-                      Printf.printf
-                        "set-semantics UCQ containment: n/a (inequalities \
-                         present)\n");
-                  Printf.printf
-                    "bag equivalence (disjuncts pair up isomorphically): %b\n"
-                    (Containment.ucq_bag_equivalent small big);
-                  Printf.printf
-                    "bag containment: undecidable for UCQs \
-                     (Ioannidis–Ramakrishnan) — use 'bagcq ucq hunt'.\n";
-                  exit_found
-              | Outcome.Exhausted ((), reason) ->
-                  print_exhausted budget reason;
-                  exit_exhausted)
-    in
+    let run pair port budget = send port "ucq_contain" pair budget in
     Cmd.v
       (Cmd.info "contain" ~exits:budget_exits
          ~doc:"Decide set-semantics UCQ containment (every disjunct of \
                $(b,--small) is Chandra–Merlin contained in some disjunct of \
                $(b,--big)) and bag equivalence.")
-      Cmdliner.Term.(
-        const run $ small_arg $ big_arg $ port $ fuel_arg $ timeout_arg)
+      Cmdliner.Term.(const run $ pair_term $ port $ budget_term)
   in
   let hunt_cmd =
-    let samples =
-      Arg.(value & opt int 500 & info [ "samples" ] ~docv:"N"
-             ~doc:"Random databases to try.")
-    in
-    let max_size =
-      Arg.(value & opt int 2 & info [ "exhaustive-size" ] ~docv:"N"
-             ~doc:"Exhaustively enumerate databases up to this many elements \
-                   first.")
-    in
-    let seed =
-      Arg.(value & opt int 0x5eed & info [ "seed" ] ~docv:"N"
-             ~doc:"Random seed.")
-    in
-    let run small big samples max_size seed port fuel timeout =
-      match port with
-      | Some port ->
-          ucq_roundtrip port ~op:"ucq_hunt"
-            ([
-               ("small", Wire_json.Str small);
-               ("big", Wire_json.Str big);
-               ("samples", Wire_json.Int samples);
-               ("exhaustive_size", Wire_json.Int max_size);
-               ("seed", Wire_json.Int seed);
-             ]
-            @ budget_fields fuel timeout)
-      | None ->
-          parse_pair small big (fun small big ->
-              let budget = budget_of fuel timeout in
-              let strategy =
-                {
-                  Hunt.exhaustive_max_size = max_size;
-                  Hunt.sampler =
-                    { Sampler.default with Sampler.samples; Sampler.seed };
-                }
-              in
-              print_hunt ~counts:(Containment.ucq_bag_counts ~small ~big)
-                ~max_size budget
-                (Hunt.ucq_counterexample_guarded ~strategy ~budget ~small ~big ()))
+    let run pair (_, strategy) port budget =
+      send port "ucq_hunt" (pair @ strategy) budget
     in
     Cmd.v
       (Cmd.info "hunt" ~exits:budget_exits
          ~doc:"Hunt for a database where the summed disjunct counts of \
                $(b,--small) exceed those of $(b,--big) — one instance of \
                the undecidable bag-UCQ containment problem.")
-      Cmdliner.Term.(
-        const run $ small_arg $ big_arg $ samples $ max_size $ seed $ port
-        $ fuel_arg $ timeout_arg)
+      Cmdliner.Term.(const run $ pair_term $ strategy_term $ port $ budget_term)
   in
   Cmd.group
     (Cmd.info "ucq"
        ~doc:"Unions of conjunctive queries as a first-class workload: \
              bag-semantics evaluation, the decidable set-semantics ∀∃ \
-             containment, and bag-UCQ counterexample hunts — locally or \
-             against a running server.")
+             containment, and bag-UCQ counterexample hunts — each printing \
+             the wire answer, in process or from a running server.")
     [ eval_cmd; contain_cmd; hunt_cmd ]
 
 let main_cmd =

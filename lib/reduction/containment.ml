@@ -29,7 +29,7 @@ let ucq_hom_checks = Metrics.counter Metrics.global "ucq_hom_checks"
 
 let ucq_set_contains_counted ?budget ~small ~big () =
   if Ucq.has_neqs small || Ucq.has_neqs big then
-    invalid_arg "Containment.ucq_set_contains: inequality-free UCQs only";
+    invalid_arg "Containment.ucq_set_contains_counted: inequality-free UCQs only";
   Metrics.incr ucq_contain_checks;
   let checks = ref 0 in
   (* Sagiv–Yannakakis: ∪ᵢ sᵢ ⊆ ∪ⱼ bⱼ iff every sᵢ is Chandra–Merlin
@@ -48,9 +48,6 @@ let ucq_set_contains_counted ?budget ~small ~big () =
       (Ucq.disjuncts small)
   in
   (verdict, !checks)
-
-let ucq_set_contains ?budget ~small ~big () =
-  fst (ucq_set_contains_counted ?budget ~small ~big ())
 
 let ucq_bag_equivalent u1 u2 =
   (* Chaudhuri–Vardi lifted to unions: equal counts everywhere iff the

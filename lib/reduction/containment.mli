@@ -52,23 +52,20 @@ val bag_violation :
     semantics flips: [QCP^bag_UCQ] is undecidable (Ioannidis–Ramakrishnan),
     so the bag helpers only evaluate candidate witnesses. *)
 
-val ucq_set_contains :
-  ?budget:Bagcq_guard.Budget.t -> small:Ucq.t -> big:Ucq.t -> unit -> bool
-(** The ∀∃ decision procedure.  Each inner Chandra–Merlin check runs the
-    compiled kernel over the canonical structure of one disjunct of [small],
-    ticking [?budget].  Raises [Invalid_argument] on inequalities.  The
-    empty union is contained in everything; nothing non-empty is contained
-    in the empty union. *)
-
 val ucq_set_contains_counted :
   ?budget:Bagcq_guard.Budget.t ->
   small:Ucq.t ->
   big:Ucq.t ->
   unit ->
   bool * int
-(** {!ucq_set_contains} plus the number of inner Chandra–Merlin checks the
-    decision spent (deterministic for a given pair: the ∃ scan
-    short-circuits left to right).  The wire's [ucq_contain] reports it. *)
+(** The ∀∃ decision procedure, with the number of inner Chandra–Merlin
+    checks it spent.  Each check runs the compiled kernel over the
+    canonical structure of one disjunct of [small], ticking [?budget];
+    the count is deterministic for a given pair, because the ∃ scan
+    short-circuits left to right.  The wire's [ucq_contain] reports it.
+    Raises [Invalid_argument] on inequalities.  The empty union is
+    contained in everything; nothing non-empty is contained in the empty
+    union. *)
 
 val ucq_bag_equivalent : Ucq.t -> Ucq.t -> bool
 (** Chaudhuri–Vardi lifted to unions: equal counts on every database iff

@@ -15,6 +15,7 @@ let default = { exhaustive_max_size = 2; sampler = Sampler.default }
 
 type report = {
   witness : Structure.t option;
+  counts : (Nat.t * Nat.t) option;
   exhaustive_complete : bool;
   tested_random : int;
   unverified : Structure.t option;
@@ -29,24 +30,22 @@ type progress = {
 (* Both hunt flavours — CQ pairs and UCQ pairs — run the same two phases
    (exhaustive sweep over tiny domains, then randomised sampling); only the
    schema and the counted queries differ, so the phases are written
-   against this record.  A CQ is a union of one disjunct.  [verify] is the
-   exact re-check of a returned witness: unprepared, unbudgeted,
+   against this record.  A CQ is a union of one disjunct.  [counts] is
+   the exact recount of a returned witness: unprepared, unbudgeted,
    uncached. *)
 type target = {
   schema : Schema.t;
   small : Query.t list;
   big : Query.t list;
-  verify : Structure.t -> bool;
+  counts : Structure.t -> Nat.t * Nat.t;
 }
-
-let verified ~small ~big d = Containment.bag_violation ~small ~big d
 
 let cq_target ~small ~big =
   {
     schema = Sampler.schema_of_pair small big;
     small = [ small ];
     big = [ big ];
-    verify = verified ~small ~big;
+    counts = Containment.bag_counts ~small ~big;
   }
 
 let ucq_target ~small ~big =
@@ -54,7 +53,7 @@ let ucq_target ~small ~big =
     schema = Schema.union (Ucq.schema small) (Ucq.schema big);
     small = Ucq.disjuncts small;
     big = Ucq.disjuncts big;
-    verify = Containment.ucq_bag_violation ~small ~big;
+    counts = Containment.ucq_bag_counts ~small ~big;
   }
 
 (* The violation test [small(D) > big(D)] over queries prepared once per
@@ -74,13 +73,16 @@ let prepare target cache =
     let cb = total ~budget ~cache big d in
     Nat.compare (total ~budget ~cache small d) cb > 0
 
-(* Every witness either phase reports goes back through [verify]: a
-   candidate the prepared path flagged but exact counting rejects is an
-   engine inconsistency, surfaced as [unverified], never returned. *)
+(* Every witness either phase reports is counted once more, exactly:
+   the counts are the report's, so no caller recounts.  A candidate the
+   prepared path flagged but exact counting rejects is an engine
+   inconsistency, surfaced as [unverified], never returned. *)
 let settle target = function
-  | Some d when target.verify d -> (Some d, None)
-  | Some d -> (None, Some d)
-  | None -> (None, None)
+  | None -> (None, None, None)
+  | Some d -> (
+      match target.counts d with
+      | cs, cb when Nat.compare cs cb > 0 -> (Some d, Some (cs, cb), None)
+      | _ -> (None, None, Some d))
 
 (* Largest domain size whose potential-atom count fits under the Dbspace
    cap, at most the requested size; 0 when even size 1 is infeasible. *)
@@ -113,8 +115,8 @@ let hunt_guarded ?(strategy = default) ?(jobs = 1) ~budget ~target () =
   let pred ~budget d = violation ~budget ~cache:(Domain.DLS.get dls_cache) d in
   let size = feasible_size schema strategy.exhaustive_max_size in
   let result ~complete ?(random = 0) ?found (stats : Dbspace.stats) =
-    let witness, unverified = settle target found in
-    ( { witness; exhaustive_complete = complete; tested_random = random; unverified },
+    let witness, counts, unverified = settle target found in
+    ( { witness; counts; exhaustive_complete = complete; tested_random = random; unverified },
       {
         databases_tested = stats.databases_tested + random;
         ticks_spent = Budget.ticks budget;

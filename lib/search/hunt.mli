@@ -1,6 +1,6 @@
 (** Combined counterexample hunting: exhaustive on tiny domains, then
-    randomised — the practical front end used by the CLI and the
-    examples.
+    randomised — the practical front end behind [serve]'s [hunt] and
+    [ucq_hunt] ops (and so the CLI) and the examples.
 
     Bag containment is undecidable, so this search is a permanent
     semi-decision loop; the guarded entry point bounds it with a
@@ -22,6 +22,10 @@ val default : strategy
 
 type report = {
   witness : Structure.t option;
+  counts : (Bagcq_bignum.Nat.t * Bagcq_bignum.Nat.t) option;
+      (** [Some (small(D), big(D))] for the [witness] [D], counted exactly
+          once by the re-check below; [None] with no witness.  Front ends
+          report these counts instead of recounting the witness. *)
   exhaustive_complete : bool;
       (** the exhaustive phase ran to completion — so if [witness] is
           [None], no counterexample exists up to [exhaustive_max_size] *)
@@ -30,7 +34,9 @@ type report = {
       (** a candidate either phase reported as violating but exact
           re-verification rejected.  This cannot happen unless the engine
           is inconsistent; it is surfaced here (instead of being silently
-          dropped) so tests and callers can fail loudly on it. *)
+          dropped) so tests and callers can fail loudly on it — [serve],
+          and so the CLI, answer it as an [internal] error naming the
+          database. *)
 }
 
 type progress = {
@@ -53,10 +59,11 @@ val counterexample :
     [small] and [big] are prepared once per hunt ({!Bagcq_hom.Eval.prepare}:
     factored, and each component planned) before the first candidate, so
     a candidate costs only its enumeration, its index build and the
-    counting kernels.  The witness, from either phase, is re-verified by
-    {!verified} — exact, unprepared counting with no budget and no cache —
-    before being returned; a candidate that fails it is reported as
-    [unverified] instead. *)
+    counting kernels.  The witness, from either phase, is re-checked
+    before being returned: {!Bagcq_reduction.Containment.bag_counts}
+    counts it once, exactly, with no budget and no cache, and those
+    counts become [report.counts].  A candidate whose exact counts do not
+    violate is reported as [unverified] instead. *)
 
 val counterexample_guarded :
   ?strategy:strategy ->
@@ -94,9 +101,9 @@ val ucq_counterexample :
     {e undecidable} [QCP^bag_UCQ].  Same two phases, same sampler; every
     disjunct is prepared once per hunt through one cache, so components
     appearing in several disjuncts plan once and count once per
-    candidate.  Witnesses are re-verified by
-    {!Bagcq_reduction.Containment.ucq_bag_violation} with no budget and no
-    cache. *)
+    candidate.  Witnesses are re-checked by
+    {!Bagcq_reduction.Containment.ucq_bag_counts} with no budget and no
+    cache, which also yields [report.counts]. *)
 
 val ucq_counterexample_guarded :
   ?strategy:strategy ->
@@ -111,10 +118,6 @@ val ucq_counterexample_guarded :
     under the [ucq_hunt_*] metric family on top of the shared
     [hunt_candidates_tested] / [hunt_ticks_spent] / [hunt_exhausted]
     cells. *)
-
-val verified : small:Query.t -> big:Query.t -> Structure.t -> bool
-(** Exact re-check of a candidate witness: {!Bagcq_reduction.Containment.bag_violation}
-    with no budget and no cache. *)
 
 val feasible_size : Schema.t -> int -> int
 (** [feasible_size schema requested] — the largest domain size [≤

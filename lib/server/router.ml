@@ -268,26 +268,33 @@ let handle_ucq_contain ?deadline t (req : Proto.request) ~small ~big =
     ~core:(fun (set_contains, hom_checks, bag_equivalent) ->
       Proto.ucq_contain_core ~set_contains ~bag_equivalent ~hom_checks)
 
-(* [hunt] and [ucq_hunt]: one hunt driver over a CQ or a UCQ pair;
-   [counts] recounts a witness exactly for the response. *)
+(* [hunt] and [ucq_hunt]: one hunt driver over a CQ or a UCQ pair.  The
+   witness comes with the counts of the hunt's own exact re-check.  A
+   candidate that failed that re-check is an engine inconsistency: the
+   answer is an [internal] error naming the database, never [violated:
+   false]. *)
 let handle_hunt ?deadline t (req : Proto.request) ~op
     ~(hunt : ?strategy:Hunt.strategy -> ?jobs:int -> budget:Budget.t -> unit -> _)
-    ~counts ~samples ~exhaustive_size ~seed =
+    ~samples ~exhaustive_size ~seed =
   let strategy =
     {
       Hunt.exhaustive_max_size = exhaustive_size;
       Hunt.sampler = { Sampler.default with Sampler.samples; Sampler.seed };
     }
   in
-  let witness report =
-    Option.map
-      (fun d ->
-        let cs, cb = counts d in
-        (d, cs, cb))
-      report.Hunt.witness
+  let witness (report : Hunt.report) =
+    match (report.witness, report.counts) with
+    | Some d, Some (cs, cb) -> Some (d, cs, cb)
+    | _ -> None
   in
   answer ?deadline t req ~op
-    ~run:(fun budget -> hunt ~strategy ~jobs:t.hunt_jobs ~budget ())
+    ~run:(fun budget ->
+      match hunt ~strategy ~jobs:t.hunt_jobs ~budget () with
+      | Outcome.Complete ({ Hunt.unverified = Some d; _ }, _) ->
+          failwith
+            ("the hunt's witness failed exact re-verification: "
+            ^ Bagcq_relational.Encode.to_string d)
+      | outcome -> outcome)
     ~core:(fun (report, _) ~ticks ->
       Proto.hunt_core ~op ~witness:(witness report)
         ~exhaustive_complete:report.Hunt.exhaustive_complete
@@ -404,7 +411,6 @@ let dispatch ?deadline t (req : Proto.request) =
     | Proto.Hunt { small; big; samples; exhaustive_size; seed } ->
         handle_hunt ?deadline t req ~op:"hunt"
           ~hunt:(Hunt.counterexample_guarded ~small ~big)
-          ~counts:(Containment.bag_counts ~small ~big)
           ~samples ~exhaustive_size ~seed
     | Proto.Ucq_eval { query; db } ->
         handle_eval ?deadline t req ~op:"ucq_eval" ~db
@@ -417,7 +423,6 @@ let dispatch ?deadline t (req : Proto.request) =
     | Proto.Ucq_hunt { small; big; samples; exhaustive_size; seed } ->
         handle_hunt ?deadline t req ~op:"ucq_hunt"
           ~hunt:(Hunt.ucq_counterexample_guarded ~small ~big)
-          ~counts:(Containment.ucq_bag_counts ~small ~big)
           ~samples ~exhaustive_size ~seed
     | Proto.Db_create { name; db } -> handle_db_create t req ~name ~db
     | Proto.Db_insert { name; fact } ->

@@ -31,7 +31,9 @@ type t
 val create : ?caps:caps -> ?hunt_jobs:int -> unit -> t
 (** [hunt_jobs] (default 1) is the worker-domain count each hunt request
     fans out over — independent of the cross-request concurrency, which
-    belongs to {!Serve.run_batch}. *)
+    belongs to the TCP admission pool ({!Serve.tcp}'s [workers]).  The
+    CLI answers its query verbs through a router too, created with no
+    caps, so only the verb's own [--fuel] / [--timeout-ms] bound it. *)
 
 val caps : t -> caps
 val cache : t -> Cache.t

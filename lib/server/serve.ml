@@ -1,24 +1,7 @@
-module Pool = Bagcq_parallel.Pool
 module Metrics = Bagcq_obs.Metrics
 module Json = Bagcq_wire.Json
 module Proto = Bagcq_wire.Proto
 module Frame = Bagcq_wire.Frame
-
-let run_batch ?(jobs = 1) router lines =
-  if jobs < 1 then invalid_arg "Serve.run_batch: jobs must be >= 1";
-  let n = Array.length lines in
-  let out = Array.make n "" in
-  if n > 0 then begin
-    let workers = Array.init (min jobs n) (fun i -> i) in
-    Pool.sweep ~chunk:1 ~n ~workers
-      ~body:(fun _w lo hi ->
-        for i = lo to hi - 1 do
-          out.(i) <- Router.handle_line router lines.(i)
-        done;
-        `Continue)
-      ()
-  end;
-  out
 
 let write_line oc line =
   output_string oc line;
@@ -30,56 +13,23 @@ let oversized_response ?id ~cap ~got () =
     (Proto.error_body ?id ~kind:Proto.Bad_request
        (Printf.sprintf "line exceeds %d bytes (got %d)" cap got))
 
-let stdio ?(pipeline = 1) ?(jobs = 1) ?max_line_bytes router ic oc =
-  if pipeline < 1 then invalid_arg "Serve.stdio: pipeline must be >= 1";
+let stdio ?max_line_bytes router ic oc =
   let oversized = Metrics.counter (Router.metrics router) "server_lines_oversized" in
-  let read () =
-    match Frame.input ?max_bytes:max_line_bytes ic with
-    | Frame.Line l -> Some (`Line l)
-    | Frame.Eof -> None
-    | Frame.Oversized got ->
-        Metrics.incr oversized;
-        Some (`Oversized got)
-  in
   let cap = Option.value max_line_bytes ~default:max_int in
-  if pipeline = 1 then begin
-    let rec loop () =
-      match read () with
-      | None -> ()
-      | Some (`Oversized got) ->
-          (* An oversized line is a protocol violation, not a request: a
-             structured refusal, then the stream ends — the stdio
-             analogue of the TCP loop closing the connection. *)
-          write_line oc (oversized_response ~cap ~got ())
-      | Some (`Line line) ->
-          write_line oc (Router.handle_line router line);
-          loop ()
-    in
-    loop ()
-  end
-  else begin
-    (* Read up to [pipeline] lines ahead, answer them as one concurrent
-       batch, emit in order; repeat until end of input (or an oversized
-       line ends the stream after its refusal is written, in order). *)
-    let rec read_batch acc k =
-      if k = 0 then (List.rev acc, `More)
-      else
-        match read () with
-        | None -> (List.rev acc, `Stop)
-        | Some (`Oversized got) -> (List.rev acc, `Oversized got)
-        | Some (`Line line) -> read_batch (line :: acc) (k - 1)
-    in
-    let rec loop () =
-      let batch, outcome = read_batch [] pipeline in
-      if batch <> [] then
-        Array.iter (write_line oc) (run_batch ~jobs router (Array.of_list batch));
-      match outcome with
-      | `More -> loop ()
-      | `Stop -> ()
-      | `Oversized got -> write_line oc (oversized_response ~cap ~got ())
-    in
-    loop ()
-  end
+  let rec loop () =
+    match Frame.input ?max_bytes:max_line_bytes ic with
+    | Frame.Eof -> ()
+    | Frame.Oversized got ->
+        (* An oversized line is a protocol violation, not a request: a
+           structured refusal, then the stream ends — the stdio analogue
+           of the TCP loop closing the connection. *)
+        Metrics.incr oversized;
+        write_line oc (oversized_response ~cap ~got ())
+    | Frame.Line line ->
+        write_line oc (Router.handle_line router line);
+        loop ()
+  in
+  loop ()
 
 (* Writing to a peer that already hung up raises SIGPIPE, which by
    default kills the whole process — exactly the failure the

@@ -1,33 +1,14 @@
-(** The serving loops: NDJSON on stdio, a concurrent TCP front end, and
-    the concurrent batch executor both are built on.
+(** The serving loops: NDJSON on stdio, and a concurrent TCP front end.
 
     Responses always come back in request order {e per connection} —
     concurrency is an implementation detail of throughput, never of
     observable behaviour, which is what keeps the stdio server
     cram-testable and clients simple. *)
 
-val run_batch : ?jobs:int -> Router.t -> string array -> string array
-(** Execute a batch of request lines concurrently over a
-    {!Bagcq_parallel.Pool} domain sweep ([jobs] workers, default 1 —
-    inline) and return the response lines {e in request order}.  The
-    router's shared cache is domain-safe; identical requests inside one
-    concurrent batch may race to compute, in which case the first to
-    finish populates the memo (the others recompute the same answer, so
-    only the [cached] flag can differ). *)
-
-val stdio :
-  ?pipeline:int ->
-  ?jobs:int ->
-  ?max_line_bytes:int ->
-  Router.t ->
-  in_channel ->
-  out_channel ->
-  unit
-(** Serve until end of input.  With [pipeline = 1] (the default) each
-    request is answered before the next is read — the interactive mode.
-    With [pipeline = n > 1] up to [n] lines are read ahead and executed as
-    one concurrent batch ([jobs] workers); responses are still written in
-    request order, so the observable protocol is unchanged.
+val stdio : ?max_line_bytes:int -> Router.t -> in_channel -> out_channel -> unit
+(** Serve until end of input, answering each request before the next is
+    read.  Stdio runs one request at a time; concurrent requests are the
+    TCP front end's ({!tcp}).
 
     [max_line_bytes] caps a single request line (uncapped by default);
     an over-cap line is refused with a structured [bad_request] response

@@ -94,6 +94,19 @@ counter_rise() {
 [ "$(counter_rise plan_components)" = 2 ] \
   || { echo "serve --stdio: plan_components rose by $(counter_rise plan_components), not 2: the hunt re-planned per candidate" >&2; exit 1; }
 
+echo "== serve --stdio hunt counts its witness once =="
+hunt_out=$(printf '%s\n' \
+  '{"op":"metrics","id":1}' \
+  '{"op":"hunt","id":2,"small":"E(x,y) & E(y,z)","big":"E(x,y)","samples":10,"exhaustive_size":2,"seed":7}' \
+  '{"op":"metrics","id":3}' \
+  | ./_build/default/bin/bagcq_cli.exe serve --stdio)
+# printf, not echo: sh's echo would expand the witness's escaped newlines
+printf '%s\n' "$hunt_out" | grep -q '"id": 2, "op": "hunt", "status": "ok", .*"small_count": "5", "big_count": "3"' \
+  || { echo "serve --stdio: the witness hunt did not answer 5 > 3" >&2; exit 1; }
+# 2 components planned for the prepared pair, 2 for the one exact recount
+[ "$(counter_rise plan_components)" = 4 ] \
+  || { echo "serve --stdio: a witness hunt rose plan_components by $(counter_rise plan_components), not 4: the witness was counted more than once" >&2; exit 1; }
+
 echo "== serve --stdio sweeps size 4 once per isomorphism class =="
 hunt_out=$(printf '%s\n' \
   '{"op":"metrics","id":1}' \
@@ -140,7 +153,7 @@ done
 wait "$server_pid"
 
 echo "== data-plane round-trip: create -> insert -> register -> delete -> counts over TCP =="
-start_server "store " --max-connections 5
+start_server "store " --max-connections 6
 bagcq_store() { ./_build/default/bin/bagcq_cli.exe store "$@" --port "$port"; }
 bagcq_store create g >/dev/null \
   || { echo "store round-trip: create failed" >&2; exit 1; }
@@ -152,6 +165,10 @@ echo "$register_out" | grep -q '"count": "1"' \
   || { echo "store round-trip: registered count is not 1" >&2; exit 1; }
 bagcq_store delete g 'E(1,2)' >/dev/null \
   || { echo "store round-trip: delete failed" >&2; exit 1; }
+status=0
+bagcq_store delete g 'E(9,9)' >/dev/null || status=$?
+[ "$status" = 3 ] \
+  || { echo "store round-trip: a refused delete exited $status, not 3" >&2; exit 1; }
 counts_out=$(bagcq_store counts g) \
   || { echo "store round-trip: counts failed" >&2; exit 1; }
 echo "$counts_out" | grep -q '"count": "0"' \
@@ -160,7 +177,7 @@ wait "$server_pid" \
   || { echo "store round-trip: server exited nonzero" >&2; exit 1; }
 
 echo "== ucq round-trip: eval (inline + named store db) and contain over TCP =="
-start_server "ucq " --max-connections 6
+start_server "ucq " --max-connections 7
 printf 'E(1,2). E(2,3).\n' > /tmp/bagcq_check_ucq_db.$$
 inline_out=$(./_build/default/bin/bagcq_cli.exe ucq eval \
   -q '(E(x,y)) | (E(x,y) & E(y,z))' -d /tmp/bagcq_check_ucq_db.$$ --port "$port") \
@@ -183,6 +200,20 @@ contain_out=$(./_build/default/bin/bagcq_cli.exe ucq contain \
   || { echo "ucq round-trip: contain failed" >&2; exit 1; }
 echo "$contain_out" | grep -q '"set_contains": true' \
   || { echo "ucq round-trip: forall-exists containment did not hold" >&2; exit 1; }
+# A hunt that finds nothing exits 1 on both transports, with one answer.
+ucq_hunt() {
+  ./_build/default/bin/bagcq_cli.exe ucq hunt --small 'E(x,x)' --big 'E(x,y)' --samples 5 "$@"
+}
+status=0
+local_hunt=$(ucq_hunt) || status=$?
+[ "$status" = 1 ] \
+  || { echo "ucq round-trip: the local empty hunt exited $status, not 1" >&2; exit 1; }
+status=0
+served_hunt=$(ucq_hunt --port "$port") || status=$?
+[ "$status" = 1 ] \
+  || { echo "ucq round-trip: the served empty hunt exited $status, not 1" >&2; exit 1; }
+[ "$served_hunt" = "$local_hunt" ] \
+  || { echo "ucq round-trip: served hunt answered '$served_hunt', local '$local_hunt'" >&2; exit 1; }
 wait "$server_pid" \
   || { echo "ucq round-trip: server exited nonzero" >&2; exit 1; }
 rm -f /tmp/bagcq_check_ucq_db.$$

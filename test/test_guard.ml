@@ -292,13 +292,13 @@ let prop_exhausted_witness_verifies =
              match Hunt.counterexample_guarded ~strategy ~budget ~small ~big () with
              | Outcome.Complete (report, _) -> (
                  match report.Hunt.witness with
-                 | Some d -> Hunt.verified ~small ~big d
+                 | Some d -> Containment.bag_violation ~small ~big d
                  | None -> true)
              | Outcome.Exhausted ((report, progress), _) ->
                  progress.Hunt.ticks_spent <= fuel
                  &&
                  (match report.Hunt.witness with
-                 | Some d -> Hunt.verified ~small ~big d
+                 | Some d -> Containment.bag_violation ~small ~big d
                  | None -> true))
            [ 0; 1; 7; 50; 300; 2_000 ]))
 

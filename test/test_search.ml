@@ -259,7 +259,13 @@ let test_hunt_finds_counterexample () =
   let report = Hunt.counterexample ~small:edge_q ~big:loop_q () in
   match report.Hunt.witness with
   | Some d ->
-      Alcotest.(check bool) "verified" true (Hunt.verified ~small:edge_q ~big:loop_q d);
+      Alcotest.(check bool) "verified" true
+        (Containment.bag_violation ~small:edge_q ~big:loop_q d);
+      Alcotest.(check (option (pair string string)))
+        "counted once, exactly" (Some ("1", "0"))
+        (Option.map
+           (fun (cs, cb) -> (Nat.to_string cs, Nat.to_string cb))
+           report.Hunt.counts);
       Alcotest.(check int) "found before sampling" 0 report.Hunt.tested_random
   | None -> Alcotest.fail "expected the single-edge counterexample"
 
@@ -286,13 +292,20 @@ let test_hunt_skips_infeasible_exhaustive () =
    reference for the prepared one: every candidate goes through
    [Containment.bag_violation] (or its UCQ form) with one cache per hunt,
    the phases through [Dbspace.find_guarded_par] and
-   [Sampler.sample_batches_guarded] at jobs=1, on the one budget. *)
-let reference_hunt ~strategy ~budget ~schema violation =
+   [Sampler.sample_batches_guarded] at jobs=1, on the one budget; a
+   witness is counted by [counts], the exact unprepared count. *)
+let reference_hunt ~strategy ~budget ~schema ~counts violation =
   let cache = Eval.create_cache () in
   let pred ~budget d = violation ~budget ~cache d in
   let size = Hunt.feasible_size schema strategy.Hunt.exhaustive_max_size in
   let result ?witness ~complete ~random (s : Dbspace.stats) =
-    ( { Hunt.witness; exhaustive_complete = complete; tested_random = random; unverified = None },
+    ( {
+        Hunt.witness;
+        counts = Option.map counts witness;
+        exhaustive_complete = complete;
+        tested_random = random;
+        unverified = None;
+      },
       {
         Hunt.databases_tested = s.Dbspace.databases_tested + random;
         ticks_spent = Budget.ticks budget;
@@ -320,8 +333,11 @@ let reference_hunt ~strategy ~budget ~schema violation =
 let hunt_summary outcome =
   let show (r, p) =
     Printf.sprintf
-      "witness=%s complete=%b random=%d unverified=%b tested=%d ticks=%d largest=%d"
+      "witness=%s counts=%s complete=%b random=%d unverified=%b tested=%d ticks=%d largest=%d"
       (match r.Hunt.witness with None -> "none" | Some d -> Encode.to_string d)
+      (match r.Hunt.counts with
+      | None -> "none"
+      | Some (cs, cb) -> Nat.to_string cs ^ ">" ^ Nat.to_string cb)
       r.Hunt.exhaustive_complete r.Hunt.tested_random (r.Hunt.unverified <> None)
       p.Hunt.databases_tested p.Hunt.ticks_spent p.Hunt.largest_size_completed
   in
@@ -412,11 +428,13 @@ let prop_hunt_matches_reference =
                    ( Hunt.counterexample_guarded ~strategy ?jobs ~budget:got ~small ~big (),
                      reference_hunt ~strategy ~budget:want
                        ~schema:(Sampler.schema_of_pair small big)
+                       ~counts:(Containment.bag_counts ~small ~big)
                        (fun ~budget ~cache -> Containment.bag_violation ~budget ~cache ~small ~big) )
                | Union (small, big) ->
                    ( Hunt.ucq_counterexample_guarded ~strategy ?jobs ~budget:got ~small ~big (),
                      reference_hunt ~strategy ~budget:want
                        ~schema:(Schema.union (Ucq.schema small) (Ucq.schema big))
+                       ~counts:(Containment.ucq_bag_counts ~small ~big)
                        (fun ~budget ~cache ->
                          Containment.ucq_bag_violation ~budget ~cache ~small ~big) )
              in

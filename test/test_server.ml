@@ -1,5 +1,5 @@
-(* lib/server: the router's budget clamping, the shared result cache, the
-   ordered concurrent batch executor and the TCP loop.  The headline
+(* lib/server: the router's budget clamping, the shared result cache and
+   the TCP loop with its ordered concurrent workers.  The headline
    property mirrors the wire layer's: feeding the server loop arbitrary
    bytes always yields a structured single-line JSON response, never an
    exception. *)
@@ -312,77 +312,6 @@ let never_crashes_request_soup =
               QCheck.Test.fail_reportf "escaped exception %s on %S"
                 (Printexc.to_string e) line))
 
-let test_run_batch_ordered () =
-  let lines = Array.of_list (Load.script ~malformed_every:5 ~n:30 ()) in
-  let serial = Serve.run_batch ~jobs:1 (Router.create ()) lines in
-  let concurrent = Serve.run_batch ~jobs:4 (Router.create ()) lines in
-  (* responses come back in request order whatever the worker count; only
-     the cached flag may differ when duplicates race *)
-  let strip line =
-    match Json.parse line with
-    | Ok (Json.Obj fields) ->
-        Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "cached") fields))
-    | _ -> line
-  in
-  Alcotest.(check (array string))
-    "jobs-independent responses"
-    (Array.map strip serial) (Array.map strip concurrent);
-  (* ids in the responses are 0,1,2,... in order (malformed lines excepted) *)
-  Array.iteri
-    (fun i resp ->
-      match Json.parse resp with
-      | Ok v -> (
-          match Json.get_int "id" v with
-          | Some id -> Alcotest.(check int) "response order" i id
-          | None -> ())
-      | Error _ -> Alcotest.fail "unparseable batch response")
-    concurrent
-
-let test_stdio_pipeline () =
-  (* the pipelined stdio loop answers a scripted run identically to the
-     lockstep loop *)
-  let script = Load.script ~n:12 () in
-  let run pipeline =
-    let input = String.concat "\n" script ^ "\n" in
-    let r, w = Unix.pipe () in
-    let resp_r, resp_w = Unix.pipe () in
-    let writer =
-      Domain.spawn (fun () ->
-          let oc = Unix.out_channel_of_descr w in
-          output_string oc input;
-          Out_channel.close oc)
-    in
-    let server =
-      Domain.spawn (fun () ->
-          let ic = Unix.in_channel_of_descr r in
-          let oc = Unix.out_channel_of_descr resp_w in
-          Serve.stdio ~pipeline ~jobs:2 (Router.create ()) ic oc;
-          In_channel.close ic;
-          Out_channel.close oc)
-    in
-    let ic = Unix.in_channel_of_descr resp_r in
-    let rec read acc =
-      match In_channel.input_line ic with
-      | Some l -> read (l :: acc)
-      | None -> List.rev acc
-    in
-    let responses = read [] in
-    Domain.join writer;
-    Domain.join server;
-    In_channel.close ic;
-    responses
-  in
-  let strip line =
-    match Json.parse line with
-    | Ok (Json.Obj fields) ->
-        Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "cached") fields))
-    | _ -> line
-  in
-  Alcotest.(check (list string))
-    "pipeline=4 matches lockstep"
-    (List.map strip (run 1))
-    (List.map strip (run 4))
-
 let test_tcp_roundtrip () =
   let port = Atomic.make 0 in
   let server =
@@ -461,6 +390,46 @@ let roundtrip_ping port =
           | Error e -> Alcotest.failf "unparseable ping reply (%s)" e
           | Ok v ->
               Alcotest.(check (option string)) "ping ok" (Some "ok") (status v)))
+
+(* One router answers concurrent requests the way it answers them one at
+   a time: a connection sends a scripted run ahead to four workers, and
+   the responses come back in request order, equal to [Router.handle_line]
+   run line by line — only the cached flag may differ, when duplicates
+   race. *)
+let test_tcp_workers_ordered () =
+  let lines = Load.script ~malformed_every:5 ~n:30 () in
+  let one_at_a_time =
+    let r = Router.create () in
+    List.map (Router.handle_line r) lines
+  in
+  let concurrent =
+    with_tcp_server ~max_connections:1 ~workers:4 (Router.create ()) (fun port ->
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        let ic = Unix.in_channel_of_descr sock in
+        let oc = Unix.out_channel_of_descr sock in
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+        flush oc;
+        let responses =
+          List.map
+            (fun _ ->
+              match In_channel.input_line ic with
+              | Some l -> l
+              | None -> Alcotest.fail "server closed before answering")
+            lines
+        in
+        (try Unix.close sock with Unix.Unix_error _ -> ());
+        responses)
+  in
+  let strip line =
+    match Json.parse line with
+    | Ok (Json.Obj fields) ->
+        Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "cached") fields))
+    | _ -> line
+  in
+  Alcotest.(check (list string))
+    "in request order, as one at a time"
+    (List.map strip one_at_a_time) (List.map strip concurrent)
 
 let test_slow_loris () =
   (* a client that dribbles a frame forever without its newline must not
@@ -606,12 +575,10 @@ let () =
       ("robustness", [ never_crashes; never_crashes_request_soup ]);
       ( "serving",
         [
-          Alcotest.test_case "run_batch ordered across jobs" `Quick
-            test_run_batch_ordered;
-          Alcotest.test_case "pipelined stdio = lockstep stdio" `Quick
-            test_stdio_pipeline;
           Alcotest.test_case "tcp round-trip on an ephemeral port" `Quick
             test_tcp_roundtrip;
+          Alcotest.test_case "tcp workers answer as one at a time" `Quick
+            (with_watchdog test_tcp_workers_ordered);
         ] );
       ( "faults",
         [
