@@ -87,8 +87,8 @@ val count_tree :
   ?budget:Bagcq_guard.Budget.t -> tree -> Bagcq_relational.Structure.t -> Nat.t
 (** [Jtree.count (jtree t)]: the engine's one-shot count, kept as a name
     because perfbench's replay calls it.  Polynomial in the structure,
-    with bignum weights; with [?budget] one tick per node entered and one
-    per tuple scanned. *)
+    with [int] weights that promote to {!Nat.t} past 2{^ 61}; with
+    [?budget] one tick per node entered and one per tuple scanned. *)
 
 val count :
   ?budget:Bagcq_guard.Budget.t ->

@@ -6,7 +6,7 @@
     form a tree in which every variable's bags are connected (the
     running-intersection property), and every query atom fits inside some
     bag.  Joining each bag — the distinct projections onto [χ(B)] of the
-    join of its atoms — inside the join-tree bignum DP ({!Jtree}) then
+    join of its atoms — inside the join-tree DP ({!Jtree}) then
     counts homomorphisms in time polynomial in the bag sizes, where the leapfrog kernel on the flat query can degrade toward
     its worst case ([AGM] bound) on large relation intersections.
 

@@ -117,6 +117,22 @@ let sym_index idx sym =
 
 let domain idx = idx.domain
 let code idx v = ValueTbl.find_opt idx.code_of v
+
+(* Codes in order of first sight: the next code is the table's size. *)
+type interner = int ValueTbl.t
+
+let interner () = ValueTbl.create 64
+
+let intern t v =
+  match ValueTbl.find_opt t v with
+  | Some c -> c
+  | None ->
+      let c = ValueTbl.length t in
+      ValueTbl.add t v c;
+      c
+
+let interned = ValueTbl.length
+
 let all si = si.tuples
 
 let candidates (si : sym_index) ~pos v =

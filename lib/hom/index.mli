@@ -10,7 +10,8 @@
     membership interface; the leapfrog kernel ({!Wcoj}) asks for {!view}s —
     the relation re-sorted under an attribute order, exposed as per-level
     code arrays it can intersect with binary search; and the join-tree DP
-    scans {!all}.
+    ({!Jtree}) scans the column store (the identity {!view}) and probes
+    views that put the probed position first, comparing codes only.
 
     The index is memoised on the structure itself (through
     {!Structure.memo_store}), so it is built at most once per structure no
@@ -48,6 +49,26 @@ val code : t -> Value.t -> int option
 (** The interned code of a domain element; [None] for values outside the
     active domain (a constant interpreted as a fresh element can never
     match a tuple, so callers short-circuit to zero). *)
+
+(** {2 Codes that survive writes}
+
+    The codes above are ranks, so a write that brings in a new value
+    shifts them.  State kept across writes (the store's materialised
+    join-tree tables) codes values through an interner instead: it hands
+    out [0, 1, 2, …] in order of first sight and never forgets a value,
+    so a code stays valid for the interner's lifetime.  Not synchronised:
+    guard it like the state that owns it. *)
+
+type interner
+
+val interner : unit -> interner
+(** An empty interner. *)
+
+val intern : interner -> Value.t -> int
+(** The value's code, assigning the next one on first sight. *)
+
+val interned : interner -> int
+(** How many codes have been handed out: every code is below it. *)
 
 val all : sym_index -> Tuple.t array
 (** Every tuple of the symbol, in {!Tuple.compare} order. *)

@@ -11,33 +11,25 @@ module Metrics = Bagcq_obs.Metrics
 let runs = Metrics.counter Metrics.global "ghd_runs"
 let bag_rows = Metrics.counter Metrics.global "ghd_bag_rows"
 
-module KeyTbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (Value.equal a.(i) b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
-
-  let hash (t : Value.t array) =
-    Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 t
-end)
-
 (* Per tuple position: compare with a constant (by slot), compare with the
    frame slot an earlier position bound, or bind a frame slot. *)
 type op = Cst of int | Check of int | Bind of int
 
 (* Where a bag-join step reads its candidates: the whole relation; the
    relation deduplicated once per count with the masked (private)
-   positions blanked; or the index probe at a position holding a constant
-   slot or an already-bound frame slot. *)
-type rows = All | Projected of bool array | At_cst of int * int | At_var of int * int
-type step = { sym : Symbol.t; ops : op array; rows : rows }
+   positions blanked; or the rows of its view holding, at the first level,
+   the code of a constant slot or of an already-bound frame slot. *)
+type rows = All | Projected of bool array | At_cst of int | At_var of int
+
+(* [order] is the {!Index.view} the step reads — the probed position
+   first, otherwise the identity — and [ops.(l)] tests its level [l]. *)
+type step = { sym : Symbol.t; order : int array; ops : op array; rows : rows }
 
 type source =
-  | Atom_scan of Symbol.t * op array
-  | Bag_join of int * step array  (* |χ| — χ fills the frame's first slots *)
+  | Atom_scan of step  (* reads [All] under the identity order *)
+  | Bag_join of int * step array * bool
+      (* |χ| — χ fills the frame's first slots — the steps, and whether
+         distinct join results always have distinct χ-projections *)
 
 type node = {
   frame : int;
@@ -90,11 +82,13 @@ let compile view top =
               end)
         (Atom.args a)
     in
+    let identity ops = Array.init (Array.length ops) Fun.id in
     let source =
       match spec with
       | Scan a ->
           syms := Symbol.Set.add (Atom.sym a) !syms;
-          Atom_scan (Atom.sym a, ops_of a)
+          let ops = ops_of a in
+          Atom_scan { sym = Atom.sym a; order = identity ops; ops; rows = All }
       | Join (chi, _) ->
           bags := true;
           let steps =
@@ -109,8 +103,8 @@ let compile view top =
                   (fun p op ->
                     if !probe = None then
                       match op with
-                      | Cst k -> probe := Some (At_cst (p, k))
-                      | Check i when earlier.(i) -> probe := Some (At_var (p, i))
+                      | Cst k -> probe := Some (p, At_cst k)
+                      | Check i when earlier.(i) -> probe := Some (p, At_var i)
                       | Check _ | Bind _ -> ())
                   ops;
                 (Atom.sym a, ops, !probe))
@@ -127,23 +121,43 @@ let compile view top =
               Array.iter (function Check j -> checked.(j) <- true | _ -> ()) ops)
             steps;
           let nchi = Array.length chi in
-          Bag_join
-            ( nchi,
-              Array.map
-                (fun (sym, ops, probe) ->
-                  let rows =
-                    match probe with
-                    | Some r -> r
-                    | None ->
-                        let mask =
-                          Array.map
-                            (function Bind j -> j >= nchi && not checked.(j) | _ -> false)
-                            ops
-                        in
-                        if Array.exists Fun.id mask then Projected mask else All
-                  in
-                  { sym; ops; rows })
-                steps )
+          let steps =
+            Array.map
+              (fun (sym, ops, probe) ->
+                match probe with
+                | Some (p, rows) ->
+                    (* The probed position holds a constant or an earlier
+                       atom's variable, so no op of this atom binds at it
+                       and moving it first keeps every Bind ahead of its
+                       Checks. *)
+                    let order =
+                      Array.init (Array.length ops) (fun l ->
+                          if l = 0 then p else if l <= p then l - 1 else l)
+                    in
+                    { sym; order; ops = Array.map (fun q -> ops.(q)) order; rows }
+                | None ->
+                    let mask =
+                      Array.map
+                        (function Bind j -> j >= nchi && not checked.(j) | _ -> false)
+                        ops
+                    in
+                    let rows = if Array.exists Fun.id mask then Projected mask else All in
+                    { sym; order = identity ops; ops; rows })
+              steps
+          in
+          (* When every slot outside χ is a blanked private one, a frame is
+             fixed by its χ codes and each step's row by the frame, so two
+             join results never share a χ-projection: no seen-set. *)
+          let outside_chi st =
+            Array.exists
+              (fun l ->
+                match (st.ops.(l), st.rows) with
+                | Bind j, Projected mask -> j >= nchi && not mask.(l)
+                | Bind j, _ -> j >= nchi
+                | _ -> false)
+              (identity st.ops)
+          in
+          Bag_join (nchi, steps, not (Array.exists outside_chi steps))
     in
     let slots names = Array.of_list (List.map (Hashtbl.find pos) names) in
     let kids = Array.of_list (List.map build kids) in
@@ -161,6 +175,187 @@ let compile view top =
   Hashtbl.iter (fun c k -> names.(k) <- c) consts;
   { root; consts = names; syms = !syms; bags = !bags }
 
+(* ------------------------------- tables ------------------------------- *)
+
+(* Weights stay [int]s below [limit]: a sum of two then stays below
+   [max_int] = 2^62 - 1, so the overflow test follows the addition. *)
+let limit = 1 lsl 61
+
+(* The one table type: a map from keys of [width] codes to weights, where
+   a zero weight is an absent key.  Dense tables (width ≤ 1) use the code
+   itself as the entry, 0 for the root's empty key, and grow when a
+   higher code arrives; hashed tables number their entries in order of
+   first insertion, keep each entry's codes in [keys], and find them
+   through [index], open-addressed with linear probing.  Weights live in
+   [small] until one would reach [limit]; the table is then promoted: every
+   entry moves to [big], and stays there until a reset. *)
+type tbl = {
+  width : int;
+  dense : bool;
+  mutable index : int array;  (* hashed: bucket -> entry + 1, 0 if empty *)
+  mutable keys : int array;  (* hashed: entry e's codes from [e * width] *)
+  mutable len : int;  (* hashed: entries in use *)
+  mutable small : int array;
+  mutable big : Nat.t array;
+  mutable promoted : bool;
+}
+
+let capacity t = if t.promoted then Array.length t.big else Array.length t.small
+
+(* Dense when the key has width ≤ 1 and the codes are no more than the
+   rows the node reads, or than the eight entries a hashed table starts
+   with; a hashed table starts at the rows, rounded up to a power of two. *)
+let table ~width ~ncodes ~rows =
+  let dense = width = 0 || (width = 1 && ncodes <= max rows 8) in
+  let cap =
+    if width = 0 then 1
+    else if dense then max ncodes 1
+    else
+      let rec up c = if c >= rows then c else up (2 * c) in
+      up 8
+  in
+  {
+    width;
+    dense;
+    index = (if dense then [||] else Array.make (2 * cap) 0);
+    keys = (if dense then [||] else Array.make (cap * width) 0);
+    len = 0;
+    small = Array.make cap 0;
+    big = [||];
+    promoted = false;
+  }
+
+let reset t =
+  if t.promoted then begin
+    t.small <- Array.make (Array.length t.big) 0;
+    t.big <- [||];
+    t.promoted <- false
+  end
+  else Array.fill t.small 0 (Array.length t.small) 0;
+  if not t.dense then begin
+    Array.fill t.index 0 (Array.length t.index) 0;
+    t.len <- 0
+  end
+
+let mix h c = (h lxor c) * 0x2545F4914F6CDD1D
+let bucket t h = (h lxor (h lsr 29)) land (Array.length t.index - 1)
+
+(* The bucket holding, or free for, the key [codes.(slots.(0..width-1))]. *)
+let probe t codes slots =
+  let h = ref 0 in
+  for k = 0 to t.width - 1 do
+    h := mix !h codes.(slots.(k))
+  done;
+  let rec go b =
+    let e = t.index.(b) - 1 in
+    if e < 0 then b
+    else
+      let rec same k =
+        k = t.width || (t.keys.((e * t.width) + k) = codes.(slots.(k)) && same (k + 1))
+      in
+      if same 0 then b else go ((b + 1) land (Array.length t.index - 1))
+  in
+  go (bucket t !h)
+
+(* Room for [cap] entries, keeping the weights (and, hashed, the keys and
+   a rebuilt index). *)
+let resize t cap =
+  let extend a n zero = Array.init n (fun i -> if i < Array.length a then a.(i) else zero) in
+  if t.promoted then t.big <- extend t.big cap Nat.zero else t.small <- extend t.small cap 0;
+  if not t.dense then begin
+    t.keys <- extend t.keys (cap * t.width) 0;
+    t.index <- Array.make (2 * cap) 0;
+    for e = 0 to t.len - 1 do
+      let h = ref 0 in
+      for k = 0 to t.width - 1 do
+        h := mix !h t.keys.((e * t.width) + k)
+      done;
+      let rec go b =
+        if t.index.(b) = 0 then t.index.(b) <- e + 1 else go ((b + 1) land ((2 * cap) - 1))
+      in
+      go (bucket t !h)
+    done
+  end
+
+(* A dense table's entry for the key: its code, 0 for the empty key. *)
+let code t codes slots = if t.width = 0 then 0 else codes.(slots.(0))
+
+(* The entry of the key [codes.(slots.(..))], or -1 when it has none. *)
+let find t codes slots =
+  if t.dense then
+    let c = code t codes slots in
+    if c < capacity t then c else -1
+  else t.index.(probe t codes slots) - 1
+
+(* The entry of the key, inserted (at weight zero) if it has none. *)
+let entry t codes slots =
+  if t.dense then begin
+    let c = code t codes slots in
+    if c >= capacity t then resize t (max (c + 1) (2 * capacity t));
+    c
+  end
+  else begin
+    if t.len = capacity t then resize t (2 * t.len);
+    let b = probe t codes slots in
+    if t.index.(b) > 0 then t.index.(b) - 1
+    else begin
+      let e = t.len in
+      for k = 0 to t.width - 1 do
+        t.keys.((e * t.width) + k) <- codes.(slots.(k))
+      done;
+      t.index.(b) <- e + 1;
+      t.len <- e + 1;
+      e
+    end
+  end
+
+let promote t =
+  t.big <- Array.map Nat.of_int t.small;
+  t.small <- [||];
+  t.promoted <- true
+
+let nat t e =
+  if e < 0 then Nat.zero else if t.promoted then t.big.(e) else Nat.of_int t.small.(e)
+
+(* Add (or, for a delete, subtract) [0 <= w < limit] at entry [e],
+   promoting the table when the entry reaches [limit].  A subtraction is
+   exact by the caller's guarantee, so it never goes below zero. *)
+let add_small t e w ~add =
+  if t.promoted then t.big.(e) <- (if add then Nat.add else Nat.sub) t.big.(e) (Nat.of_int w)
+  else
+    let v = if add then t.small.(e) + w else t.small.(e) - w in
+    if v < limit then t.small.(e) <- v
+    else begin
+      promote t;
+      t.big.(e) <- Nat.of_int v
+    end
+
+let add_nat t e n ~add =
+  if (not t.promoted) && Nat.num_bits n <= 61 then add_small t e (Nat.to_int n) ~add
+  else begin
+    if not t.promoted then promote t;
+    t.big.(e) <- (if add then Nat.add else Nat.sub) t.big.(e) n
+  end
+
+(* Set membership on the same table: [true] the first time a key is
+   marked. *)
+let mark t codes slots =
+  let e = entry t codes slots in
+  t.small.(e) = 0
+  && begin
+       t.small.(e) <- 1;
+       true
+     end
+
+(* Every entry of nonzero weight, with its key. *)
+let iter_entries t f =
+  let n = if t.dense then capacity t else t.len in
+  for e = 0 to n - 1 do
+    let w = nat t e in
+    if not (Nat.is_zero w) then
+      f (if t.dense then Array.make t.width e else Array.sub t.keys (e * t.width) t.width) w
+  done
+
 (* -------------------------- the shared steps -------------------------- *)
 
 let ticker = function None -> fun () -> () | Some b -> fun () -> Budget.tick b
@@ -173,113 +368,134 @@ let resolve t d =
     let vs = Array.map (Structure.interpretation d) t.consts in
     if Array.exists Option.is_none vs then None else Some (Array.map Option.get vs)
 
-let fresh_env node = Array.make node.frame (Value.int 0)
 let project env slots = Array.map (fun p -> env.(p)) slots
 
-(* The tuple-match loop: run the ops against [tup] from position [i],
-   binding frame slots as it goes. *)
-let rec matches ops consts env (tup : Tuple.t) i =
+(* The tuple-match loop: run the ops against row [r] of the code columns
+   [cols] (column [i] for op [i]) from op [i], binding frame slots as it
+   goes. *)
+let rec matches ops consts env cols r i =
   i = Array.length ops
-  || (match ops.(i) with
-     | Cst k -> Value.equal tup.(i) consts.(k)
-     | Check j -> Value.equal tup.(i) env.(j)
-     | Bind j ->
-         env.(j) <- tup.(i);
-         true)
-     && matches ops consts env tup (i + 1)
+  || (let c = cols.(i).(r) in
+      match ops.(i) with
+      | Cst k -> c = consts.(k)
+      | Check j -> c = env.(j)
+      | Bind j ->
+          env.(j) <- c;
+          true)
+     && matches ops consts env cols r (i + 1)
 
 (* The child-weight product at the frame's lookup projections, leaving
    out child [skip] (the store's propagation multiplies in that child's
-   delta instead). *)
+   delta instead): an [int] while every factor is one and the product
+   stays below [limit]; otherwise -1, and [weight_big] computes it. *)
 let weight ?(skip = -1) node ctbls env =
   let n = Array.length ctbls in
-  let rec go i acc =
-    if i = n then acc
-    else if i = skip then go (i + 1) acc
+  let rec go i acc over =
+    if i = n then if over then -1 else acc
+    else if i = skip then go (i + 1) acc over
     else
-      match KeyTbl.find_opt ctbls.(i) (project env node.lookups.(i)) with
-      | Some w -> go (i + 1) (Nat.mul acc w)
-      | None -> Nat.zero
+      let t = ctbls.(i) in
+      let e = find t env node.lookups.(i) in
+      if e < 0 then 0
+      else if t.promoted then if Nat.is_zero t.big.(e) then 0 else go (i + 1) acc true
+      else
+        let w = t.small.(e) in
+        if w = 0 then 0
+        else if over then go (i + 1) acc true
+        else if acc lor w < 0x40000000 || acc <= (limit - 1) / w then go (i + 1) (acc * w) false
+        else go (i + 1) acc true
   in
-  go 0 Nat.one
+  go 0 1 false
 
-(* The key aggregation: add (or, for a delete, subtract) [w] at [key],
-   keeping only nonzero entries. *)
-let bump tbl key w ~add =
-  let prev = Option.value ~default:Nat.zero (KeyTbl.find_opt tbl key) in
-  let next = if add then Nat.add prev w else Nat.sub prev w in
-  if Nat.is_zero next then KeyTbl.remove tbl key else KeyTbl.replace tbl key next
+let weight_big ?(skip = -1) node ctbls env =
+  let p = ref Nat.one in
+  Array.iteri
+    (fun i t -> if i <> skip then p := Nat.mul !p (nat t (find t env node.lookups.(i))))
+    ctbls;
+  !p
 
 (* Weigh a bound frame by its children and aggregate it at the node's
    key: what every row of every source feeds into. *)
 let aggregate node ctbls tbl env =
-  let w = weight node ctbls env in
-  if not (Nat.is_zero w) then bump tbl (project env node.key) w ~add:true
+  match weight node ctbls env with
+  | 0 -> ()
+  | -1 -> add_nat tbl (entry tbl env node.key) (weight_big node ctbls env) ~add:true
+  | w -> add_small tbl (entry tbl env node.key) w ~add:true
 
-let root_entry tbl = Option.value ~default:Nat.zero (KeyTbl.find_opt tbl [||])
+let root_entry tbl = nat tbl (find tbl [||] [||])
 
 (* The atom-scan row source: one tick on entry and one per tuple. *)
-let scan tick consts ops env tuples row =
+let scan tick consts ops env cols n row =
   tick ();
-  Array.iter
-    (fun tup ->
-      tick ();
-      if matches ops consts env tup 0 then row tup)
-    tuples
+  for r = 0 to n - 1 do
+    tick ();
+    if matches ops consts env cols r 0 then row ()
+  done
 
 (* ------------------------------ one-shot ------------------------------ *)
 
-(* The bag-join row source, in two stages.  First the pre-projected steps
-   read their relations, one tick per tuple. *)
-let preproject tick steps sis =
-  let blank = Value.int 0 in
+(* The bag-join row source, in two stages.  First each step's view; the
+   pre-projected steps read theirs, one tick per tuple, into fresh code
+   columns of the distinct rows, in order of first occurrence. *)
+let preproject tick ncodes steps sis =
   Array.mapi
     (fun s st ->
+      let cols = Index.view sis.(s) st.order and n = Array.length (Index.all sis.(s)) in
       match st.rows with
       | Projected mask ->
-          let dedup = KeyTbl.create 64 and out = ref [] in
-          Array.iter
-            (fun (tup : Tuple.t) ->
-              tick ();
-              let norm = Array.mapi (fun p v -> if mask.(p) then blank else v) tup in
-              if not (KeyTbl.mem dedup norm) then begin
-                KeyTbl.add dedup norm ();
-                out := norm :: !out
-              end)
-            (Index.all sis.(s));
-          Array.of_list (List.rev !out)
-      | All | At_cst _ | At_var _ -> [||])
+          let dedup = table ~width:(Array.length mask) ~ncodes ~rows:n in
+          let row = Array.make (Array.length mask) 0 in
+          let out = Array.map (fun _ -> Array.make n 0) mask and m = ref 0 in
+          for r = 0 to n - 1 do
+            tick ();
+            Array.iteri (fun p col -> row.(p) <- (if mask.(p) then 0 else col.(r))) cols;
+            if mark dedup row st.order then begin
+              Array.iteri (fun p c -> out.(p).(!m) <- c) row;
+              incr m
+            end
+          done;
+          (Array.map (fun col -> Array.sub col 0 !m) out, !m)
+      | All | At_cst _ | At_var _ -> (cols, n))
     steps
 
-(* Then a backtracking join over index probes in the compiled step order,
-   one tick per candidate.  A bag row asserts only that an extension
+(* The first of rows [0, n) whose code in the sorted column is ≥ [c]. *)
+let lower_bound (col : int array) n c =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if col.(mid) < c then go (mid + 1) hi else go lo mid
+  in
+  go 0 n
+
+(* Then a backtracking join in the compiled step order, one tick per
+   candidate: a probed step's candidates are the run of its view holding
+   the probed code first.  A bag row asserts only that an extension
    exists, so each distinct χ-projection is counted in [rows] and handed
    to [row] once. *)
-let join tick consts nchi steps sis projected env rows row =
-  let seen = KeyTbl.create 64 in
+let join tick consts ncodes reads nchi steps distinct srcs env rows row =
+  let seen = if distinct then None else Some (table ~width:nchi ~ncodes ~rows:reads) in
+  let chi = Array.init nchi Fun.id in
   let rec go s =
     if s = Array.length steps then begin
-      let r = Array.sub env 0 nchi in
-      if not (KeyTbl.mem seen r) then begin
-        KeyTbl.add seen r ();
+      if match seen with None -> true | Some t -> mark t env chi then begin
         incr rows;
         row ()
       end
     end
     else begin
       let st = steps.(s) in
-      let tuples =
+      let cols, n = srcs.(s) in
+      let lo, hi =
         match st.rows with
-        | Projected _ -> projected.(s)
-        | All -> Index.all sis.(s)
-        | At_cst (p, k) -> Index.candidates sis.(s) ~pos:p consts.(k)
-        | At_var (p, i) -> Index.candidates sis.(s) ~pos:p env.(i)
+        | All | Projected _ -> (0, n)
+        | At_cst k -> (lower_bound cols.(0) n consts.(k), lower_bound cols.(0) n (consts.(k) + 1))
+        | At_var i -> (lower_bound cols.(0) n env.(i), lower_bound cols.(0) n (env.(i) + 1))
       in
-      Array.iter
-        (fun tup ->
-          tick ();
-          if matches st.ops consts env tup 0 then go (s + 1))
-        tuples
+      for r = lo to hi - 1 do
+        tick ();
+        if matches st.ops consts env cols r 0 then go (s + 1)
+      done
     end
   in
   go 0
@@ -289,25 +505,34 @@ let count ?budget t d =
   let idx = Index.get d in
   match resolve t d with
   | None -> Nat.zero
-  | Some consts -> (
+  | Some values -> (
+      (* an interpreted constant outside the active domain matches no
+         tuple: code -1 *)
+      let consts = Array.map (fun v -> Option.value ~default:(-1) (Index.code idx v)) values in
+      let ncodes = Array.length (Index.domain idx) in
       let tick = ticker budget in
       let rows = ref 0 in
       let rec pass node =
-        let env = fresh_env node in
-        let tbl = KeyTbl.create 64 in
-        (match node.source with
-        | Atom_scan (sym, ops) ->
+        let env = Array.make node.frame 0 in
+        let width = Array.length node.key in
+        match node.source with
+        | Atom_scan st ->
+            let si = Index.sym_index idx st.sym in
+            let n = Array.length (Index.all si) in
             let ctbls = Array.map pass node.children in
-            scan tick consts ops env
-              (Index.all (Index.sym_index idx sym))
-              (fun _ -> aggregate node ctbls tbl env)
-        | Bag_join (nchi, steps) ->
+            let tbl = table ~width ~ncodes ~rows:n in
+            scan tick consts st.ops env (Index.view si st.order) n (fun () ->
+                aggregate node ctbls tbl env);
+            tbl
+        | Bag_join (nchi, steps, distinct) ->
             let sis = Array.map (fun st -> Index.sym_index idx st.sym) steps in
-            let projected = preproject tick steps sis in
+            let reads = Array.fold_left (fun a si -> a + Array.length (Index.all si)) 0 sis in
+            let srcs = preproject tick ncodes steps sis in
             let ctbls = Array.map pass node.children in
-            join tick consts nchi steps sis projected env rows (fun () ->
-                aggregate node ctbls tbl env));
-        tbl
+            let tbl = table ~width ~ncodes ~rows:reads in
+            join tick consts ncodes reads nchi steps distinct srcs env rows (fun () ->
+                aggregate node ctbls tbl env);
+            tbl
       in
       match pass t.root with
       | tbl ->
@@ -321,43 +546,54 @@ let count ?budget t d =
 
 type live = {
   node : node;
-  sym : Symbol.t;
-  ops : op array;
-  table : Nat.t KeyTbl.t;
+  step : step;
+  table : tbl;
   kids : live array;
-  rev : Tuple.t list KeyTbl.t array;
-      (* per child: this node's matching tuples grouped by the child-key
-         projection — membership is independent of weight (a zero-weight
-         tuple gains weight when the child's table grows at its key, so it
-         must stay reachable) *)
+  rev : (int array, int array list) Hashtbl.t array;
+      (* per child: the frames of this node's matching tuples, grouped by
+         the child-key projection — membership is independent of weight
+         (a zero-weight tuple gains weight when the child's table grows at
+         its key, so it must stay reachable) *)
 }
 
-type state = { values : Value.t array; live_syms : Symbol.Set.t; top : live }
+type state = {
+  codes : Index.interner;
+  consts : int array;
+  live_syms : Symbol.Set.t;
+  top : live;
+}
 
 let tables kids = Array.map (fun k -> k.table) kids
 
-(* File a matching tuple (bound in [env]) in, or take it out of, every
+(* File a matching tuple's frame [env] in, or take it out of, every
    reverse map of the node. *)
-let refile l env tup ~add =
-  Array.iteri
-    (fun i rev ->
-      let k = project env l.node.lookups.(i) in
-      let ts = Option.value ~default:[] (KeyTbl.find_opt rev k) in
-      match
-        if add then tup :: ts else List.filter (fun t -> not (Tuple.equal t tup)) ts
-      with
-      | [] -> KeyTbl.remove rev k
-      | ts -> KeyTbl.replace rev k ts)
-    l.rev
+let refile l env ~add =
+  if Array.length l.rev > 0 then begin
+    let frame = if add then Array.copy env else env in
+    Array.iteri
+      (fun i rev ->
+        let k = project env l.node.lookups.(i) in
+        let fs = Option.value ~default:[] (Hashtbl.find_opt rev k) in
+        match if add then frame :: fs else List.filter (fun f -> f <> env) fs with
+        | [] -> Hashtbl.remove rev k
+        | fs -> Hashtbl.replace rev k fs)
+      l.rev
+  end
+
+(* The node's relation as code columns, interning values first seen. *)
+let coded codes d step =
+  let tuples = Structure.tuple_array d step.sym in
+  ( Array.map
+      (fun p -> Array.map (fun (tup : Tuple.t) -> Index.intern codes tup.(p)) tuples)
+      step.order,
+    Array.length tuples )
 
 (* Refill the node's table, and its reverse maps, from the relation. *)
-let rescan tick values d l =
-  KeyTbl.reset l.table;
-  Array.iter KeyTbl.reset l.rev;
+let fill tick consts l (cols, n) =
   let ctbls = tables l.kids in
-  let env = fresh_env l.node in
-  scan tick values l.ops env (Structure.tuple_array d l.sym) (fun tup ->
-      refile l env tup ~add:true;
+  let env = Array.make l.node.frame 0 in
+  scan tick consts l.step.ops env cols n (fun () ->
+      refile l env ~add:true;
       aggregate l.node ctbls l.table env)
 
 let build ?budget t d =
@@ -365,25 +601,23 @@ let build ?budget t d =
   | None -> None
   | Some values ->
       let tick = ticker budget in
+      let codes = Index.interner () in
+      let consts = Array.map (Index.intern codes) values in
       let rec live node =
         match node.source with
         | Bag_join _ -> invalid_arg "Jtree.build: bag-join nodes are not materialised"
-        | Atom_scan (sym, ops) ->
+        | Atom_scan step ->
             let kids = Array.map live node.children in
-            let l =
-              {
-                node;
-                sym;
-                ops;
-                table = KeyTbl.create 64;
-                kids;
-                rev = Array.map (fun _ -> KeyTbl.create 16) kids;
-              }
+            let rel = coded codes d step in
+            let table =
+              table ~width:(Array.length node.key) ~ncodes:(Index.interned codes) ~rows:(snd rel)
             in
-            rescan tick values d l;
+            let rev = Array.map (fun _ -> Hashtbl.create 16) kids in
+            let l = { node; step; table; kids; rev } in
+            fill tick consts l rel;
             l
       in
-      Some { values; live_syms = t.syms; top = live t.root }
+      Some { codes; consts; live_syms = t.syms; top = live t.root }
 
 let total st = root_entry st.top.table
 
@@ -392,11 +626,17 @@ let total st = root_entry st.top.table
    since an insert only grows weights and a delete only shrinks them.
    [Rebuilt] means the node rescanned, so its per-key deltas are unknown
    and the parent must rescan too. *)
-type change = Unchanged | Rebuilt | Deltas of (Value.t array * Nat.t) list
+type change = Unchanged | Rebuilt | Deltas of (int array * Nat.t) list
 
 let delta ?budget st d sym (tup : Tuple.t) ~add =
   let tick = ticker budget in
-  let values = st.values in
+  let row = lazy (Array.map (fun v -> [| Index.intern st.codes v |]) tup) in
+  let weigh ?skip l env =
+    let ctbls = tables l.kids in
+    match weight ?skip l.node ctbls env with
+    | -1 -> weight_big ?skip l.node ctbls env
+    | w -> Nat.of_int w
+  in
   (* A node carrying the mutated symbol over an unchanged subtree: file
      the tuple in its reverse maps, then one exact add or subtract at its
      key.  The subtraction cannot underflow: the entry aggregates the
@@ -404,45 +644,38 @@ let delta ?budget st d sym (tup : Tuple.t) ~add =
      them, and the child tables it was weighed by are unchanged. *)
   let own_update l =
     tick ();
-    let env = fresh_env l.node in
-    if not (matches l.ops values env tup 0) then Unchanged
+    let env = Array.make l.node.frame 0 in
+    if not (matches l.step.ops st.consts env (Lazy.force row) 0 0) then Unchanged
     else begin
-      refile l env tup ~add;
-      let w = weight l.node (tables l.kids) env in
+      refile l env ~add;
+      let w = weigh l env in
       if Nat.is_zero w then Unchanged
       else begin
-        let key = project env l.node.key in
-        bump l.table key w ~add;
-        Deltas [ (key, w) ]
+        add_nat l.table (entry l.table env l.node.key) w ~add;
+        Deltas [ (project env l.node.key, w) ]
       end
     end
   in
-  (* Child [i]'s table changed at known keys: re-weigh exactly the tuples
+  (* Child [i]'s table changed at known keys: re-weigh exactly the frames
      joining those keys (the reverse map), each child-key delta times the
      unchanged siblings' weights. *)
   let propagate l i deltas =
-    let env = fresh_env l.node in
-    let ctbls = tables l.kids in
-    let acc = KeyTbl.create 8 in
+    let key = l.node.key in
+    let acc = table ~width:(Array.length key) ~ncodes:(Index.interned st.codes) ~rows:0 in
     List.iter
       (fun (ck, dk) ->
         List.iter
-          (fun t ->
+          (fun env ->
             tick ();
-            if matches l.ops values env t 0 then begin
-              let w = Nat.mul (weight ~skip:i l.node ctbls env) dk in
-              if not (Nat.is_zero w) then bump acc (project env l.node.key) w ~add:true
-            end)
-          (Option.value ~default:[] (KeyTbl.find_opt l.rev.(i) ck)))
+            let w = Nat.mul (weigh ~skip:i l env) dk in
+            if not (Nat.is_zero w) then add_nat acc (entry acc env key) w ~add:true)
+          (Option.value ~default:[] (Hashtbl.find_opt l.rev.(i) ck)))
       deltas;
-    if KeyTbl.length acc = 0 then Unchanged
-    else
-      Deltas
-        (KeyTbl.fold
-           (fun key dl out ->
-             bump l.table key dl ~add;
-             (key, dl) :: out)
-           acc [])
+    let out = ref [] and ids = Array.init (Array.length key) Fun.id in
+    iter_entries acc (fun k dl ->
+        add_nat l.table (entry l.table k ids) dl ~add;
+        out := (k, dl) :: !out);
+    match !out with [] -> Unchanged | out -> Deltas out
   in
   let rec update l =
     let changed = ref [] in
@@ -450,7 +683,7 @@ let delta ?budget st d sym (tup : Tuple.t) ~add =
       (fun i k ->
         match update k with Unchanged -> () | c -> changed := (i, c) :: !changed)
       l.kids;
-    let own = Symbol.equal l.sym sym in
+    let own = Symbol.equal l.step.sym sym in
     match !changed with
     | [] -> if own then own_update l else Unchanged
     | [ (i, Deltas ds) ] when not own -> propagate l i ds
@@ -458,7 +691,9 @@ let delta ?budget st d sym (tup : Tuple.t) ~add =
         (* the symbol reached this node along several paths, or a child
            rescanned: per-key propagation would need cross terms, so
            re-aggregate against the updated child tables *)
-        rescan tick values d l;
+        reset l.table;
+        Array.iter Hashtbl.reset l.rev;
+        fill tick st.consts l (coded st.codes d l.step);
         Rebuilt
   in
   if Symbol.Set.mem sym st.live_syms then ignore (update st.top)

@@ -1,6 +1,6 @@
-(** The join-tree dynamic program: the one bignum DP behind every count of
-    an acyclic component, of a registered count the store maintains, and
-    of a hypertree decomposition's bags.
+(** The join-tree dynamic program: the one DP behind every count of an
+    acyclic component, of a registered count the store maintains, and of
+    a hypertree decomposition's bags.
 
     {2 Node shape}
 
@@ -26,15 +26,50 @@
       by index probes in a compiled order and hands each distinct
       projection onto the bag's variables χ to the weigh-and-aggregate step
       as the join reaches it, so bag rows are never stored and walked a
-      second time.  It ticks once per candidate tuple and once per tuple a
+      second time.  A set of the χ-rows seen so far folds repeats; a bag
+      whose only variables outside χ are private ones, pre-projected away,
+      needs no such set, because each of its join results then has a χ-row
+      of its own.  It ticks once per candidate tuple and once per tuple a
       pre-projected step reads, never per bag.  Each distinct row adds one
       to [ghd_bag_rows], and each count of a tree with bag joins adds one
       to [ghd_runs]; both cells live here because only this module sees
       bag rows.
 
+    {2 Codes, tables and weights}
+
+    No table, frame or match holds a {!Value.t}: frames, keys and
+    constants are integer codes, and a tuple matches an op array by
+    comparing codes.  A one-shot count reads the codes of {!Index}: an
+    atom scan reads the column store (the identity {!Index.view}), and a
+    probing bag-join step reads a memoised view with the probed position
+    first, whose candidates for a code are one contiguous run found by
+    binary search.  Materialised state codes values through its own
+    append-only {!Index.interner} (below), the one place the DP hashes
+    values: once per value of each tuple it scans.
+
+    Every table — a node's key aggregation, a bag join's set of seen
+    χ-rows, a pre-projection's set of distinct rows, a propagation's
+    per-key deltas — has one type: a map from keys of a fixed width in
+    codes to weights, where an absent key weighs zero.  A key of width ≤ 1
+    is a dense array indexed by code (the root's empty key is one cell)
+    when the codes number no more than the rows the node reads (or
+    eight); any other key is hashed, open-addressed over its codes, and
+    starts with room for the rows the node reads.  So no table is sized
+    by the domain when the node reads fewer rows than that.
+
+    Weights are [int]s while they stay below 2{^ 61}.  When an addition
+    at an entry, or a product of child weights, would reach 2{^ 61}, that
+    table is {e promoted} in place: its entries become {!Nat.t}s, the
+    exact sum or product is stored, and the table stays promoted (until a
+    rescan refills it).  A product with a promoted factor is computed in
+    {!Nat.t}.  No count is ever rerun: the pass that overflows carries on
+    exactly.  This is the rule the leapfrog's leaf accumulator follows,
+    per table rather than per count, so one large entry does not slow the
+    other tables down.
+
     Compiled trees are immutable and shared: a hunt counts one prepared
     plan on several worker domains, and the server's plan cache serves
-    every connection.  Frames, constant values and tables are allocated
+    every connection.  Frames, constant codes and tables are allocated
     per count, and materialised state per {!build}. *)
 
 open Bagcq_bignum
@@ -57,28 +92,36 @@ val compile : ('a -> spec * string list * 'a list) -> 'a -> t
 
 val count : ?budget:Bagcq_guard.Budget.t -> t -> Structure.t -> Nat.t
 (** The one-shot count, run by {!Decomp.count} for [Eval] and the store's
-    recounts: one bottom-up pass over {!Index.all} and index probes that
-    keeps no reverse maps and drops each table once its parent has read
-    it.  An uninterpreted constant answers zero before the first tick.
-    Ticks [?budget] by the rule above and unwinds with
-    {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
+    recounts: one bottom-up pass over the {!Index} code columns and
+    probe-first views that keeps no reverse maps and drops each table
+    once its parent has read it.  An uninterpreted constant answers zero
+    before the first tick.  Ticks [?budget] by the rule above and unwinds
+    with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
 
 (** {2 Materialised state}
 
     For trees of atom scans only: the per-node tables kept alive, the
     substrate of the store's maintained counts.  A tuple insert or delete
-    updates the nodes carrying the mutated symbol with one exact
-    {!Nat.add} or {!Nat.sub} at the tuple's key projection, and the change
-    climbs the tree as per-key deltas.  Each node keeps, per child, a
-    reverse map from the child's key to the node's tuples matching its
-    ops; membership does not depend on weight, so a tuple weighing zero
-    stays reachable for when its child's entry grows.  An ancestor thus
-    re-weighs only the tuples joining a changed key: O(depth × fan-in of
-    the mutated key) per delta.  Only when the mutated symbol reaches a
-    node along several paths does the node rescan its relation.  Scans
-    read {!Structure.tuple_array}, not {!Index.all}: each write makes a
-    new snapshot, and an index per snapshot would cost more than the
-    delta. *)
+    updates the nodes carrying the mutated symbol with one exact addition
+    or subtraction at the tuple's key projection, and the change climbs
+    the tree as per-key deltas.  Each node keeps, per child, a reverse
+    map from the child's key to the frames of the node's tuples matching
+    its ops; membership does not depend on weight, so a tuple weighing
+    zero stays reachable for when its child's entry grows.  An ancestor
+    thus re-weighs only the tuples joining a changed key: O(depth ×
+    fan-in of the mutated key) per delta.  Only when the mutated symbol
+    reaches a node along several paths does the node rescan its relation.
+
+    Scans read {!Structure.tuple_array}, never an {!Index}: each write
+    makes a new snapshot, and an index per snapshot would cost more than
+    the delta.  Index codes are ranks and would shift when a write brings
+    in a new value, so the state codes values through its own
+    append-only {!Index.interner} instead: a code, once handed out, means
+    the same value for the state's lifetime, so tables and reverse maps
+    survive every write, and a dense table grows when an insert brings in
+    a code past its end.  A value whose last tuple is deleted keeps its
+    code.  Tables promote to {!Nat.t} by the rule above; a delete that
+    brings an entry back below 2{^ 61} leaves the table promoted. *)
 
 type state
 (** Mutable: {!delta} updates it in place, so it must be guarded by

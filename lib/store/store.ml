@@ -39,6 +39,7 @@ type registration = {
 type db = {
   db_name : string;
   mutable db_structure : Structure.t;
+  mutable db_atoms : int;  (* [Structure.total_atoms], which walks every relation *)
   mutable db_version : int;
   db_regs : (string, registration) Hashtbl.t;
 }
@@ -233,11 +234,18 @@ let db_create t ~name d =
         if Hashtbl.mem sh.sh_dbs name then
           Rejected (Printf.sprintf "database %S already exists" name)
         else begin
+          let atoms = Structure.total_atoms d in
           Hashtbl.add sh.sh_dbs name
-            { db_name = name; db_structure = d; db_version = 0; db_regs = Hashtbl.create 4 };
+            {
+              db_name = name;
+              db_structure = d;
+              db_atoms = atoms;
+              db_version = 0;
+              db_regs = Hashtbl.create 4;
+            };
           Metrics.incr t.creates;
           Metrics.gauge_add t.databases 1;
-          Done (Structure.total_atoms d)
+          Done atoms
         end)
   end
 
@@ -271,6 +279,7 @@ let mutate ?budget t ~name ~add sym tup =
             (* commit first: the relation is the source of truth, and
                registered counts are repairable views over it *)
             db.db_structure <- d';
+            db.db_atoms <- (db.db_atoms + if add then 1 else -1);
             db.db_version <- db.db_version + 1;
             (* release the retired snapshot's derived views (columnar
                index, trie views); anything still evaluating against it
@@ -296,7 +305,7 @@ let mutate ?budget t ~name ~add sym tup =
             t.on_mutate name;
             Done
               {
-                atoms = Structure.total_atoms d';
+                atoms = db.db_atoms;
                 registrations = Hashtbl.length db.db_regs;
                 maintained = !maintained;
                 recomputed = !recomputed;

@@ -119,6 +119,35 @@ echo "$hunt_out" | grep -q '"id": 2, "op": "hunt", "status": "ok", .*"exhaustive
 [ "$(counter_rise hunt_candidates_tested)" = 3044 ] \
   || { echo "serve --stdio: the size-4 hunt tested $(counter_rise hunt_candidates_tested) candidates, not 3044" >&2; exit 1; }
 
+echo "== serve --stdio counts past 2^61 exactly, one-shot and maintained =="
+# On E(1,1..8), E(2,1..3) a 22-leaf star counts 8^22 + 3^22, and a 6-cycle
+# with 22 pendant edges (a width-2 decomposition) 32 times that; the
+# registered star crosses 2^61 when E(1,7) joins E(1,1..6), E(2,1..3).
+leaves() { seq -s ' ' 1 22 | sed "s/\([0-9]*\)/E($1,$2\1)/g; s/) E/) \& E/g"; }
+star=$(leaves x y)
+cycle="E(a,b) & E(b,c) & E(c,d) & E(d,e) & E(e,f) & E(f,a) & $(leaves a p)"
+db6='E(1,1). E(1,2). E(1,3). E(1,4). E(1,5). E(1,6). E(2,1). E(2,2). E(2,3).'
+big_out=$(printf '%s\n' \
+  "{\"op\":\"eval\",\"id\":1,\"query\":\"$star\",\"db\":\"$db6 E(1,7). E(1,8).\"}" \
+  "{\"op\":\"eval\",\"id\":2,\"query\":\"$cycle\",\"db\":\"$db6 E(1,7). E(1,8).\"}" \
+  "{\"op\":\"db_create\",\"id\":3,\"name\":\"s\",\"db\":\"$db6\"}" \
+  "{\"op\":\"register\",\"id\":4,\"name\":\"s\",\"query\":\"$star\"}" \
+  '{"op":"db_insert","id":5,"name":"s","fact":"E(1,7)"}' \
+  '{"op":"counts","id":6,"name":"s"}' \
+  | ./_build/default/bin/bagcq_cli.exe serve --stdio)
+# printf, not echo: sh's echo would expand the escaped newlines in the
+# counts row's query text
+printf '%s\n' "$big_out" | grep -q '"id": 1, "op": "eval", "status": "ok", .*"count": "73786976326219266073", .*"ticks": 264}' \
+  || { echo "serve --stdio: the 22-leaf star did not count 8^22 + 3^22 in 264 ticks" >&2; exit 1; }
+printf '%s\n' "$big_out" | grep -q '"id": 2, "op": "eval", "status": "ok", .*"count": "2361183242439016514336", .*"ticks": 528}' \
+  || { echo "serve --stdio: the pendant 6-cycle did not count 32 (8^22 + 3^22) in 528 ticks" >&2; exit 1; }
+printf '%s\n' "$big_out" | grep -q '"id": 4, "op": "register", "status": "ok", .*"count": "131621735223326745", .*"ticks": 220}' \
+  || { echo "serve --stdio: the registered star did not start at 6^22 + 3^22 in 220 ticks" >&2; exit 1; }
+printf '%s\n' "$big_out" | grep -q '"id": 5, "op": "db_insert", "status": "ok", .*"maintained": 1, .*"ticks": 232}' \
+  || { echo "serve --stdio: the insert was not maintained in 232 ticks" >&2; exit 1; }
+printf '%s\n' "$big_out" | grep -q '"count": "3909821079964047658", "maintained": true}' \
+  || { echo "serve --stdio: the maintained star did not cross 2^61 to 7^22 + 3^22" >&2; exit 1; }
+
 # Start `bagcq serve --port 0` in the background with the extra flags
 # given after the label, and wait for it to report its port.  Sets
 # $server_pid and $port; the label begins the failure message.

@@ -11,6 +11,7 @@ module Solver_ref = Bagcq_hom.Solver_ref
 module Ghd = Bagcq_hom.Ghd
 module Eval = Bagcq_hom.Eval
 module Decomp = Bagcq_hom.Decomp
+module Jtree = Bagcq_hom.Jtree
 module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 module Nat = Bagcq_bignum.Nat
@@ -177,6 +178,30 @@ let test_metrics_family () =
   Alcotest.(check int) "one run" 1 (global_counter "ghd_runs" - runs0);
   Alcotest.(check int) "distinct bag rows" 32 (global_counter "ghd_bag_rows" - rows0)
 
+(* A one-bag tree counts the distinct χ-rows of its join.  With χ =
+   (x, z) the two atoms also bind y, so 2-paths through different
+   middles repeat a row and the join must fold them; with y in χ every
+   join result is already a distinct row. *)
+let test_bag_rows_are_distinct () =
+  let d = random_db ~max_n:5 ~max_edges:20 (Random.State.make [| 11 |]) in
+  let bag chi =
+    let atoms = Build.[| atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ] |] in
+    Jtree.compile (fun () -> (Jtree.Join (chi, atoms), [], [])) ()
+  in
+  let edges = Structure.tuples d e in
+  let ends = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      List.iter (fun b -> if Value.equal a.(1) b.(0) then Hashtbl.replace ends (a.(0), b.(1)) ()) edges)
+    edges;
+  let rows0 = global_counter "ghd_bag_rows" in
+  Alcotest.(check int) "distinct (x, z)" (Hashtbl.length ends)
+    (Nat.to_int (Jtree.count (bag [| "x"; "z" |]) d));
+  Alcotest.(check int) "bag rows" (Hashtbl.length ends) (global_counter "ghd_bag_rows" - rows0);
+  Alcotest.(check int) "2-paths"
+    (Solver_ref.count Build.(query [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ] ]) d)
+    (Nat.to_int (Jtree.count (bag [| "x"; "y"; "z" |]) d))
+
 let test_fuel_trips_mid_bag () =
   let d = complete_digraph 6 in
   let g =
@@ -247,6 +272,7 @@ let () =
           Alcotest.test_case "plan shape" `Quick test_plan_shape;
           Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
           Alcotest.test_case "ghd_* metrics family" `Quick test_metrics_family;
+          Alcotest.test_case "bag rows are distinct" `Quick test_bag_rows_are_distinct;
           Alcotest.test_case "fuel trips mid-bag-materialisation" `Quick
             test_fuel_trips_mid_bag;
           Alcotest.test_case "deadline reason preserved" `Quick

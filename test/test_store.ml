@@ -17,6 +17,8 @@ module Query = Bagcq_cq.Query
 module Solver_ref = Bagcq_hom.Solver_ref
 module Decomp = Bagcq_hom.Decomp
 module Jtree = Bagcq_hom.Jtree
+module Eval = Bagcq_hom.Eval
+module Ghd = Bagcq_hom.Ghd
 module Atom = Bagcq_cq.Atom
 module Build = Bagcq_cq.Build
 module Nat = Bagcq_bignum.Nat
@@ -483,9 +485,13 @@ let diff_property steps =
    over E/2, F/2 and U/1: each atom after the first draws its shared
    variables from one earlier atom (so GYO reduction succeeds), with
    repeated variables and a constant [c] the database interprets half the
-   time.  The one-shot count, the materialised total and the reference
-   agree, and the total keeps equal to a fresh one-shot count through a
-   random sequence of inserts and deletes. *)
+   time.  One binary atom in four copies two variables of that earlier
+   atom, so keys of width 2 occur.  The database starts on values 0–2 and
+   the toggles draw from 0–5, so inserts bring in values the state has
+   never coded and deletes can remove a value's last tuple.  The one-shot
+   count, the materialised total and the reference agree, and the total
+   keeps equal to a fresh one-shot count through a random sequence of
+   inserts and deletes. *)
 let sym_u = Symbol.make "U" 1
 
 let gen_jtree_case st =
@@ -496,39 +502,48 @@ let gen_jtree_case st =
       (fun prev _ ->
         let sym = pick [ sym_e; sym_f; sym_u ] in
         let shared = if prev = [] then [] else Atom.vars (pick prev) in
-        let args = Array.make (Symbol.arity sym) (Build.c "c") in
-        Array.iteri
-          (fun p _ ->
-            args.(p) <-
-              (match Random.State.int st 6 with
-              | (0 | 1 | 2) when shared <> [] -> Build.v (pick shared)
-              | 3 when p > 0 -> args.(p - 1)
-              | 4 -> Build.c "c"
-              | _ ->
-                  incr fresh;
-                  Build.v (Printf.sprintf "v%d" !fresh)))
-          args;
-        prev @ [ Build.atom sym (Array.to_list args) ])
+        if Symbol.arity sym = 2 && List.length shared >= 2 && Random.State.int st 4 = 0
+        then begin
+          let x = pick shared in
+          let y = pick (List.filter (( <> ) x) shared) in
+          prev @ [ Build.atom sym [ Build.v x; Build.v y ] ]
+        end
+        else begin
+          let args = Array.make (Symbol.arity sym) (Build.c "c") in
+          Array.iteri
+            (fun p _ ->
+              args.(p) <-
+                (match Random.State.int st 6 with
+                | (0 | 1 | 2) when shared <> [] -> Build.v (pick shared)
+                | 3 when p > 0 -> args.(p - 1)
+                | 4 -> Build.c "c"
+                | _ ->
+                    incr fresh;
+                    Build.v (Printf.sprintf "v%d" !fresh)))
+            args;
+          prev @ [ Build.atom sym (Array.to_list args) ]
+        end)
       [] (List.init (1 + Random.State.int st 5) Fun.id)
   in
-  let fact () =
+  let fact values =
+    let v () = Random.State.int st values in
     match Random.State.int st 3 with
-    | 0 -> (sym_e, tup2 (Random.State.int st 3) (Random.State.int st 3))
-    | 1 -> (sym_f, tup2 (Random.State.int st 3) (Random.State.int st 3))
-    | _ -> (sym_u, tup1 (Random.State.int st 3))
+    | 0 -> (sym_e, tup2 (v ()) (v ()))
+    | 1 -> (sym_f, tup2 (v ()) (v ()))
+    | _ -> (sym_u, tup1 (v ()))
   in
   let d =
     List.fold_left
       (fun d (s, t) -> if Structure.mem_atom d s t then d else Structure.add_atom d s t)
       (Structure.empty Schema.empty)
-      (List.init (Random.State.int st 10) (fun _ -> fact ()))
+      (List.init (Random.State.int st 10) (fun _ -> fact 3))
   in
   let d =
     if Random.State.bool st then
       Structure.bind_constant d "c" (Value.int (Random.State.int st 3))
     else d
   in
-  (Build.query atoms, d, List.init (Random.State.int st 12) (fun _ -> fact ()))
+  (Build.query atoms, d, List.init (Random.State.int st 12) (fun _ -> fact 6))
 
 let arb_jtree_case =
   QCheck.make
@@ -562,6 +577,186 @@ let jtree_property (q, d, toggles) =
                 Jtree.delta st d' s t ~add;
                 (d', ok && Nat.equal (Jtree.total st) (Jtree.count jt d')))
               (d, true) toggles)
+
+(* ------------------------------------------------------------------ *)
+(* int weights promoted to Nat past 2^61                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The join-tree DP keeps weights in [int]s and promotes a table to [Nat]
+   when an entry or a child-weight product would reach 2^61.  On
+   E(1,1..8) and E(2,1..3) a star with k leaves counts 8^k + 3^k, and a
+   6-cycle closes only inside {1,2}, 32 times from each start.  Ticks
+   count rows and tuples, so the tick figures pin the work whatever the
+   table layout. *)
+let promo_facts =
+  List.init 8 (fun i -> (sym_e, tup2 1 (i + 1))) @ List.init 3 (fun i -> (sym_e, tup2 2 (i + 1)))
+
+let promo_db =
+  List.fold_left (fun d (s, t) -> Structure.add_atom d s t) (Structure.empty Schema.empty) promo_facts
+
+let conj atoms = Parse.parse_exn (String.concat " & " atoms)
+let leaves v k = List.init k (fun i -> Printf.sprintf "E(%s,%s%d)" v v (i + 1))
+let star = conj (leaves "x" 22)
+let two_61 = Nat.pow Nat.two 61
+
+(* Check the result of [f] under an unlimited budget, and the ticks it
+   metered. *)
+let metered label expect ticks f =
+  let b = Budget.unlimited () in
+  let n = f b in
+  Alcotest.(check string) label expect (Nat.to_string n);
+  Alcotest.(check int) (label ^ " ticks") ticks (Budget.ticks b)
+
+let test_promoted_star () =
+  let jt =
+    match Decomp.choose star with
+    | Decomp.Dp t -> Decomp.jtree t
+    | _ -> Alcotest.fail "the star must be acyclic"
+  in
+  let expect = "73786976326219266073" (* 8^22 + 3^22 *) in
+  metered "Eval.count" expect 264 (fun budget -> Eval.count ~budget star promo_db);
+  metered "Jtree.count" expect 264 (fun budget -> Jtree.count ~budget jt promo_db)
+
+let test_promoted_ghd () =
+  let q = conj ([ "E(a,b)"; "E(b,c)"; "E(c,d)"; "E(d,e)"; "E(e,f)"; "E(f,a)" ] @ leaves "a" 22) in
+  let expect = "2361183242439016514336" (* 32 (8^22 + 3^22) *) in
+  (match Decomp.choose q with
+  | Decomp.Ghd g ->
+      Alcotest.(check int) "width" 2 (Ghd.width g);
+      Alcotest.(check int) "bags" 26 (Ghd.nbags g);
+      metered "Ghd.count" expect 528 (fun budget -> Ghd.count ~budget g promo_db)
+  | _ -> Alcotest.fail "the pendant 6-cycle must route to Ghd");
+  metered "Eval.count" expect 528 (fun budget -> Eval.count ~budget q promo_db)
+
+(* A registered star whose total crosses 2^61 on an insert and comes back
+   on a delete: E sits at every node, so each delta rescans. *)
+let test_promoted_store () =
+  let st = fresh_store () in
+  create_db st "s"
+    (List.filter
+       (fun (_, t) -> not (Tuple.equal t (tup2 1 7) || Tuple.equal t (tup2 1 8)))
+       promo_facts);
+  let step label ticks expect f =
+    let b = Budget.unlimited () in
+    f b;
+    Alcotest.(check int) (label ^ " ticks") ticks (Budget.ticks b);
+    let d, _ = done_exn (Store.snapshot st ~name:"s") in
+    let rows = done_exn (Store.counts st ~name:"s") in
+    Alcotest.(check string) (label ^ ": maintained") expect (count_of rows (Query.to_string star));
+    Alcotest.(check string) (label ^ ": fresh") expect (Nat.to_string (Eval.count star d));
+    Alcotest.(check bool) (label ^ ": still maintained") true
+      (List.for_all (fun r -> r.Store.cr_maintained) rows);
+    Nat.of_string expect
+  in
+  let insert tup budget = ignore (done_exn (Store.db_insert ~budget st ~name:"s" sym_e tup)) in
+  let delete tup budget = ignore (done_exn (Store.db_delete ~budget st ~name:"s" sym_e tup)) in
+  let low =
+    step "register" 220 "131621735223326745" (fun budget ->
+        ignore (done_exn (Store.register ~budget st ~name:"s" star)))
+  in
+  let high = step "insert E(1,7)" 232 "3909821079964047658" (insert (tup2 1 7)) in
+  Alcotest.(check bool) "below 2^61, then above" true
+    (Nat.compare low two_61 < 0 && Nat.compare high two_61 > 0);
+  ignore (step "insert E(1,8)" 253 "73786976326219266073" (insert (tup2 1 8)));
+  ignore (step "delete E(1,8)" 232 "3909821079964047658" (delete (tup2 1 8)));
+  let back = step "delete E(1,7)" 211 "131621735223326745" (delete (tup2 1 7)) in
+  Alcotest.(check bool) "back below 2^61" true (Nat.compare back two_61 < 0)
+
+(* The mutated symbol at one node of an F star: an E tuple's change climbs
+   the tree as per-key deltas, past 2^61 and back to zero, and brings in
+   a value (9) the state has never coded. *)
+let test_promoted_delta () =
+  let q = conj ("E(x,y0)" :: List.init 21 (fun i -> Printf.sprintf "F(x,y%d)" (i + 1))) in
+  let jt =
+    match Decomp.choose q with
+    | Decomp.Dp t -> Decomp.jtree t
+    | _ -> Alcotest.fail "the star must be acyclic"
+  in
+  let d =
+    List.fold_left
+      (fun d (_, t) -> Structure.add_atom d sym_f t)
+      (Structure.empty Schema.empty) promo_facts
+  in
+  let st = Option.get (Jtree.build jt d) in
+  Alcotest.(check string) "no E tuple" "0" (Nat.to_string (Jtree.total st));
+  ignore
+    (List.fold_left
+       (fun d (add, tup, expect) ->
+         let d = if add then Structure.add_atom d sym_e tup else Structure.remove_atom d sym_e tup in
+         Jtree.delta st d sym_e tup ~add;
+         let label = Encode.fact_to_string sym_e tup in
+         Alcotest.(check string) (label ^ ": maintained") expect (Nat.to_string (Jtree.total st));
+         Alcotest.(check string) (label ^ ": fresh") expect (Nat.to_string (Jtree.count jt d));
+         d)
+       d
+       [
+         (true, tup2 1 1, "9223372036854775808" (* 8^21 *));
+         (true, tup2 2 9, "9223372047315129011" (* 8^21 + 3^21 *));
+         (true, tup2 1 2, "18446744084169904819" (* 2 8^21 + 3^21 *));
+         (false, tup2 1 1, "9223372047315129011");
+         (false, tup2 1 2, "10460353203" (* 3^21 *));
+         (false, tup2 2 9, "0");
+       ])
+
+(* Width-1 keys over a domain of 21 values while U holds two: such tables
+   hash their codes instead of indexing an array by them.  Counts agree
+   with the reference through inserts of new values and deletes, and
+   through enough new U values to grow a hashed table. *)
+let test_hashed_keys () =
+  let d =
+    List.fold_left
+      (fun d (s, t) -> Structure.add_atom d s t)
+      (Structure.empty Schema.empty)
+      ((sym_u, tup1 3) :: (sym_u, tup1 7) :: List.init 20 (fun i -> (sym_f, tup2 i (i + 1))))
+  in
+  List.iter
+    (fun text ->
+      let q = Parse.parse_exn text in
+      let jt =
+        match Decomp.choose q with
+        | Decomp.Dp t -> Decomp.jtree t
+        | _ -> Alcotest.failf "%s must be acyclic" text
+      in
+      let agree label d n =
+        Alcotest.(check string)
+          (text ^ " " ^ label)
+          (string_of_int (Solver_ref.count q d))
+          (Nat.to_string n)
+      in
+      agree "one-shot" d (Jtree.count jt d);
+      let st = Option.get (Jtree.build jt d) in
+      agree "built" d (Jtree.total st);
+      ignore
+        (List.fold_left
+           (fun d (s, t) ->
+             let add = not (Structure.mem_atom d s t) in
+             let d = if add then Structure.add_atom d s t else Structure.remove_atom d s t in
+             Jtree.delta st d s t ~add;
+             agree (Encode.fact_to_string s t) d (Jtree.total st);
+             agree "one-shot" d (Jtree.count jt d);
+             d)
+           d
+           ([
+              (sym_u, tup1 11); (sym_f, tup2 30 3); (sym_u, tup1 30); (sym_u, tup1 3);
+              (sym_f, tup2 7 8); (sym_f, tup2 11 31); (sym_u, tup1 31); (sym_u, tup1 7);
+            ]
+           (* past the eight entries a hashed table starts with *)
+           @ List.init 12 (fun i -> (sym_u, tup1 (12 + i))))))
+    [
+      "F(x,y) & U(y) & F(y,z)";
+      "U(x) & F(x,y) & F(y,z)";
+      "F(x,y) & F(y,z) & U(z) & U(x)";
+      "F(w,x) & F(x,y) & U(x) & F(y,z)";
+    ]
+
+let promotion_tests =
+  [
+    Alcotest.test_case "star past 2^61" `Quick test_promoted_star;
+    Alcotest.test_case "GHD past 2^61" `Quick test_promoted_ghd;
+    Alcotest.test_case "registered star crosses 2^61" `Quick test_promoted_store;
+    Alcotest.test_case "per-key deltas cross 2^61" `Quick test_promoted_delta;
+    Alcotest.test_case "hashed width-1 keys" `Quick test_hashed_keys;
+  ]
 
 let diff_tests =
   [
@@ -604,5 +799,6 @@ let () =
           Alcotest.test_case "mutation evicts by-name entries" `Quick
             test_mutation_evicts_by_name;
         ] );
+      ("promotion", promotion_tests);
       ("differential", diff_tests);
     ]
