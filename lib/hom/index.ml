@@ -12,20 +12,16 @@ end)
 let index_builds =
   Bagcq_obs.Metrics.counter Bagcq_obs.Metrics.global "hom_index_builds"
 
-(* One relation, stored column-major over interned codes.  [tuples] is the
-   sorted row store; [cols.(pos).(row)] is the code of the value at
-   [pos] — codes are indexes into the structure's sorted domain, so code
-   order is [Value.compare] order and every column is a sorted-int problem.
-   [by_pos.(pos).(code)] packs the rows holding [code] at [pos] (row order,
-   hence [Tuple.compare] order).  [views] memoises the re-sorted trie views
-   handed to the leapfrog kernel, keyed by attribute order; the table is
+(* One relation, stored column-major over interned codes:
+   [cols.(pos).(row)] is the code of the value at [pos] — codes are
+   indexes into the structure's sorted domain, so code order is
+   [Value.compare] order, and rows follow [Tuple.compare].  [views]
+   memoises the re-sorted views, keyed by attribute order; the table is
    mutated under [views_lock] because one structure (and hence one index)
    is shared across worker domains. *)
 type sym_index = {
-  tuples : Tuple.t array;
+  rows : int;
   cols : int array array;
-  by_pos : Tuple.t array array array;
-  code_of : int ValueTbl.t;  (* shared with the owning [t] *)
   views : (int array, int array array) Hashtbl.t;
   views_lock : Mutex.t;
 }
@@ -36,52 +32,8 @@ type t = {
   code_of : int ValueTbl.t;
 }
 
-let no_tuples : Tuple.t array = [||]
-
-let empty_sym_index arity =
-  {
-    tuples = no_tuples;
-    cols = Array.make arity [||];
-    by_pos = Array.make arity [||];
-    code_of = ValueTbl.create 1;
-    views = Hashtbl.create 1;
-    views_lock = Mutex.create ();
-  }
-
-let build_sym_index code_of sym tuples =
-  let arity = Symbol.arity sym in
-  let n = Array.length tuples in
-  let cols =
-    Array.init arity (fun pos ->
-        Array.init n (fun row -> ValueTbl.find code_of tuples.(row).(pos)))
-  in
-  let by_pos =
-    Array.init arity (fun pos ->
-        let col = cols.(pos) in
-        let top = Array.fold_left max (-1) col in
-        let counts = Array.make (top + 1) 0 in
-        Array.iter (fun c -> counts.(c) <- counts.(c) + 1) col;
-        let groups =
-          Array.init (top + 1) (fun c ->
-              if counts.(c) = 0 then no_tuples
-              else Array.make counts.(c) tuples.(0))
-        in
-        let fill = Array.make (top + 1) 0 in
-        for row = 0 to n - 1 do
-          let c = col.(row) in
-          groups.(c).(fill.(c)) <- tuples.(row);
-          fill.(c) <- fill.(c) + 1
-        done;
-        groups)
-  in
-  {
-    tuples;
-    cols;
-    by_pos;
-    code_of;
-    views = Hashtbl.create 4;
-    views_lock = Mutex.create ();
-  }
+let sym_index_of rows cols =
+  { rows; cols; views = Hashtbl.create 4; views_lock = Mutex.create () }
 
 let build d =
   Bagcq_obs.Metrics.incr index_builds;
@@ -92,7 +44,12 @@ let build d =
     List.fold_left
       (fun acc sym ->
         let tuples = Structure.tuple_array d sym in
-        Symbol.Map.add sym (build_sym_index code_of sym tuples) acc)
+        let rows = Array.length tuples in
+        let cols =
+          Array.init (Symbol.arity sym) (fun pos ->
+              Array.init rows (fun r -> ValueTbl.find code_of tuples.(r).(pos)))
+        in
+        Symbol.Map.add sym (sym_index_of rows cols) acc)
       Symbol.Map.empty
       (Schema.symbols (Structure.schema d))
   in
@@ -113,8 +70,9 @@ let get d =
 let sym_index idx sym =
   match Symbol.Map.find_opt sym idx.by_sym with
   | Some si -> si
-  | None -> empty_sym_index (Symbol.arity sym)
+  | None -> sym_index_of 0 (Array.make (Symbol.arity sym) [||])
 
+let rows si = si.rows
 let domain idx = idx.domain
 let code idx v = ValueTbl.find_opt idx.code_of v
 
@@ -133,33 +91,9 @@ let intern t v =
 
 let interned = ValueTbl.length
 
-let all si = si.tuples
-
-let candidates (si : sym_index) ~pos v =
-  match ValueTbl.find_opt si.code_of v with
-  | None -> no_tuples
-  | Some c ->
-      let groups = si.by_pos.(pos) in
-      if c < Array.length groups then groups.(c) else no_tuples
-
-(* [tuples] is sorted by [Tuple.compare]; membership is a binary search. *)
-let mem si tup =
-  let ts = si.tuples in
-  let lo = ref 0 and hi = ref (Array.length ts) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = Tuple.compare tup ts.(mid) in
-    if c = 0 then found := true
-    else if c < 0 then hi := mid
-    else lo := mid + 1
-  done;
-  !found
-
 let build_view si (order : int array) =
-  let n = Array.length si.tuples in
   let depth = Array.length order in
-  let rows = Array.init n (fun r -> r) in
+  let rows = Array.init si.rows (fun r -> r) in
   let cmp a b =
     let rec go l =
       if l = depth then 0
@@ -173,7 +107,7 @@ let build_view si (order : int array) =
   Array.sort cmp rows;
   Array.init depth (fun l ->
       let col = si.cols.(order.(l)) in
-      Array.init n (fun r -> col.(rows.(r))))
+      Array.init si.rows (fun r -> col.(rows.(r))))
 
 let memo_view si (order : int array) =
   Mutex.lock si.views_lock;
@@ -198,9 +132,23 @@ let memo_view si (order : int array) =
       v
 
 (* Rows are sorted by [Tuple.compare] and codes follow [Value.compare], so
-   under the identity order the column store already is the view: no sort,
+   under the identity order the code columns already are the view: no sort,
    no copy, nothing memoised. *)
 let view si (order : int array) =
   let identity = ref true in
   Array.iteri (fun l pos -> if pos <> l then identity := false) order;
   if !identity then si.cols else memo_view si order
+
+let probe_first arity p =
+  Array.init arity (fun l -> if l = 0 then p else if l <= p then l - 1 else l)
+
+(* The first row of [lo, hi) whose code is at least [c], or [hi]. *)
+let rec lower_bound (col : int array) lo hi c =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if col.(mid) < c then lower_bound col (mid + 1) hi c else lower_bound col lo mid c
+
+let run col lo hi c =
+  let lo = lower_bound col lo hi c in
+  (lo, lower_bound col lo hi (c + 1))

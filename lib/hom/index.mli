@@ -1,17 +1,17 @@
 (** Sorted columnar join indexes over a {!Bagcq_relational.Structure.t}.
 
-    Every relation is stored twice: a row store of tuples sorted by
-    {!Tuple.compare}, and a column store of {e interned codes} — each value
-    replaced by its rank in the structure's sorted active domain, so code
-    order is {!Value.compare} order and every column operation (prefix
-    ranges, galloping seeks, membership) is integer comparison on dense
-    arrays.  Three consumers share the result: the compiled backtracking
-    kernel ({!Plan}, {!Solver}) keeps its scan / per-position-probe /
-    membership interface; the leapfrog kernel ({!Wcoj}) asks for {!view}s —
-    the relation re-sorted under an attribute order, exposed as per-level
-    code arrays it can intersect with binary search; and the join-tree DP
-    ({!Jtree}) scans the column store (the identity {!view}) and probes
-    views that put the probed position first, comparing codes only.
+    Every relation is stored once, as columns of {e interned codes}: each
+    value is replaced by its rank in the structure's sorted active domain,
+    so code order is {!Value.compare} order, the rows follow
+    {!Tuple.compare}, and every column operation (prefix ranges, galloping
+    seeks, membership) is integer comparison on dense arrays.  Every
+    kernel reads the relation through a {!view}: the rows re-sorted under
+    an attribute order, as per-level code arrays.  The leapfrog kernel
+    ({!Wcoj}) intersects the levels of its views by galloping; the
+    join-tree DP ({!Jtree}) and the backtracking kernel ({!Solver}) scan
+    the identity view, and probe a view that puts the probed position
+    first ({!probe_first}), where the rows holding one code are the
+    {!run} that binary search finds.
 
     The index is memoised on the structure itself (through
     {!Structure.memo_store}), so it is built at most once per structure no
@@ -32,14 +32,14 @@ type sym_index
 (** The index of a single relation symbol. *)
 
 val get : Structure.t -> t
-(** Fetch the memoised index, building it on first use. *)
-
-val build : Structure.t -> t
-(** Build without consulting or filling the memo slot (for tests).  Bumps
-    [hom_index_builds]. *)
+(** Fetch the memoised index, building it on first use (which bumps
+    [hom_index_builds]). *)
 
 val sym_index : t -> Symbol.t -> sym_index
 (** Total: a symbol with no atoms yields an empty index. *)
+
+val rows : sym_index -> int
+(** How many tuples the symbol has: the length of every column. *)
 
 val domain : t -> Value.t array
 (** The active domain, in {!Value.compare} order.  Codes are indexes into
@@ -47,8 +47,9 @@ val domain : t -> Value.t array
 
 val code : t -> Value.t -> int option
 (** The interned code of a domain element; [None] for values outside the
-    active domain (a constant interpreted as a fresh element can never
-    match a tuple, so callers short-circuit to zero). *)
+    active domain.  The domain folds in every constant's interpretation,
+    so an interpreted constant always has a code, even when no tuple
+    holds it. *)
 
 (** {2 Codes that survive writes}
 
@@ -70,14 +71,7 @@ val intern : interner -> Value.t -> int
 val interned : interner -> int
 (** How many codes have been handed out: every code is below it. *)
 
-val all : sym_index -> Tuple.t array
-(** Every tuple of the symbol, in {!Tuple.compare} order. *)
-
-val candidates : sym_index -> pos:int -> Value.t -> Tuple.t array
-(** The tuples holding the given element at position [pos], in
-    {!Tuple.compare} order.  Shared — do not mutate. *)
-
-val mem : sym_index -> Tuple.t -> bool
+(** {2 Views and runs} *)
 
 val view : sym_index -> int array -> int array array
 (** [view si order] is the relation re-sorted lexicographically under the
@@ -85,7 +79,16 @@ val view : sym_index -> int array -> int array array
     returned as per-level code columns: [(view si order).(l).(r)] is the
     code at position [order.(l)] of the [r]-th tuple in that sort.  Rows
     sharing a code prefix are contiguous, so a trie iterator is a stack of
-    [(lo, hi)] ranges and [seek] is a gallop within the current range.
-    The identity order returns the column store itself, which is already
-    in that sort; other orders are memoised per [(relation, order)].
-    Shared — do not mutate. *)
+    [(lo, hi)] ranges.  The identity order returns the code columns
+    themselves, which are already in that sort; other orders are memoised
+    per [(relation, order)].  Shared — do not mutate. *)
+
+val probe_first : int -> int -> int array
+(** [probe_first arity p] is the attribute order with position [p] first
+    and the others after it in position order.  In its view the rows
+    holding a code at [p] are one run, in {!Tuple.compare} order. *)
+
+val run : int array -> int -> int -> int -> int * int
+(** [run col lo hi c] is the run [(lo', hi')] of the rows of [\[lo, hi)]
+    whose code in [col] is [c], found by binary search; [col] must be
+    sorted over the range.  Empty ([lo' = hi']) when no row holds [c]. *)

@@ -130,10 +130,7 @@ let compile view top =
                        atom's variable, so no op of this atom binds at it
                        and moving it first keeps every Bind ahead of its
                        Checks. *)
-                    let order =
-                      Array.init (Array.length ops) (fun l ->
-                          if l = 0 then p else if l <= p then l - 1 else l)
-                    in
+                    let order = Index.probe_first (Array.length ops) p in
                     { sym; order; ops = Array.map (fun q -> ops.(q)) order; rows }
                 | None ->
                     let mask =
@@ -440,7 +437,7 @@ let scan tick consts ops env cols n row =
 let preproject tick ncodes steps sis =
   Array.mapi
     (fun s st ->
-      let cols = Index.view sis.(s) st.order and n = Array.length (Index.all sis.(s)) in
+      let cols = Index.view sis.(s) st.order and n = Index.rows sis.(s) in
       match st.rows with
       | Projected mask ->
           let dedup = table ~width:(Array.length mask) ~ncodes ~rows:n in
@@ -457,16 +454,6 @@ let preproject tick ncodes steps sis =
           (Array.map (fun col -> Array.sub col 0 !m) out, !m)
       | All | At_cst _ | At_var _ -> (cols, n))
     steps
-
-(* The first of rows [0, n) whose code in the sorted column is ≥ [c]. *)
-let lower_bound (col : int array) n c =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if col.(mid) < c then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
 
 (* Then a backtracking join in the compiled step order, one tick per
    candidate: a probed step's candidates are the run of its view holding
@@ -489,8 +476,8 @@ let join tick consts ncodes reads nchi steps distinct srcs env rows row =
       let lo, hi =
         match st.rows with
         | All | Projected _ -> (0, n)
-        | At_cst k -> (lower_bound cols.(0) n consts.(k), lower_bound cols.(0) n (consts.(k) + 1))
-        | At_var i -> (lower_bound cols.(0) n env.(i), lower_bound cols.(0) n (env.(i) + 1))
+        | At_cst k -> Index.run cols.(0) 0 n consts.(k)
+        | At_var i -> Index.run cols.(0) 0 n env.(i)
       in
       for r = lo to hi - 1 do
         tick ();
@@ -518,7 +505,7 @@ let count ?budget t d =
         match node.source with
         | Atom_scan st ->
             let si = Index.sym_index idx st.sym in
-            let n = Array.length (Index.all si) in
+            let n = Index.rows si in
             let ctbls = Array.map pass node.children in
             let tbl = table ~width ~ncodes ~rows:n in
             scan tick consts st.ops env (Index.view si st.order) n (fun () ->
@@ -526,7 +513,7 @@ let count ?budget t d =
             tbl
         | Bag_join (nchi, steps, distinct) ->
             let sis = Array.map (fun st -> Index.sym_index idx st.sym) steps in
-            let reads = Array.fold_left (fun a si -> a + Array.length (Index.all si)) 0 sis in
+            let reads = Array.fold_left (fun a si -> a + Index.rows si) 0 sis in
             let srcs = preproject tick ncodes steps sis in
             let ctbls = Array.map pass node.children in
             let tbl = table ~width ~ncodes ~rows:reads in

@@ -40,12 +40,13 @@
     No table, frame or match holds a {!Value.t}: frames, keys and
     constants are integer codes, and a tuple matches an op array by
     comparing codes.  A one-shot count reads the codes of {!Index}: an
-    atom scan reads the column store (the identity {!Index.view}), and a
+    atom scan reads the code columns (the identity {!Index.view}), and a
     probing bag-join step reads a memoised view with the probed position
-    first, whose candidates for a code are one contiguous run found by
-    binary search.  Materialised state codes values through its own
-    append-only {!Index.interner} (below), the one place the DP hashes
-    values: once per value of each tuple it scans.
+    first, whose candidates for a code are the contiguous {!Index.run},
+    the search the backtracking kernel probes with too.  Materialised
+    state codes values through its own append-only {!Index.interner}
+    (below), the one place the DP hashes values: once per value of each
+    tuple it scans.
 
     Every table — a node's key aggregation, a bag join's set of seen
     χ-rows, a pre-projection's set of distinct rows, a propagation's

@@ -4,13 +4,14 @@ type check = Neq_cst of int | Neq_var of int
 
 type op = Check_cst of int | Check_var of int | Bind of int * check list
 
-type probe =
-  | Probe_all
-  | Probe_cst of int * int
-  | Probe_var of int * int
-  | Probe_mem
+type probe = Probe_all | Probe_cst of int | Probe_var of int | Probe_mem
 
-type node = { sym : Bagcq_relational.Symbol.t; ops : op array; probe : probe }
+type node = {
+  sym : Bagcq_relational.Symbol.t;
+  order : int array;
+  ops : op array;
+  probe : probe;
+}
 
 type t = {
   nodes : node array;
@@ -169,20 +170,25 @@ let compile q =
             (Atom.args a)
         in
         let has_bind = Array.exists (function Bind _ -> true | _ -> false) ops in
-        let probe =
-          if not has_bind then Probe_mem
+        let first, probe =
+          if not has_bind then (0, Probe_mem)
           else
             let rec pick pos =
-              if pos = Array.length ops then Probe_all
+              if pos = Array.length ops then (0, Probe_all)
               else
                 match ops.(pos) with
-                | Check_cst c -> Probe_cst (pos, c)
-                | Check_var v when prev_bound.(v) -> Probe_var (pos, v)
+                | Check_cst c -> (pos, Probe_cst c)
+                | Check_var v when prev_bound.(v) -> (pos, Probe_var v)
                 | Check_var _ | Bind _ -> pick (pos + 1)
             in
             pick 0
         in
-        { sym = Atom.sym a; ops; probe })
+        (* The view puts the probed position first; position 0 is the
+           identity order.  It holds a constant or an earlier atom's
+           variable, so no op binds at it, and moving it first keeps every
+           Bind ahead of the checks that read it. *)
+        let order = Index.probe_first (Array.length ops) first in
+        { sym = Atom.sym a; order; ops = Array.map (fun p -> ops.(p)) order; probe })
       order
   in
   let free =

@@ -5,35 +5,35 @@ type assignment = Value.t StringMap.t
 
 exception Stop
 
-(* A plan instantiated against one structure: constants resolved, the join
-   indexes fetched, probes specialised, and the mutable environment
-   allocated.  [Unsat] signals zero homomorphisms discovered statically —
-   an uninterpreted constant or an inequality between equally-interpreted
-   constants. *)
+(* A plan instantiated against one structure: constants resolved to codes,
+   each node's view fetched (and a constant probe's run found), and the
+   environment of codes allocated.  [Unsat] signals zero homomorphisms
+   discovered statically — an uninterpreted constant or an inequality
+   between equally-interpreted constants. *)
 exception Unsat
 
 type inst_probe =
-  | I_scan of Tuple.t array
-  | I_var of int * int  (* position, variable id *)
+  | I_rows of int * int  (* the view's rows [lo, hi) *)
+  | I_var of int  (* the run holding this variable's code *)
   | I_mem
 
 type inst_node = {
   ops : Plan.op array;
-  si : Index.sym_index;
+  cols : int array array;  (* the node's view *)
+  rows : int;
   probe : inst_probe;
-  scratch : Value.t array;  (* reused tuple buffer for I_mem *)
 }
 
 type inst = {
   plan : Plan.t;
-  cvals : Value.t array;
+  cvals : int array;
   nodes : inst_node array;
   domain : Value.t array;
-  env : Value.t array;
+  env : int array;
 }
 
 let instantiate (plan : Plan.t) d =
-  let cvals =
+  let values =
     Array.map
       (fun c ->
         match Structure.interpretation d c with
@@ -42,30 +42,30 @@ let instantiate (plan : Plan.t) d =
       plan.consts
   in
   List.iter
-    (fun (i, j) -> if Value.equal cvals.(i) cvals.(j) then raise_notrace Unsat)
+    (fun (i, j) -> if Value.equal values.(i) values.(j) then raise_notrace Unsat)
     plan.cst_cst_neqs;
   let idx = Index.get d in
+  (* The domain folds in every interpretation, so an interpreted constant
+     always has a code. *)
+  let cvals = Array.map (fun v -> Option.get (Index.code idx v)) values in
   let nodes =
     Array.map
       (fun (nd : Plan.node) ->
         let si = Index.sym_index idx nd.sym in
+        let cols = Index.view si nd.order and rows = Index.rows si in
         let probe =
           match nd.probe with
           | Plan.Probe_mem -> I_mem
-          | Plan.Probe_all -> I_scan (Index.all si)
-          | Plan.Probe_cst (pos, c) -> I_scan (Index.candidates si ~pos cvals.(c))
-          | Plan.Probe_var (pos, v) -> I_var (pos, v)
+          | Plan.Probe_all -> I_rows (0, rows)
+          | Plan.Probe_cst c ->
+              let lo, hi = Index.run cols.(0) 0 rows cvals.(c) in
+              I_rows (lo, hi)
+          | Plan.Probe_var v -> I_var v
         in
-        { ops = nd.ops; si; probe; scratch = Array.make (Array.length nd.ops) (Value.int 0) })
+        { ops = nd.ops; cols; rows; probe })
       plan.nodes
   in
-  {
-    plan;
-    cvals;
-    nodes;
-    domain = Index.domain idx;
-    env = Array.make (max 1 plan.nvars) (Value.int 0);
-  }
+  { plan; cvals; nodes; domain = Index.domain idx; env = Array.make (max 1 plan.nvars) 0 }
 
 module Metrics = Bagcq_obs.Metrics
 
@@ -77,7 +77,7 @@ let solver_runs = Metrics.counter Metrics.global "hom_solver_runs"
 let solver_probes = Metrics.counter Metrics.global "hom_solver_probes"
 
 (* The kernel.  Tick discipline mirrors the seed solver: one tick per
-   backtracking node entered (including the leaf), one per candidate tuple
+   backtracking node entered (including the leaf), one per candidate row
    tried at a node, one per domain value tried for a free variable —
    indexed probes try fewer candidates, so indexed runs also tick less. *)
 let run ?budget inst emit =
@@ -95,40 +95,51 @@ let run ?budget inst emit =
   let env = inst.env and cvals = inst.cvals in
   let nodes = inst.nodes and free = inst.plan.free in
   let nn = Array.length nodes and nf = Array.length free in
-  let domain = inst.domain in
+  let ndom = Array.length inst.domain in
   let check_ok checks x =
     List.for_all
-      (function
-        | Plan.Neq_cst c -> not (Value.equal x cvals.(c))
-        | Plan.Neq_var w -> not (Value.equal x env.(w)))
+      (function Plan.Neq_cst c -> x <> cvals.(c) | Plan.Neq_var w -> x <> env.(w))
       checks
   in
-  let rec match_ops ops (tup : Tuple.t) i =
+  let rec match_ops ops (cols : int array array) r i =
     i = Array.length ops
     ||
+    let x = cols.(i).(r) in
     match ops.(i) with
-    | Plan.Check_cst c -> Value.equal tup.(i) cvals.(c) && match_ops ops tup (i + 1)
-    | Plan.Check_var v -> Value.equal tup.(i) env.(v) && match_ops ops tup (i + 1)
+    | Plan.Check_cst c -> x = cvals.(c) && match_ops ops cols r (i + 1)
+    | Plan.Check_var v -> x = env.(v) && match_ops ops cols r (i + 1)
     | Plan.Bind (v, checks) ->
-        let x = tup.(i) in
         check_ok checks x
         && begin
              env.(v) <- x;
-             match_ops ops tup (i + 1)
+             match_ops ops cols r (i + 1)
            end
+  in
+  (* Membership: narrow the rows level by level to the run holding the
+     determined code. *)
+  let rec mem ops cols lo hi l =
+    if l = Array.length ops then lo < hi
+    else
+      let c =
+        match ops.(l) with
+        | Plan.Check_cst c -> cvals.(c)
+        | Plan.Check_var v -> env.(v)
+        | Plan.Bind _ -> assert false
+      in
+      let lo, hi = Index.run cols.(l) lo hi c in
+      mem ops cols lo hi (l + 1)
   in
   let rec free_loop k =
     if k = nf then emit ()
     else begin
       let v, checks = free.(k) in
-      Array.iter
-        (fun x ->
-          tick ();
-          if check_ok checks x then begin
-            env.(v) <- x;
-            free_loop (k + 1)
-          end)
-        domain
+      for x = 0 to ndom - 1 do
+        tick ();
+        if check_ok checks x then begin
+          env.(v) <- x;
+          free_loop (k + 1)
+        end
+      done
     end
   in
   let rec node_loop k =
@@ -137,28 +148,17 @@ let run ?budget inst emit =
     else begin
       let nd = nodes.(k) in
       match nd.probe with
-      | I_mem ->
-          Array.iteri
-            (fun i op ->
-              nd.scratch.(i) <-
-                (match op with
-                | Plan.Check_cst c -> cvals.(c)
-                | Plan.Check_var v -> env.(v)
-                | Plan.Bind _ -> assert false))
-            nd.ops;
-          if Index.mem nd.si nd.scratch then node_loop (k + 1)
-      | I_scan tuples ->
-          Array.iter
-            (fun tup ->
-              tick ();
-              if match_ops nd.ops tup 0 then node_loop (k + 1))
-            tuples
-      | I_var (pos, v) ->
-          Array.iter
-            (fun tup ->
-              tick ();
-              if match_ops nd.ops tup 0 then node_loop (k + 1))
-            (Index.candidates nd.si ~pos env.(v))
+      | I_mem -> if mem nd.ops nd.cols 0 nd.rows 0 then node_loop (k + 1)
+      | I_rows (lo, hi) -> scan nd k lo hi
+      | I_var v ->
+          let lo, hi = Index.run nd.cols.(0) 0 nd.rows env.(v) in
+          scan nd k lo hi
+    end
+  and scan nd k r hi =
+    if r < hi then begin
+      tick ();
+      if match_ops nd.ops nd.cols r 0 then node_loop (k + 1);
+      scan nd k (r + 1) hi
     end
   in
   let flush () = Metrics.add solver_probes !work in
@@ -188,7 +188,7 @@ let exists_plan ?budget plan d =
 let assignment_of inst =
   let names = inst.plan.Plan.var_names in
   let m = ref StringMap.empty in
-  Array.iteri (fun i x -> m := StringMap.add x inst.env.(i) !m) names;
+  Array.iteri (fun i x -> m := StringMap.add x inst.domain.(inst.env.(i)) !m) names;
   !m
 
 let iter_plan ?budget f plan d =

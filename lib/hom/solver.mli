@@ -2,9 +2,11 @@
     to a structure, through the compiled kernel: queries are compiled once
     into a {!Plan.t} (static join order, int-numbered variables, precompiled
     inequality checks), which is then instantiated against a structure's
-    lazily-built join {!Index}.  The environment is a mutable
-    [Value.t array]; candidate tuples at each atom come from a
-    per-(symbol, position, value) index instead of a full-relation scan.
+    lazily-built join {!Index}.  The kernel reads only codes: the
+    environment is an [int array] of domain codes, decoded through
+    {!Index.domain} only when an assignment is handed out, and the
+    candidate rows at an atom with a determined position are the run of a
+    view that puts that position first, instead of a full-relation scan.
 
     A homomorphism is a map [h : Var(ψ) → V_D] such that every atom of ψ
     maps to an atom of [D], every constant is sent to its interpretation in
@@ -19,7 +21,7 @@
 
     Every entry point accepts an optional {!Bagcq_guard.Budget.t}.  When
     given, one tick is consumed per backtracking node (and per candidate
-    tuple tried at a node), so the search unwinds with
+    row tried at a node), so the search unwinds with
     {!Bagcq_guard.Budget.Exhausted_} as soon as the budget trips — the
     worst-case-exponential backtracking tree can never outrun its fuel. *)
 

@@ -292,7 +292,7 @@ let count ?budget (p : plan) d =
           let si = Index.sym_index idx ap.sym in
           let levels = Index.view si ap.order in
           let nlevels = Array.length ap.order in
-          let n = Array.length (Index.all si) in
+          let n = Index.rows si in
           let ia =
             { levels; alo = Array.make (nlevels + 1) 0; ahi = Array.make (nlevels + 1) n }
           in

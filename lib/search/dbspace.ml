@@ -210,7 +210,7 @@ type 'w sweep = {
    chunk they are on — it may hold an earlier witness — and then skim the
    remaining chunk numbers without doing work.  Exhaustion of a worker's
    budget stops the whole sweep at the next chunk boundaries. *)
-let sweep ~budget ~jobs ~chunk ~with_constants schema ~max_size ~state test =
+let sweep ~budget ~jobs ~with_constants schema ~max_size ~state test =
   if jobs < 1 then invalid_arg "Dbspace: jobs must be >= 1";
   let pool = if jobs = 1 then None else Some (Budget.shard_pool budget) in
   let workers =
@@ -251,7 +251,7 @@ let sweep ~budget ~jobs ~chunk ~with_constants schema ~max_size ~state test =
             | Stop -> `Continue (* witness recorded; skim remaining chunks *)
             | Budget.Exhausted_ _ when Budget.tripped w.budget <> None -> `Stop
         in
-        Pool.sweep ~chunk ~n:(1 lsl Array.length sp.atoms) ~workers ~body ();
+        Pool.sweep ~n:(1 lsl Array.length sp.atoms) ~workers ~body ();
         Array.iter
           (fun w ->
             (match (w.found, !witness) with
@@ -264,10 +264,9 @@ let sweep ~budget ~jobs ~chunk ~with_constants schema ~max_size ~state test =
       done);
   { workers; witness = Option.map snd !witness; tripped = !tripped; completed = !completed }
 
-let find_guarded_par ~budget ?(jobs = 1) ?(chunk = Pool.default_chunk)
-    ?(with_constants = true) schema ~max_size pred =
+let find_guarded_par ~budget ?(jobs = 1) ?(with_constants = true) schema ~max_size pred =
   let s =
-    sweep ~budget ~jobs ~chunk ~with_constants schema ~max_size ~state:ignore (fun w d ->
+    sweep ~budget ~jobs ~with_constants schema ~max_size ~state:ignore (fun w d ->
         pred ~budget:w.budget d)
   in
   let stats =
@@ -292,11 +291,10 @@ let find ?budget ?with_constants schema ~max_size pred =
 let exists ?budget ?with_constants schema ~max_size pred =
   Option.is_some (find ?budget ?with_constants schema ~max_size pred)
 
-let fold_par ?budget ?(jobs = 1) ?(chunk = Pool.default_chunk) ?(with_constants = true)
-    schema ~max_size ~worker ~f () =
+let fold_par ?budget ?(jobs = 1) ?(with_constants = true) schema ~max_size ~worker ~f () =
   let parent = match budget with Some b -> b | None -> Budget.unlimited () in
   let s =
-    sweep ~budget:parent ~jobs ~chunk ~with_constants schema ~max_size ~state:worker
+    sweep ~budget:parent ~jobs ~with_constants schema ~max_size ~state:worker
       (fun w d ->
         f ~budget:w.budget w.state d;
         false)

@@ -125,7 +125,6 @@ val count_space : Schema.t -> size:int -> int
 val find_guarded_par :
   budget:Bagcq_guard.Budget.t ->
   ?jobs:int ->
-  ?chunk:int ->
   ?with_constants:bool ->
   Schema.t ->
   max_size:int ->
@@ -139,7 +138,6 @@ val find_guarded_par :
 val fold_par :
   ?budget:Bagcq_guard.Budget.t ->
   ?jobs:int ->
-  ?chunk:int ->
   ?with_constants:bool ->
   Schema.t ->
   max_size:int ->

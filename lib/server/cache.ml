@@ -15,7 +15,6 @@ type t = {
   mutex : Mutex.t;
   eval_cache : Eval.cache;
   results : (string, memo slot) Hashtbl.t;
-  max_results : int;
   mutable clock : int;
   structures : (string, Structure.t slot) Hashtbl.t;
   result_hits : Metrics.counter;
@@ -23,14 +22,13 @@ type t = {
   result_evicted : Metrics.counter;
 }
 
-let default_max_results = 1024
+let max_results = 1024
 
 (* The hit/miss tallies live on Obs counters so one set of cells feeds
    both the [stats] compat view and a metrics dump.  [?metrics] names
    them (and the shared eval cache's counters) in a registry at creation
    time; recording never touches the registry. *)
-let create ?(max_results = default_max_results) ?metrics () =
-  if max_results < 1 then invalid_arg "Cache.create: max_results must be >= 1";
+let create ?metrics () =
   let eval_cache = Eval.create_cache () in
   let result_hits = Metrics.fresh_counter () in
   let result_misses = Metrics.fresh_counter () in
@@ -48,7 +46,6 @@ let create ?(max_results = default_max_results) ?metrics () =
     mutex = Mutex.create ();
     eval_cache;
     results = Hashtbl.create 64;
-    max_results;
     clock = 0;
     structures = Hashtbl.create 16;
     result_hits;
@@ -74,7 +71,7 @@ let touch t slot =
    Returns whether a slot was dropped. *)
 let add t tbl key value =
   let evicted =
-    Hashtbl.length tbl >= t.max_results
+    Hashtbl.length tbl >= max_results
     &&
     match
       Hashtbl.fold

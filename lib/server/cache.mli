@@ -21,19 +21,18 @@
 
 type t
 
-val default_max_results : int
-(** 1024 result entries. *)
+val max_results : int
+(** 1024: the cap on the result memo's entries, and on the intern
+    table's ({!intern_db}). *)
 
-val create : ?max_results:int -> ?metrics:Bagcq_obs.Metrics.t -> unit -> t
+val create : ?metrics:Bagcq_obs.Metrics.t -> unit -> t
 (** [metrics] names the hit/miss counters ([cache_result_hits],
     [cache_result_misses], [cache_plan_hits], [cache_plan_misses],
     [cache_count_hits], [cache_count_misses]) and the eviction counter
     ([server_cache_evicted]) in the given registry so they appear in its
-    dumps.  [max_results] (default {!default_max_results}, must be ≥ 1)
-    caps both the result memo and the intern table ({!intern_db}):
-    inserting past the cap evicts that table's least-recently-{e used}
-    entry first — a hit refreshes recency, so a hot key survives a scan
-    of cold ones. *)
+    dumps.  Inserting past {!max_results} evicts that table's
+    least-recently-{e used} entry first — a hit refreshes recency, so a
+    hot key survives a scan of cold ones. *)
 
 val with_eval : t -> (Bagcq_hom.Eval.cache -> 'a) -> 'a
 (** Run an evaluation against the shared plan/count cache, holding the

@@ -73,10 +73,10 @@ type mutation = {
 type reg_info = { reg_count : Nat.t; reg_components : int; reg_maintained : int }
 type count_row = { cr_query : string; cr_count : Nat.t; cr_maintained : bool }
 
-let default_shards = 16
+(* The lock-stripe count. *)
+let nshards = 16
 
-let create ?(shards = default_shards) ?metrics ?(on_mutate = fun _ -> ()) () =
-  if shards < 1 then invalid_arg "Store.create: shards must be >= 1";
+let create ?metrics ?(on_mutate = fun _ -> ()) () =
   (* Handles resolve once at creation so the store_* family is present (at
      zero) in every dump whatever the traffic — same contract as the
      planner counters. *)
@@ -92,7 +92,7 @@ let create ?(shards = default_shards) ?metrics ?(on_mutate = fun _ -> ()) () =
   in
   {
     shards =
-      Array.init shards (fun _ ->
+      Array.init nshards (fun _ ->
           { sh_lock = Mutex.create (); sh_dbs = Hashtbl.create 8 });
     on_mutate;
     databases = gauge "store_databases";

@@ -78,12 +78,11 @@ type count_row = {
 }
 
 val create :
-  ?shards:int ->
   ?metrics:Bagcq_obs.Metrics.t ->
   ?on_mutate:(string -> unit) ->
   unit ->
   t
-(** [?shards] (default 16) is the lock-stripe count.  [?metrics]
+(** Databases are striped by name hash over 16 locks.  [?metrics]
     registers the [store_*] counters ([store_creates], [store_inserts],
     [store_deletes], [store_delta_maintained], [store_delta_recomputed],
     [store_stale], [store_repairs]) and the [store_databases] /

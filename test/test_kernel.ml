@@ -1,7 +1,8 @@
 (* Tests for the compiled homomorphism-counting kernel: differential
    checking against the reference solver [Solver_ref] (the seed's
    backtracking interpreter, kept verbatim), plan/index unit properties,
-   and the [Eval] plan-and-count cache contract (cached = uncached). *)
+   tick pins for each probe kind, and the [Eval] plan-and-count cache
+   contract (cached = uncached). *)
 
 open Bagcq_relational
 open Bagcq_cq
@@ -73,19 +74,89 @@ let gen_pair =
       let rec q () = match random_query st with Some q -> q | None -> q () in
       (q (), random_db st))
 
+(* The generator above, widened.  A ternary T puts probes and bag-join
+   steps at positions 1 and 2, where a probe-first view permutes its
+   levels; a quarter of the queries are cycles that take the GHD kernel,
+   so its bag joins probe there too.  The constant [c] is always
+   interpreted, by an element no tuple holds, so a probe on it finds an
+   empty run. *)
+let t3 = Build.sym "T" 3
+
+let random_wide_query st =
+  let nvars = 1 + Random.State.int st 4 in
+  let var () = Build.v (Printf.sprintf "x%d" (Random.State.int st nvars)) in
+  let term () =
+    match Random.State.int st 8 with
+    | 0 -> Build.c (if Random.State.bool st then "a" else "b")
+    | 1 -> Build.c "c"
+    | _ -> var ()
+  in
+  let natoms = 1 + Random.State.int st 3 in
+  let atoms =
+    List.init natoms (fun _ ->
+        match Random.State.int st 5 with
+        | 0 -> Build.atom u [ term () ]
+        | 1 | 2 -> Build.atom t3 [ term (); term (); term () ]
+        | _ -> Build.atom e [ term (); term () ])
+  in
+  let neqs =
+    if Random.State.int st 2 = 0 then begin
+      let a = term () and b = term () in
+      if Term.equal a b then [] else [ (a, b) ]
+    end
+    else []
+  in
+  try Some (Build.query atoms ~neqs) with Invalid_argument _ -> None
+
+(* A 5- or 6-cycle whose edges are E atoms, or T atoms with a third term
+   at a random position. *)
+let random_wide_cycle st =
+  let len = 5 + Random.State.int st 2 in
+  let x i = Build.v (Printf.sprintf "x%d" (i mod len)) in
+  let third () =
+    match Random.State.int st 4 with
+    | 0 -> Build.c (if Random.State.bool st then "a" else "c")
+    | 1 -> x (Random.State.int st len)
+    | _ -> Build.v "p"
+  in
+  Build.query
+    (List.init len (fun i ->
+         if Random.State.int st 3 = 0 then Build.atom e [ x i; x (i + 1) ]
+         else
+           match Random.State.int st 3 with
+           | 0 -> Build.atom t3 [ third (); x i; x (i + 1) ]
+           | 1 -> Build.atom t3 [ x i; third (); x (i + 1) ]
+           | _ -> Build.atom t3 [ x i; x (i + 1); third () ]))
+
+let random_wide_db st =
+  let n = 1 + Random.State.int st 3 in
+  let value () = Value.int (Random.State.int st n) in
+  let d = ref (random_db st) in
+  for _ = 1 to Random.State.int st 13 do
+    d := Structure.add_fact !d t3 [ value (); value (); value () ]
+  done;
+  Structure.bind_constant !d "c" (Value.int 7)
+
+let gen_wide_pair =
+  QCheck.make
+    ~print:(fun (q, d) -> Format.asprintf "query: %a@.db: %a" Query.pp q Structure.pp d)
+    (fun st ->
+      let rec q () = match random_wide_query st with Some q -> q | None -> q () in
+      ((if Random.State.int st 4 = 0 then random_wide_cycle st else q ()), random_wide_db st))
+
 (* ------------------------------------------------------------------ *)
 (* Differential properties                                             *)
 (* ------------------------------------------------------------------ *)
 
 let prop_count_matches_reference =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"compiled count = reference count" ~count:3000 gen_pair
+    (QCheck.Test.make ~name:"compiled count = reference count" ~count:3000 gen_wide_pair
        (fun (q, d) -> Solver.count q d = Solver_ref.count q d))
 
 let prop_enumerate_matches_reference =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"compiled enumerate = reference enumerate" ~count:500
-       gen_pair (fun (q, d) ->
+       gen_wide_pair (fun (q, d) ->
          let module M = Map.Make (String) in
          let norm hs = List.sort compare (List.map M.bindings hs) in
          norm (Solver.enumerate q d) = norm (Solver_ref.enumerate q d)))
@@ -95,7 +166,7 @@ let prop_cached_eval_matches_uncached =
      and the per-structure count memo invalidation on structure change *)
   let cache = Eval.create_cache () in
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"Eval.count cached = uncached" ~count:1000 gen_pair
+    (QCheck.Test.make ~name:"Eval.count cached = uncached" ~count:1000 gen_wide_pair
        (fun (q, d) ->
          Nat.equal (Eval.count ~cache q d) (Eval.count q d)
          && Eval.satisfies ~cache d q = Eval.satisfies d q))
@@ -104,7 +175,7 @@ let prop_cached_eval_matches_uncached =
    strategy choice — against the seed interpreter. *)
 let prop_eval_matches_reference =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"Eval.count = reference count" ~count:3000 gen_pair
+    (QCheck.Test.make ~name:"Eval.count = reference count" ~count:3000 gen_wide_pair
        (fun (q, d) ->
          Nat.equal (Eval.count q d) (Nat.of_int (Solver_ref.count q d))
          && Eval.satisfies d q = (Solver_ref.count q d > 0)))
@@ -222,7 +293,7 @@ let test_index_is_memoised () =
   let i1 = Index.get d and i2 = Index.get d in
   Alcotest.(check bool) "same index object" true (i1 == i2);
   Alcotest.(check int) "domain size" 3 (Array.length (Index.domain i1));
-  Alcotest.(check int) "all tuples" 3 (Array.length (Index.all (Index.sym_index i1 e)))
+  Alcotest.(check int) "all tuples" 3 (Index.rows (Index.sym_index i1 e))
 
 let test_index_fresh_after_update () =
   let d = db_of_edges [ (1, 2) ] in
@@ -305,6 +376,59 @@ let test_neq_between_constants () =
   Alcotest.(check int) "a<>b leaves it alone" 1 (Solver.count q d_ne);
   Alcotest.(check int) "ref agrees on a=b" (Solver_ref.count q d_eq) (Solver.count q d_eq);
   Alcotest.(check int) "ref agrees on a<>b" (Solver_ref.count q d_ne) (Solver.count q d_ne)
+
+(* ------------------------------------------------------------------ *)
+(* Tick pins for the backtracking kernel                                *)
+(* ------------------------------------------------------------------ *)
+
+(* One fixed structure and one query per probe kind, each count checked
+   against the reference and each tick figure pinned.  The kernel ticks
+   once per node entered and once per candidate row or domain value
+   tried, so a pin moves exactly when a probe reads a different set of
+   rows. *)
+let probe_db =
+  let facts sym rows d =
+    List.fold_left (fun d r -> Structure.add_fact d sym (List.map Value.int r)) d rows
+  in
+  Structure.empty (Schema.make [ e; u; t3 ])
+  |> facts e [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 1 ]; [ 2; 3 ]; [ 3; 1 ]; [ 3; 3 ] ]
+  |> facts u [ [ 1 ]; [ 3 ] ]
+  |> facts t3
+       [ [ 1; 2; 3 ]; [ 1; 3; 2 ]; [ 2; 1; 1 ]; [ 2; 3; 3 ]; [ 3; 1; 2 ]; [ 3; 3; 1 ]; [ 3; 3; 3 ] ]
+  |> fun d -> Structure.bind_constant (Structure.bind_constant d "a" (Value.int 3)) "c" (Value.int 7)
+
+let probe_pin q ~count ~ticks () =
+  let b = Budget.unlimited () in
+  let n = Solver.count_plan ~budget:b (Plan.compile q) probe_db in
+  Alcotest.(check int) "count = reference" (Solver_ref.count q probe_db) n;
+  Alcotest.(check int) "count" count n;
+  Alcotest.(check int) "ticks" ticks (Budget.ticks b)
+
+let probe_pins =
+  let pin name q ~count ~ticks = Alcotest.test_case name `Quick (probe_pin q ~count ~ticks) in
+  Build.
+    [
+      pin "scan: E(x,y)" (query [ atom e [ v "x"; v "y" ] ]) ~count:6 ~ticks:13;
+      pin "constant at position 1: E(x,'a')" (query [ atom e [ v "x"; c "a" ] ]) ~count:3
+        ~ticks:7;
+      pin "constant no tuple holds: E(x,'c')" (query [ atom e [ v "x"; c "c" ] ]) ~count:0
+        ~ticks:1;
+      pin "variable at position 1: U(y) & E(x,y)"
+        (query [ atom u [ v "y" ]; atom e [ v "x"; v "y" ] ])
+        ~count:5 ~ticks:15;
+      pin "variable at position 1 of T: E(x,y) & T(z,x,y)"
+        (query [ atom e [ v "x"; v "y" ]; atom t3 [ v "z"; v "x"; v "y" ] ])
+        ~count:5 ~ticks:32;
+      pin "variable at position 2 of T: E(x,y) & T(z,w,y)"
+        (query [ atom e [ v "x"; v "y" ]; atom t3 [ v "z"; v "w"; v "y" ] ])
+        ~count:15 ~ticks:43;
+      pin "membership: E(x,y) & E(y,x)"
+        (query [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "x" ] ])
+        ~count:5 ~ticks:18;
+      pin "inequality-only variable: E(x,y) & x != w"
+        (query ~neqs:[ (v "x", v "w") ] [ atom e [ v "x"; v "y" ] ])
+        ~count:18 ~ticks:37;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Planner unit tests                                                   *)
@@ -437,6 +561,7 @@ let () =
           Alcotest.test_case "atom ordering" `Quick test_order_atoms_prefers_bound;
           Alcotest.test_case "neq between constants" `Quick test_neq_between_constants;
         ] );
+      ("probe-ticks", probe_pins);
       ( "eval-cache",
         [
           Alcotest.test_case "invalidated on structure change" `Quick

@@ -218,18 +218,20 @@ let test_register_exhaustion_is_structured () =
 
 let test_cache_lru () =
   let m = Metrics.create () in
-  let c = Cache.create ~max_results:2 ~metrics:m () in
-  let probe key = Option.is_some (Cache.find_result c key) in
-  Cache.store_result c "a" [ ("k", Json.Int 1) ];
-  Cache.store_result c "b" [ ("k", Json.Int 2) ];
-  (* touch "a" so "b" is the LRU victim *)
-  Alcotest.(check bool) "a present" true (probe "a");
-  Cache.store_result c "c" [ ("k", Json.Int 3) ];
-  Alcotest.(check bool) "b evicted as LRU" false (probe "b");
-  Alcotest.(check bool) "a survived (recently used)" true (probe "a");
-  Alcotest.(check bool) "c stored" true (probe "c");
+  let c = Cache.create ~metrics:m () in
+  let probe i = Option.is_some (Cache.find_result c (string_of_int i)) in
+  let store i = Cache.store_result c (string_of_int i) [ ("k", Json.Int i) ] in
+  for i = 0 to Cache.max_results - 1 do
+    store i
+  done;
+  (* touch 0 so 1 is the LRU victim *)
+  Alcotest.(check bool) "0 present" true (probe 0);
+  store Cache.max_results;
+  Alcotest.(check bool) "1 evicted as LRU" false (probe 1);
+  Alcotest.(check bool) "0 survived (recently used)" true (probe 0);
+  Alcotest.(check bool) "the entry past the cap stored" true (probe Cache.max_results);
   let s = Cache.stats c in
-  Alcotest.(check int) "entries capped" 2 s.Cache.result_entries;
+  Alcotest.(check int) "entries capped" Cache.max_results s.Cache.result_entries;
   Alcotest.(check int) "one eviction counted" 1 s.Cache.result_evicted;
   Alcotest.(check int) "eviction counter registered" 1
     (Metrics.counter_value (Metrics.counter m "server_cache_evicted"))
@@ -266,23 +268,22 @@ let test_cache_evict_db () =
    interned database hands back its first structure, a new or evicted one
    hands back the fresh decode it was given. *)
 let test_intern_lru () =
-  let decode = Encode.parse_exn in
-  let texts = [| "E(1,2)."; "E(2,3)."; "E(3,1)." |] in
-  let c = Cache.create ~max_results:2 () in
-  let first = Array.map (fun text -> Cache.intern_db c (decode text)) texts in
-  let again = decode texts.(0) in
-  Alcotest.(check bool) "first database evicted by the third" true
+  let db i = Encode.parse_exn (Printf.sprintf "E(%d,%d)." i (i + 1)) in
+  let cap = Cache.max_results in
+  let c = Cache.create () in
+  let first = Array.init (cap + 1) (fun i -> Cache.intern_db c (db i)) in
+  let again = db 0 in
+  Alcotest.(check bool) "first database evicted by the one past the cap" true
     (Cache.intern_db c again == again);
-  Alcotest.(check bool) "third database still interned" true
-    (Cache.intern_db c (decode texts.(2)) == first.(2));
-  let c = Cache.create ~max_results:2 () in
-  let a = Cache.intern_db c (decode texts.(0)) in
-  let b = Cache.intern_db c (decode texts.(1)) in
-  ignore (Cache.intern_db c (decode texts.(0)));
-  ignore (Cache.intern_db c (decode texts.(2)));
-  Alcotest.(check bool) "a hit keeps a" true (Cache.intern_db c (decode texts.(0)) == a);
-  Alcotest.(check bool) "b was the LRU victim" false
-    (Cache.intern_db c (decode texts.(1)) == b)
+  Alcotest.(check bool) "the one past the cap still interned" true
+    (Cache.intern_db c (db cap) == first.(cap));
+  let c = Cache.create () in
+  let interned = Array.init cap (fun i -> Cache.intern_db c (db i)) in
+  ignore (Cache.intern_db c (db 0));
+  ignore (Cache.intern_db c (db cap));
+  Alcotest.(check bool) "a hit keeps the first" true (Cache.intern_db c (db 0) == interned.(0));
+  Alcotest.(check bool) "the second was the LRU victim" false
+    (Cache.intern_db c (db 1) == interned.(1))
 
 (* ------------------------------------------------------------------ *)
 (* router integration: eval by name, invalidation, index rebuilds      *)
