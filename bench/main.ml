@@ -618,7 +618,7 @@ let exp_kernel () =
   kernel_row ~engine:true "kernel-cycle8-on-K5" ~reps:30 cyc8 (clique 5)
 
 let exp_parallel_sweep () =
-  header "EXP-KERNEL - parallel database sweep (Dbspace.fold_par)";
+  header "EXP-KERNEL - parallel database sweep (Dbspace.fold)";
   let module Dbspace = Bagcq_search.Dbspace in
   let small = path_q and big = edge_q in
   let schema = Sampler.schema_of_pair small big in
@@ -632,7 +632,7 @@ let exp_parallel_sweep () =
         if Containment.bag_violation ~budget ~cache ~small ~big d then incr violations
       in
       let states, t =
-        wall (fun () -> Dbspace.fold_par ~jobs schema ~max_size:4 ~worker ~f ())
+        wall (fun () -> Dbspace.fold ~jobs schema ~max_size:4 ~worker ~f ())
       in
       let total g = Array.fold_left (fun a w -> a + g w) 0 states in
       let tested = total (fun (_, t, _) -> !t) in

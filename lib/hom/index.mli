@@ -45,11 +45,13 @@ val domain : t -> Value.t array
 (** The active domain, in {!Value.compare} order.  Codes are indexes into
     this array. *)
 
-val code : t -> Value.t -> int option
-(** The interned code of a domain element; [None] for values outside the
-    active domain.  The domain folds in every constant's interpretation,
-    so an interpreted constant always has a code, even when no tuple
-    holds it. *)
+val constants : Structure.t -> string array -> (t * int array) option
+(** [constants d names] resolves a kernel's constants: [None] when some
+    name has no interpretation in [d], decided before any index is
+    fetched, since no homomorphism can then exist; otherwise the index of
+    [d] ({!get}) and each name's code.  The domain folds in every
+    constant's interpretation, so an interpreted constant always has a
+    code, even when no tuple holds it. *)
 
 (** {2 Codes that survive writes}
 

@@ -185,7 +185,7 @@ let limit = 1 lsl 61
    first insertion, keep each entry's codes in [keys], and find them
    through [index], open-addressed with linear probing.  Weights live in
    [small] until one would reach [limit]; the table is then promoted: every
-   entry moves to [big], and stays there until a reset. *)
+   entry moves to [big], and stays there. *)
 type tbl = {
   width : int;
   dense : bool;
@@ -221,18 +221,6 @@ let table ~width ~ncodes ~rows =
     big = [||];
     promoted = false;
   }
-
-let reset t =
-  if t.promoted then begin
-    t.small <- Array.make (Array.length t.big) 0;
-    t.big <- [||];
-    t.promoted <- false
-  end
-  else Array.fill t.small 0 (Array.length t.small) 0;
-  if not t.dense then begin
-    Array.fill t.index 0 (Array.length t.index) 0;
-    t.len <- 0
-  end
 
 let mix h c = (h lxor c) * 0x2545F4914F6CDD1D
 let bucket t h = (h lxor (h lsr 29)) land (Array.length t.index - 1)
@@ -356,14 +344,6 @@ let iter_entries t f =
 (* -------------------------- the shared steps -------------------------- *)
 
 let ticker = function None -> fun () -> () | Some b -> fun () -> Budget.tick b
-
-(* Constants resolve once per count; [None] when one is uninterpreted —
-   no homomorphism can exist. *)
-let resolve t d =
-  if Array.length t.consts = 0 then Some [||]
-  else
-    let vs = Array.map (Structure.interpretation d) t.consts in
-    if Array.exists Option.is_none vs then None else Some (Array.map Option.get vs)
 
 let project env slots = Array.map (fun p -> env.(p)) slots
 
@@ -489,13 +469,9 @@ let join tick consts ncodes reads nchi steps distinct srcs env rows row =
 
 let count ?budget t d =
   if t.bags then Metrics.incr runs;
-  let idx = Index.get d in
-  match resolve t d with
+  match Index.constants d t.consts with
   | None -> Nat.zero
-  | Some values -> (
-      (* an interpreted constant outside the active domain matches no
-         tuple: code -1 *)
-      let consts = Array.map (fun v -> Option.value ~default:(-1) (Index.code idx v)) values in
+  | Some (idx, consts) -> (
       let ncodes = Array.length (Index.domain idx) in
       let tick = ticker budget in
       let rows = ref 0 in
@@ -567,120 +543,86 @@ let refile l env ~add =
       l.rev
   end
 
-(* The node's relation as code columns, interning values first seen. *)
-let coded codes d step =
-  let tuples = Structure.tuple_array d step.sym in
-  ( Array.map
-      (fun p -> Array.map (fun (tup : Tuple.t) -> Index.intern codes tup.(p)) tuples)
-      step.order,
-    Array.length tuples )
-
-(* Refill the node's table, and its reverse maps, from the relation. *)
-let fill tick consts l (cols, n) =
-  let ctbls = tables l.kids in
-  let env = Array.make l.node.frame 0 in
-  scan tick consts l.step.ops env cols n (fun () ->
-      refile l env ~add:true;
-      aggregate l.node ctbls l.table env)
-
-let build ?budget t d =
-  match resolve t d with
-  | None -> None
-  | Some values ->
-      let tick = ticker budget in
-      let codes = Index.interner () in
-      let consts = Array.map (Index.intern codes) values in
-      let rec live node =
-        match node.source with
-        | Bag_join _ -> invalid_arg "Jtree.build: bag-join nodes are not materialised"
-        | Atom_scan step ->
-            let kids = Array.map live node.children in
-            let rel = coded codes d step in
-            let table =
-              table ~width:(Array.length node.key) ~ncodes:(Index.interned codes) ~rows:(snd rel)
-            in
-            let rev = Array.map (fun _ -> Hashtbl.create 16) kids in
-            let l = { node; step; table; kids; rev } in
-            fill tick consts l rel;
-            l
-      in
-      Some { codes; consts; live_syms = t.syms; top = live t.root }
+let build ?budget (t : t) d =
+  let values = Array.map (Structure.interpretation d) t.consts in
+  if Array.exists Option.is_none values then None
+  else
+    let tick = ticker budget in
+    let codes = Index.interner () in
+    let consts = Array.map (fun v -> Index.intern codes (Option.get v)) values in
+    let rec live node =
+      match node.source with
+      | Bag_join _ -> invalid_arg "Jtree.build: bag-join nodes are not materialised"
+      | Atom_scan step ->
+          let kids = Array.map live node.children in
+          (* the relation as code columns, interning values first seen *)
+          let tuples = Structure.tuple_array d step.sym in
+          let n = Array.length tuples in
+          let cols =
+            Array.map
+              (fun p -> Array.map (fun (tup : Tuple.t) -> Index.intern codes tup.(p)) tuples)
+              step.order
+          in
+          let table = table ~width:(Array.length node.key) ~ncodes:(Index.interned codes) ~rows:n in
+          let l = { node; step; table; kids; rev = Array.map (fun _ -> Hashtbl.create 16) kids } in
+          let ctbls = tables kids and env = Array.make node.frame 0 in
+          scan tick consts step.ops env cols n (fun () ->
+              refile l env ~add:true;
+              aggregate node ctbls table env);
+          l
+    in
+    Some { codes; consts; live_syms = t.syms; top = live t.root }
 
 let total st = root_entry st.top.table
 
-(* What a subtree reports upward after a delta.  [Deltas] carries the
-   per-key magnitude of the change — the direction is the mutation's,
-   since an insert only grows weights and a delete only shrinks them.
-   [Rebuilt] means the node rescanned, so its per-key deltas are unknown
-   and the parent must rescan too. *)
-type change = Unchanged | Rebuilt | Deltas of (int array * Nat.t) list
-
-let delta ?budget st d sym (tup : Tuple.t) ~add =
+(* One walk, children first.  A node's table sums, over the frames of its
+   matching tuples, the product of its children's entries at the frame's
+   lookups.  Taking the changed children in order, child [i]'s change
+   weighed against the new tables of the children before it and the old
+   tables of those after it, splits each product's change with no cross
+   terms: Π newⱼ − Π oldⱼ = Σᵢ (Π_{j<i} newⱼ)(newᵢ − oldᵢ)(Π_{j>i} oldⱼ).
+   A node carrying the mutated symbol then weighs the tuple against the
+   new child tables: an inserted tuple's frame is not filed yet, so the
+   propagation missed it; a deleted one's still is, so the propagation
+   kept it at its current weight, which its own term takes out whole.
+   Every term has the mutation's direction (an insert only grows tables,
+   a delete only shrinks them), so a node adds up magnitudes in one
+   per-key table, applies it with the mutation's sign — exact, never
+   below zero — and hands it to its parent. *)
+let delta ?budget st sym (tup : Tuple.t) ~add =
   let tick = ticker budget in
   let row = lazy (Array.map (fun v -> [| Index.intern st.codes v |]) tup) in
-  let weigh ?skip l env =
-    let ctbls = tables l.kids in
-    match weight ?skip l.node ctbls env with
-    | -1 -> weight_big ?skip l.node ctbls env
-    | w -> Nat.of_int w
-  in
-  (* A node carrying the mutated symbol over an unchanged subtree: file
-     the tuple in its reverse maps, then one exact add or subtract at its
-     key.  The subtraction cannot underflow: the entry aggregates the
-     weights of the node's matching tuples, the deleted tuple was one of
-     them, and the child tables it was weighed by are unchanged. *)
-  let own_update l =
-    tick ();
-    let env = Array.make l.node.frame 0 in
-    if not (matches l.step.ops st.consts env (Lazy.force row) 0 0) then Unchanged
-    else begin
-      refile l env ~add;
-      let w = weigh l env in
-      if Nat.is_zero w then Unchanged
-      else begin
-        add_nat l.table (entry l.table env l.node.key) w ~add;
-        Deltas [ (project env l.node.key, w) ]
-      end
-    end
-  in
-  (* Child [i]'s table changed at known keys: re-weigh exactly the frames
-     joining those keys (the reverse map), each child-key delta times the
-     unchanged siblings' weights. *)
-  let propagate l i deltas =
-    let key = l.node.key in
-    let acc = table ~width:(Array.length key) ~ncodes:(Index.interned st.codes) ~rows:0 in
-    List.iter
-      (fun (ck, dk) ->
-        List.iter
-          (fun env ->
-            tick ();
-            let w = Nat.mul (weigh ~skip:i l env) dk in
-            if not (Nat.is_zero w) then add_nat acc (entry acc env key) w ~add:true)
-          (Option.value ~default:[] (Hashtbl.find_opt l.rev.(i) ck)))
-      deltas;
-    let out = ref [] and ids = Array.init (Array.length key) Fun.id in
-    iter_entries acc (fun k dl ->
-        add_nat l.table (entry l.table k ids) dl ~add;
-        out := (k, dl) :: !out);
-    match !out with [] -> Unchanged | out -> Deltas out
-  in
   let rec update l =
-    let changed = ref [] in
+    let key = l.node.key and ctbls = tables l.kids in
+    let acc = table ~width:(Array.length key) ~ncodes:(Index.interned st.codes) ~rows:0 in
+    let reweigh ?skip env dk =
+      let w =
+        match weight ?skip l.node ctbls env with
+        | -1 -> weight_big ?skip l.node ctbls env
+        | w -> Nat.of_int w
+      in
+      let w = Nat.mul w dk in
+      if not (Nat.is_zero w) then add_nat acc (entry acc env key) w ~add:true
+    in
     Array.iteri
       (fun i k ->
-        match update k with Unchanged -> () | c -> changed := (i, c) :: !changed)
+        iter_entries (update k) (fun ck dk ->
+            List.iter
+              (fun env ->
+                tick ();
+                reweigh ~skip:i env dk)
+              (Option.value ~default:[] (Hashtbl.find_opt l.rev.(i) ck))))
       l.kids;
-    let own = Symbol.equal l.step.sym sym in
-    match !changed with
-    | [] -> if own then own_update l else Unchanged
-    | [ (i, Deltas ds) ] when not own -> propagate l i ds
-    | _ ->
-        (* the symbol reached this node along several paths, or a child
-           rescanned: per-key propagation would need cross terms, so
-           re-aggregate against the updated child tables *)
-        reset l.table;
-        Array.iter Hashtbl.reset l.rev;
-        fill tick st.consts l (coded st.codes d l.step);
-        Rebuilt
+    if Symbol.equal l.step.sym sym then begin
+      tick ();
+      let env = Array.make l.node.frame 0 in
+      if matches l.step.ops st.consts env (Lazy.force row) 0 0 then begin
+        reweigh env Nat.one;
+        refile l env ~add
+      end
+    end;
+    let ids = Array.init (Array.length key) Fun.id in
+    iter_entries acc (fun k dk -> add_nat l.table (entry l.table k ids) dk ~add);
+    acc
   in
   if Symbol.Set.mem sym st.live_syms then ignore (update st.top)

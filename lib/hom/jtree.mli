@@ -46,7 +46,7 @@
     the search the backtracking kernel probes with too.  Materialised
     state codes values through its own append-only {!Index.interner}
     (below), the one place the DP hashes values: once per value of each
-    tuple it scans.
+    tuple {!build} scans and of each tuple {!delta} folds in.
 
     Every table — a node's key aggregation, a bag join's set of seen
     χ-rows, a pre-projection's set of distinct rows, a propagation's
@@ -61,12 +61,11 @@
     Weights are [int]s while they stay below 2{^ 61}.  When an addition
     at an entry, or a product of child weights, would reach 2{^ 61}, that
     table is {e promoted} in place: its entries become {!Nat.t}s, the
-    exact sum or product is stored, and the table stays promoted (until a
-    rescan refills it).  A product with a promoted factor is computed in
-    {!Nat.t}.  No count is ever rerun: the pass that overflows carries on
-    exactly.  This is the rule the leapfrog's leaf accumulator follows,
-    per table rather than per count, so one large entry does not slow the
-    other tables down.
+    exact sum or product is stored, and the table stays promoted.  A
+    product with a promoted factor is computed in {!Nat.t}.  No count is
+    ever rerun: the pass that overflows carries on exactly.  This is the
+    rule the leapfrog's leaf accumulator follows, per table rather than
+    per count, so one large entry does not slow the other tables down.
 
     Compiled trees are immutable and shared: a hunt counts one prepared
     plan on several worker domains, and the server's plan cache serves
@@ -95,34 +94,49 @@ val count : ?budget:Bagcq_guard.Budget.t -> t -> Structure.t -> Nat.t
 (** The one-shot count, run by {!Decomp.count} for [Eval] and the store's
     recounts: one bottom-up pass over the {!Index} code columns and
     probe-first views that keeps no reverse maps and drops each table
-    once its parent has read it.  An uninterpreted constant answers zero
-    before the first tick.  Ticks [?budget] by the rule above and unwinds
-    with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
+    once its parent has read it.  Constants resolve through
+    {!Index.constants}, so an uninterpreted one answers zero before any
+    index is fetched or any tick is spent.  Ticks [?budget] by the rule
+    above and unwinds with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
 
 (** {2 Materialised state}
 
     For trees of atom scans only: the per-node tables kept alive, the
-    substrate of the store's maintained counts.  A tuple insert or delete
-    updates the nodes carrying the mutated symbol with one exact addition
-    or subtraction at the tuple's key projection, and the change climbs
-    the tree as per-key deltas.  Each node keeps, per child, a reverse
-    map from the child's key to the frames of the node's tuples matching
-    its ops; membership does not depend on weight, so a tuple weighing
-    zero stays reachable for when its child's entry grows.  An ancestor
-    thus re-weighs only the tuples joining a changed key: O(depth ×
-    fan-in of the mutated key) per delta.  Only when the mutated symbol
-    reaches a node along several paths does the node rescan its relation.
+    substrate of the store's maintained counts.  Each node keeps, per
+    child, a reverse map from the child's key to the frames of the node's
+    tuples matching its ops; membership does not depend on weight, so a
+    tuple weighing zero stays reachable for when its child's entry grows.
 
-    Scans read {!Structure.tuple_array}, never an {!Index}: each write
-    makes a new snapshot, and an index per snapshot would cost more than
-    the delta.  Index codes are ranks and would shift when a write brings
-    in a new value, so the state codes values through its own
-    append-only {!Index.interner} instead: a code, once handed out, means
-    the same value for the state's lifetime, so tables and reverse maps
-    survive every write, and a dense table grows when an insert brings in
-    a code past its end.  A value whose last tuple is deleted keeps its
-    code.  Tables promote to {!Nat.t} by the rule above; a delete that
-    brings an entry back below 2{^ 61} leaves the table promoted. *)
+    A tuple insert or delete is one walk, children first, with one update
+    rule, and never reads a relation.  A node takes its children in
+    order: it updates the child, then re-weighs the frames its reverse
+    map files under each key whose entry the child changed, by the
+    change times the siblings' current entries — the new tables of the
+    children taken before, the old tables of those after.  The product's
+    change then splits into one term per child with no cross terms, so a
+    symbol that occurs at several nodes, or a tuple that changes several
+    children of one node at once, costs no more than a single path.  A
+    node that carries the mutated symbol then weighs the tuple against
+    its new child tables and files it in (or takes it out of) its reverse
+    maps.  A deleted tuple's frame stays filed while the change from
+    below is propagated, so the propagation keeps it at its current
+    weight and its own term takes that out whole.  Every term has the
+    mutation's direction, since an insert only grows tables and a delete
+    only shrinks them: a node sums the magnitudes in one per-key table,
+    applies it with one exact addition or subtraction per key, and hands
+    it to its parent.  The cost is one step per node carrying the symbol
+    plus one per frame joining a changed key: O(depth × fan-in of the
+    changed keys).
+
+    Index codes are ranks and would shift when a write brings in a new
+    value, so the state codes values through its own append-only
+    {!Index.interner} instead: the codes must survive writes.  A code,
+    once handed out, means the same value for the state's lifetime, so
+    tables and reverse maps survive every write, and a dense table grows
+    when an insert brings in a code past its end.  A value whose last
+    tuple is deleted keeps its code.  Tables promote to {!Nat.t} by the
+    rule above; a delete that brings an entry back below 2{^ 61} leaves
+    the table promoted. *)
 
 type state
 (** Mutable: {!delta} updates it in place, so it must be guarded by
@@ -131,11 +145,12 @@ type state
     never read {!total} from it. *)
 
 val build : ?budget:Bagcq_guard.Budget.t -> t -> Structure.t -> state option
-(** One bottom-up pass filling every node's table and reverse maps.
-    [None] when a constant is uninterpreted: the count is zero and not
-    maintainable, since a later insert can bind the constant.  Ticks
-    [?budget] like {!count}.  Raises [Invalid_argument] on a tree with
-    bag joins. *)
+(** One bottom-up pass over {!Structure.tuple_array}, filling every
+    node's table and reverse maps: the one time the state reads a
+    relation.  [None] when a constant is uninterpreted: the count is zero
+    and not maintainable, since a later insert can bind the constant.
+    Ticks [?budget] like {!count}.  Raises [Invalid_argument] on a tree
+    with bag joins. *)
 
 val total : state -> Nat.t
 (** The root's entry at the empty key: |Hom(component, D)|.  O(1). *)
@@ -143,15 +158,14 @@ val total : state -> Nat.t
 val delta :
   ?budget:Bagcq_guard.Budget.t ->
   state ->
-  Structure.t ->
   Symbol.t ->
   Tuple.t ->
   add:bool ->
   unit
-(** [delta st d sym tup ~add] folds one tuple insert ([add:true]) or
-    delete into the tables.  [d] is the structure {e after} the mutation
-    (a rescan reads it); the caller guarantees the mutation was exactly
+(** [delta st sym tup ~add] folds one tuple insert ([add:true]) or delete
+    into the tables by the ordered rule above, children in the order
+    {!compile} gave them.  The caller guarantees the mutation was exactly
     this tuple — inserted while absent, deleted while present — which
     makes the subtraction exact.  A symbol no node scans returns at once.
-    Ticks [?budget] once per node the tuple itself updates, once per tuple
-    a propagation re-weighs, and like {!build} for a node that rescans. *)
+    Ticks [?budget] once per node carrying [sym] and once per frame
+    re-weighed. *)

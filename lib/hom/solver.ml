@@ -33,21 +33,10 @@ type inst = {
 }
 
 let instantiate (plan : Plan.t) d =
-  let values =
-    Array.map
-      (fun c ->
-        match Structure.interpretation d c with
-        | Some v -> v
-        | None -> raise_notrace Unsat)
-      plan.consts
+  let idx, cvals =
+    match Index.constants d plan.consts with Some r -> r | None -> raise_notrace Unsat
   in
-  List.iter
-    (fun (i, j) -> if Value.equal values.(i) values.(j) then raise_notrace Unsat)
-    plan.cst_cst_neqs;
-  let idx = Index.get d in
-  (* The domain folds in every interpretation, so an interpreted constant
-     always has a code. *)
-  let cvals = Array.map (fun v -> Option.get (Index.code idx v)) values in
+  List.iter (fun (i, j) -> if cvals.(i) = cvals.(j) then raise_notrace Unsat) plan.cst_cst_neqs;
   let nodes =
     Array.map
       (fun (nd : Plan.node) ->

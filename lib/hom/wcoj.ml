@@ -269,19 +269,11 @@ let count ?budget (p : plan) d =
     gallop_geq col lo hi v
   in
   let compute () =
-    let idx = Index.get d in
     (* An uninterpreted constant admits no homomorphism at all (the
-       reference solver's semantics).  An interpreted one always has a
-       code: the index domain is [Structure.domain], which folds in every
-       interpretation.  Two constants interpreted equal refute a c ≠ c'
-       outright. *)
-    let ccodes =
-      Array.map
-        (fun c ->
-          match Structure.interpretation d c with
-          | None -> raise_notrace Unsat
-          | Some v -> Option.get (Index.code idx v))
-        p.consts
+       reference solver's semantics).  Two constants interpreted equal
+       refute a c ≠ c' outright. *)
+    let idx, ccodes =
+      match Index.constants d p.consts with Some r -> r | None -> raise_notrace Unsat
     in
     List.iter
       (fun (i, j) -> if ccodes.(i) = ccodes.(j) then raise_notrace Unsat)

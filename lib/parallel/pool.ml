@@ -44,7 +44,7 @@ let default_spawn_threshold_ms = 0.5
 (* Shared sweep state: [next] hands out chunk numbers, [stop] is polled
    between chunks.  Chunks are claimed in increasing order and each claimed
    chunk runs to completion, which is what makes min-index witnesses
-   deterministic across job counts (see [Dbspace.find_guarded_par]) —
+   deterministic across job counts (see [Dbspace.find_guarded]) —
    deferred spawning preserves both properties, because helpers claim
    through the same atomic counter. *)
 let sweep ?(chunk = default_chunk) ?(spawn_threshold_ms = default_spawn_threshold_ms)

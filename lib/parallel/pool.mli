@@ -36,10 +36,6 @@ val default_jobs : unit -> int
 (** The value of [BAGCQ_JOBS] when set (raising [Invalid_argument] if it is
     not a positive integer), else [Domain.recommended_domain_count ()]. *)
 
-val default_chunk : int
-
-val default_spawn_threshold_ms : float
-
 val sweep :
   ?chunk:int ->
   ?spawn_threshold_ms:float ->
@@ -49,9 +45,10 @@ val sweep :
   unit ->
   unit
 (** [sweep ~n ~workers ~body ()] calls [body w lo hi] for consecutive
-    chunks [\[lo, hi)] of [0 .. n-1].  [Array.length workers] is the upper
-    bound on concurrency (the calling domain counts as one; at most one
-    domain per chunk and per hardware core is ever spawned, and none
-    before [spawn_threshold_ms] of inline work has elapsed — pass [0.] to
-    spawn eagerly).  The first exception raised by any worker is re-raised
-    after all domains joined. *)
+    chunks [\[lo, hi)] of [0 .. n-1], [?chunk] (default 64) items each.
+    [Array.length workers] is the upper bound on concurrency (the calling
+    domain counts as one; at most one domain per chunk and per hardware
+    core is ever spawned, and none before [?spawn_threshold_ms] (default
+    0.5) of inline work has elapsed — pass [0.] to spawn eagerly).  The
+    first exception raised by any worker is re-raised after all domains
+    joined. *)

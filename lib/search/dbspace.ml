@@ -264,7 +264,7 @@ let sweep ~budget ~jobs ~with_constants schema ~max_size ~state test =
       done);
   { workers; witness = Option.map snd !witness; tripped = !tripped; completed = !completed }
 
-let find_guarded_par ~budget ?(jobs = 1) ?(with_constants = true) schema ~max_size pred =
+let find_guarded ~budget ?(jobs = 1) ?(with_constants = true) schema ~max_size pred =
   let s =
     sweep ~budget ~jobs ~with_constants schema ~max_size ~state:ignore (fun w d ->
         pred ~budget:w.budget d)
@@ -279,19 +279,7 @@ let find_guarded_par ~budget ?(jobs = 1) ?(with_constants = true) schema ~max_si
   | None, Some r -> Outcome.Exhausted (stats, r)
   | w, _ -> Outcome.Complete (w, stats)
 
-let find_guarded ~budget ?with_constants schema ~max_size pred =
-  find_guarded_par ~budget ?with_constants schema ~max_size (fun ~budget:_ d -> pred d)
-
-let find ?budget ?with_constants schema ~max_size pred =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  match find_guarded ~budget ?with_constants schema ~max_size pred with
-  | Outcome.Complete (w, _) -> w
-  | Outcome.Exhausted (_, r) -> raise_notrace (Budget.Exhausted_ r)
-
-let exists ?budget ?with_constants schema ~max_size pred =
-  Option.is_some (find ?budget ?with_constants schema ~max_size pred)
-
-let fold_par ?budget ?(jobs = 1) ?(with_constants = true) schema ~max_size ~worker ~f () =
+let fold ?budget ?(jobs = 1) ?(with_constants = true) schema ~max_size ~worker ~f () =
   let parent = match budget with Some b -> b | None -> Budget.unlimited () in
   let s =
     sweep ~budget:parent ~jobs ~with_constants schema ~max_size ~state:worker
@@ -303,11 +291,3 @@ let fold_par ?budget ?(jobs = 1) ?(with_constants = true) schema ~max_size ~work
   | Some r, Some _ -> raise_notrace (Budget.Exhausted_ r)
   | _ -> ());
   Array.map (fun w -> w.state) s.workers
-
-let fold ?budget ?with_constants schema ~max_size f init =
-  let acc = ref init in
-  ignore
-    (fold_par ?budget ?with_constants schema ~max_size ~worker:ignore
-       ~f:(fun ~budget:_ () d -> acc := f !acc d)
-       ());
-  !acc

@@ -47,42 +47,6 @@ val max_potential_atoms : int
 
 val potential_atoms : Schema.t -> size:int -> (Symbol.t * Tuple.t) list
 
-val fold :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?with_constants:bool ->
-  Schema.t ->
-  max_size:int ->
-  ('a -> Structure.t -> 'a) ->
-  'a ->
-  'a
-(** Folds over one database per isomorphism class, in (size, mask,
-    binding) order.  When [with_constants] (default true) every assignment
-    of the schema's constants to domain elements is enumerated too;
-    otherwise constants are left uninterpreted.  Raises [Invalid_argument]
-    when the space is too large.  A [?budget] is ticked once per
-    candidate; when it trips, the fold unwinds with
-    {!Bagcq_guard.Budget.Exhausted_}. *)
-
-val exists :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?with_constants:bool ->
-  Schema.t ->
-  max_size:int ->
-  (Structure.t -> bool) ->
-  bool
-
-val find :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?with_constants:bool ->
-  Schema.t ->
-  max_size:int ->
-  (Structure.t -> bool) ->
-  Structure.t option
-(** The first witness in {!fold} order (the labelled enumeration's first
-    witness, for an isomorphism-invariant predicate); {!exists} stops at
-    the same one.  A [?budget] that trips raises
-    {!Bagcq_guard.Budget.Exhausted_}. *)
-
 type stats = {
   databases_tested : int;
       (** candidates handed to the predicate: one per isomorphism class *)
@@ -90,39 +54,24 @@ type stats = {
       (** every database of this domain size (and below) was enumerated *)
 }
 
-val find_guarded :
-  budget:Bagcq_guard.Budget.t ->
-  ?with_constants:bool ->
-  Schema.t ->
-  max_size:int ->
-  (Structure.t -> bool) ->
-  (Structure.t option * stats, stats) Bagcq_guard.Outcome.t
-(** Budgeted {!find} with progress reporting: [Complete (witness, stats)]
-    when the enumeration ran to the end (or found a witness), or
-    [Exhausted (stats, reason)] with best-so-far statistics when the budget
-    tripped mid-enumeration — including trips inside the predicate, when it
-    shares the same budget. *)
-
 val count_space : Schema.t -> size:int -> int
 (** Number of potential atoms at one domain size (not the number of
     databases). *)
 
-(** {2 Parallel sweeps}
+(** {2 Sweeps}
 
-    The same candidates, with each size's masks fanned over a
-    {!Bagcq_parallel.Pool.sweep} (whether a mask is canonical is decided
-    per mask, so chunking changes nothing): each
-    worker domain gets its own {!Bagcq_guard.Budget} shard drawn from the
-    caller's budget (exhaustion in any shard stops the sweep; ticks are
-    summed back into the parent before returning), and the predicate
-    receives the worker's shard so its own backtracking ticks the right
-    budget.  With [jobs = 1] nothing is spawned and the caller's budget is
-    used directly: {!fold}, {!find} and {!find_guarded} are these sweeps
-    at one job, so candidate order, tick placement and statistics match
-    them exactly.  An {!Bagcq_guard.Budget.Exhausted_} that the predicate
-    raises for some other budget is not taken for a trip: it propagates. *)
+    Each size's masks are fanned over a {!Bagcq_parallel.Pool.sweep}
+    (whether a mask is canonical is decided per mask, so chunking changes
+    nothing).  At one job ([?jobs] defaults to 1) nothing is spawned and
+    the caller's budget is ticked directly.  Otherwise each worker domain
+    gets its own {!Bagcq_guard.Budget} shard drawn from the caller's
+    budget: exhaustion in any shard stops the sweep, and ticks are summed
+    back into the parent before returning.  The predicate receives the
+    worker's budget so its own backtracking ticks the right one.  An
+    {!Bagcq_guard.Budget.Exhausted_} that the predicate raises for some
+    other budget is not taken for a trip: it propagates. *)
 
-val find_guarded_par :
+val find_guarded :
   budget:Bagcq_guard.Budget.t ->
   ?jobs:int ->
   ?with_constants:bool ->
@@ -130,12 +79,21 @@ val find_guarded_par :
   max_size:int ->
   (budget:Bagcq_guard.Budget.t -> Structure.t -> bool) ->
   (Structure.t option * stats, stats) Bagcq_guard.Outcome.t
-(** Parallel {!find_guarded}.  The witness returned is the {e first} one in
-    the serial enumeration order regardless of [jobs] (workers cooperate on
-    a lowest-witness bound rather than stopping at the first hit), so
-    seeded hunts are reproducible across job counts. *)
+(** The first witness in (size, mask, binding) order — the labelled
+    enumeration's first witness, for an isomorphism-invariant predicate —
+    with progress reporting: [Complete (witness, stats)] when the
+    enumeration ran to the end (or found a witness), or
+    [Exhausted (stats, reason)] with best-so-far statistics when the
+    budget tripped mid-enumeration, including trips inside the
+    predicate.  When [with_constants] (default true) every assignment of
+    the schema's constants to domain elements is enumerated too;
+    otherwise constants are left uninterpreted.  The witness is the same
+    whatever [jobs] (workers cooperate on a lowest-witness bound rather
+    than stopping at the first hit), so seeded hunts are reproducible
+    across job counts.  Raises [Invalid_argument] when the space is too
+    large. *)
 
-val fold_par :
+val fold :
   ?budget:Bagcq_guard.Budget.t ->
   ?jobs:int ->
   ?with_constants:bool ->
@@ -145,10 +103,11 @@ val fold_par :
   f:(budget:Bagcq_guard.Budget.t -> 'w -> Structure.t -> unit) ->
   unit ->
   'w array
-(** Parallel {!fold} with per-worker mutable state: [worker ()] allocates
-    each worker's accumulator, [f] folds a candidate database into it, and
-    the per-worker states come back for the caller to merge (order across
-    workers is scheduling-dependent — merge with a commutative operation).
-    When a [?budget] is given and any shard trips, the sweep stops, shards
-    are absorbed, and {!Bagcq_guard.Budget.Exhausted_} is re-raised like
-    the serial {!fold}. *)
+(** Folds over one database per isomorphism class, with per-worker
+    mutable state: [worker ()] allocates each worker's accumulator, [f]
+    folds a candidate database into it, and the per-worker states come
+    back for the caller to merge.  At one job the candidates arrive in
+    (size, mask, binding) order; across workers the order is
+    scheduling-dependent, so merge with a commutative operation.  When a
+    [?budget] is given and any shard trips, the sweep stops, shards are
+    absorbed, and {!Bagcq_guard.Budget.Exhausted_} is raised. *)

@@ -102,7 +102,7 @@ let feasible_size schema requested =
 let dls_cache : Eval.cache Domain.DLS.key = Domain.DLS.new_key Eval.create_cache
 
 (* The one hunt driver.  Both phases return structured outcomes (shards
-   are absorbed inside [Dbspace.find_guarded_par] and
+   are absorbed inside [Dbspace.find_guarded] and
    [Sampler.sample_batches_guarded]), so no [Exhausted_] unwinds through
    here.  The queries are prepared once, on the calling domain; each
    worker counts them through its own cache.  The exhaustive phase is
@@ -124,7 +124,7 @@ let hunt_guarded ?(strategy = default) ?(jobs = 1) ~budget ~target () =
       } )
   in
   let exhaustive =
-    if size >= 1 then Dbspace.find_guarded_par ~budget ~jobs schema ~max_size:size pred
+    if size >= 1 then Dbspace.find_guarded ~budget ~jobs schema ~max_size:size pred
     else Outcome.Complete (None, { Dbspace.databases_tested = 0; largest_size_completed = 0 })
   in
   let complete = size = strategy.exhaustive_max_size in

@@ -80,7 +80,7 @@ val counterexample_guarded :
     exhaustive sweep finished, and any witness found (which always
     re-verifies).
 
-    Every hunt runs the same two phases, {!Dbspace.find_guarded_par}
+    Every hunt runs the same two phases, {!Dbspace.find_guarded}
     then {!Sampler.sample_batches_guarded}, over [jobs] worker domains
     (default 1).  [?jobs] sets only the worker count: the candidates, in
     order, and the witness (the lowest-index one) are the same for every

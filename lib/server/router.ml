@@ -100,7 +100,6 @@ let create ?(caps = default_caps) ?(hunt_jobs = 1) () =
 
 let caps t = t.caps
 let cache t = t.cache
-let store t = t.store
 let metrics t = t.metrics
 
 let clamp one cap =

@@ -212,7 +212,7 @@ let apply_delta ?budget t d sym tup ~add r =
       if c.c_watches sym then
         match c.c_plan with
         | Maintained st ->
-            Jtree.delta ?budget st d sym tup ~add;
+            Jtree.delta ?budget st sym tup ~add;
             c.c_count <- Jtree.total st;
             Metrics.incr t.delta_maintained
         | Recount how ->

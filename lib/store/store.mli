@@ -16,12 +16,13 @@
     whole domain or a constant's interpretation.  Untouched components
     contribute their cached counts through the factor product
     [Π cᵢ^mᵢ].  Acyclic inequality-free components keep the join-tree
-    DP's per-node bignum weight tables materialised
-    ({!Bagcq_hom.Jtree.state}): a delta costs one exact
-    [Nat.add]/[Nat.sub] at the mutated leaf's key projection plus a
-    per-key delta propagation along the ancestor path — O(tree depth ×
-    fan-in of the mutated key), not a full recount.  Other components
-    recount through {!Bagcq_hom.Decomp.count}, but only themselves.
+    DP's per-node weight tables materialised ({!Bagcq_hom.Jtree.state}):
+    a delta is one walk up the tree that re-weighs only the frames joining
+    a changed key, and applies one exact addition or subtraction per
+    changed key — O(tree depth × fan-in of the changed keys), however
+    many nodes carry the mutated symbol, and never a rescan or a
+    recount.  Other components recount through
+    {!Bagcq_hom.Decomp.count}, but only themselves.
 
     Failure semantics: a mutation {e commits} the relation change first;
     maintenance runs after, under the request's budget.  A budget trip

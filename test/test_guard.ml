@@ -136,7 +136,10 @@ let test_trip_mid_backtrack () =
 let test_trip_mid_enumeration () =
   let schema = Schema.make [ e ] in
   let budget = Budget.fault_at ~tick:9 () in
-  match Dbspace.find_guarded ~budget ~with_constants:false schema ~max_size:2 (fun _ -> false) with
+  match
+    Dbspace.find_guarded ~budget ~with_constants:false schema ~max_size:2 (fun ~budget:_ _ ->
+        false)
+  with
   | Outcome.Exhausted (stats, Budget.Fuel) ->
       (* size 1 has 2 candidates, size 2 has 8: tick 9 lands mid-size-2 *)
       Alcotest.(check int) "size 1 completed" 1 stats.Dbspace.largest_size_completed;
@@ -149,7 +152,7 @@ let test_enumeration_complete_with_ample_fuel () =
   let schema = Schema.make [ e ] in
   let budget = Budget.create ~fuel:1_000_000 () in
   match
-    Dbspace.find_guarded ~budget ~with_constants:false schema ~max_size:2 (fun d ->
+    Dbspace.find_guarded ~budget ~with_constants:false schema ~max_size:2 (fun ~budget:_ d ->
         Eval.satisfies d loop_q)
   with
   | Outcome.Complete (Some d, stats) ->
@@ -171,8 +174,8 @@ let test_foreign_trip_propagates () =
       ( "exhaustive",
         fun ~budget ~jobs ->
           ignore
-            (Dbspace.find_guarded_par ~budget ~jobs ~with_constants:false schema ~max_size:2
-               pred) );
+            (Dbspace.find_guarded ~budget ~jobs ~with_constants:false schema ~max_size:2 pred)
+      );
       ( "sampler",
         fun ~budget ~jobs ->
           ignore (Sampler.sample_batches_guarded ~budget ~jobs Sampler.default schema pred) );

@@ -226,12 +226,12 @@ let test_witness_independent_of_jobs () =
       );
     ]
 
-let test_fold_par_totals_independent_of_jobs () =
+let test_fold_totals_independent_of_jobs () =
   let schema = Sampler.schema_of_pair path_q edge_q in
   let totals jobs =
     let worker () = (Bagcq_hom.Eval.create_cache (), ref 0) in
     let states =
-      Dbspace.fold_par ~jobs schema ~max_size:2
+      Dbspace.fold ~jobs schema ~max_size:2
         ~worker
         ~f:(fun ~budget (cache, viol) d ->
           if Containment.bag_violation ~budget ~cache ~small:path_q ~big:edge_q d then
@@ -271,6 +271,6 @@ let () =
           Alcotest.test_case "witness independent of jobs" `Quick
             test_witness_independent_of_jobs;
           Alcotest.test_case "fold_par totals" `Quick
-            test_fold_par_totals_independent_of_jobs;
+            test_fold_totals_independent_of_jobs;
         ] );
     ]

@@ -97,8 +97,8 @@ let test_lemma5_exhaustive () =
   in
   let failures = ref 0 and checked = ref 0 in
   ignore
-    (Dbspace.fold schema ~max_size:2
-       (fun () d ->
+    (Dbspace.fold schema ~max_size:2 ~worker:ignore
+       ~f:(fun ~budget:_ () d ->
          if Structure.is_nontrivial d then begin
            incr checked;
            if not (Multiplier.check_le_on pair d) then incr failures
@@ -259,8 +259,8 @@ let test_lemma10_exhaustive () =
   in
   let failures = ref 0 and checked = ref 0 in
   ignore
-    (Dbspace.fold schema ~max_size:2
-       (fun () d ->
+    (Dbspace.fold schema ~max_size:2 ~worker:ignore
+       ~f:(fun ~budget:_ () d ->
          if Structure.is_nontrivial d then begin
            incr checked;
            if not (Multiplier.check_le_on pair d) then incr failures

@@ -29,13 +29,29 @@ let test_potential_atoms () =
   Alcotest.(check int) "count" 6 (List.length (Dbspace.potential_atoms schema ~size:2));
   Alcotest.(check int) "count_space" 6 (Dbspace.count_space schema ~size:2)
 
+(* How many candidates one sweep hands over: one counter per worker,
+   summed. *)
+let sweep_count ?with_constants schema ~max_size =
+  Dbspace.fold ?with_constants schema ~max_size ~worker:(fun () -> ref 0)
+    ~f:(fun ~budget:_ n _ -> incr n)
+    ()
+  |> Array.fold_left (fun acc n -> acc + !n) 0
+
+(* The first witness of an unbudgeted sweep. *)
+let first_witness ?with_constants schema ~max_size pred =
+  match
+    Dbspace.find_guarded ~budget:(Budget.unlimited ()) ?with_constants schema ~max_size
+      (fun ~budget:_ d -> pred d)
+  with
+  | Outcome.Complete (w, _) -> w
+  | Outcome.Exhausted _ -> Alcotest.fail "an unlimited budget tripped"
+
 let test_fold_counts_all_databases () =
   (* one unary symbol, sizes 1..2, no constants: size 1 gives {} and
      {U(1)}; of the 4 masks at size 2 only {U(1), U(2)} uses both
      elements — {U(1)} and {U(2)} are copies of size 1's {U(1)} *)
   let schema = Schema.make [ u ] in
-  let n = Dbspace.fold ~with_constants:false schema ~max_size:2 (fun acc _ -> acc + 1) 0 in
-  Alcotest.(check int) "3 databases" 3 n
+  Alcotest.(check int) "3 databases" 3 (sweep_count ~with_constants:false schema ~max_size:2)
 
 let test_fold_with_constants () =
   (* the same space crossed with bindings of one constant: size 1 gives
@@ -43,21 +59,21 @@ let test_fold_with_constants () =
      isomorphic copy {U(2)} with a := 1 comes later) and {U(1), U(2)}
      with a := 1 *)
   let schema = Schema.make ~constants:[ "a" ] [ u ] in
-  let n = Dbspace.fold schema ~max_size:2 (fun acc _ -> acc + 1) 0 in
-  Alcotest.(check int) "4 databases" 4 n
+  Alcotest.(check int) "4 databases" 4 (sweep_count schema ~max_size:2)
 
 let test_fold_rejects_huge_space () =
   let schema = Schema.make [ Build.sym "T" 3 ] in
   Alcotest.(check bool) "raises on 27 atoms" true
     (try
-       ignore (Dbspace.fold schema ~max_size:3 (fun acc _ -> acc + 1) 0);
+       ignore (sweep_count schema ~max_size:3);
        false
      with Invalid_argument _ -> true)
 
 let test_find () =
   let schema = Schema.make [ e ] in
   (* find a database with a loop *)
-  match Dbspace.find ~with_constants:false schema ~max_size:2 (fun d -> Eval.satisfies d loop_q) with
+  match first_witness ~with_constants:false schema ~max_size:2 (fun d -> Eval.satisfies d loop_q)
+  with
   | Some d -> Alcotest.(check bool) "found one with a loop" true (Eval.satisfies d loop_q)
   | None -> Alcotest.fail "expected a loop database"
 
@@ -67,8 +83,9 @@ let test_exists_exhaustive_negative () =
   let impossible = Build.(query [ atom e [ c "nowhere"; c "nowhere" ] ]) in
   let schema = Schema.make [ e ] in
   Alcotest.(check bool) "nothing satisfies it" false
-    (Dbspace.exists ~with_constants:false schema ~max_size:2 (fun d ->
-         Eval.satisfies d impossible))
+    (Option.is_some
+       (first_witness ~with_constants:false schema ~max_size:2 (fun d ->
+            Eval.satisfies d impossible)))
 
 (* The labelled enumeration the reduced sweep replaced, kept as the
    reference: at each size every subset of the potential atoms, crossed
@@ -119,9 +136,6 @@ let brute_force_classes schema ~max_size =
   let seen = Hashtbl.create 64 in
   labelled_iter schema ~max_size (fun d -> Hashtbl.replace seen (iso_class d) ());
   Hashtbl.length seen
-
-let sweep_count ?with_constants schema ~max_size =
-  Dbspace.fold ?with_constants schema ~max_size (fun acc _ -> acc + 1) 0
 
 let test_reduced_sweep_counts () =
   (* E/2 without constants: 2, 8, 94 and 2 940 candidates at sizes 1–4,
@@ -291,7 +305,7 @@ let test_hunt_skips_infeasible_exhaustive () =
 (* The hunt written out with the unprepared violation check, as the
    reference for the prepared one: every candidate goes through
    [Containment.bag_violation] (or its UCQ form) with one cache per hunt,
-   the phases through [Dbspace.find_guarded_par] and
+   the phases through [Dbspace.find_guarded] and
    [Sampler.sample_batches_guarded] at jobs=1, on the one budget; a
    witness is counted by [counts], the exact unprepared count. *)
 let reference_hunt ~strategy ~budget ~schema ~counts violation =
@@ -315,7 +329,7 @@ let reference_hunt ~strategy ~budget ~schema ~counts violation =
   let exhaustive =
     if size < 1 then
       Outcome.Complete (None, { Dbspace.databases_tested = 0; largest_size_completed = 0 })
-    else Dbspace.find_guarded_par ~budget ~jobs:1 schema ~max_size:size pred
+    else Dbspace.find_guarded ~budget ~jobs:1 schema ~max_size:size pred
   in
   let complete = size = strategy.Hunt.exhaustive_max_size in
   match exhaustive with
@@ -447,10 +461,11 @@ let prop_hunt_matches_reference =
 
 (* The reduced sweep returns the labelled enumeration's first witness,
    or none when it has none: on every path with an unlimited budget, and
-   on the serial and jobs=1 paths whenever a fuel-limited run completes
-   (a trip stops them before any later candidate).  Under fuel the jobs=2
-   path only has to end [Complete] or [Exhausted]: a shard that trips may
-   leave an earlier chunk unswept while another finds a later witness. *)
+   on the one-job paths (jobs omitted or 1) whenever a fuel-limited run
+   completes (a trip stops them before any later candidate).  Under fuel
+   the jobs=2 path only has to end [Complete] or [Exhausted]: a shard
+   that trips may leave an earlier chunk unswept while another finds a
+   later witness. *)
 let prop_reduced_sweep_matches_labelled =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"reduced sweep = labelled reference" ~count:300
@@ -479,10 +494,7 @@ let prop_reduced_sweep_matches_labelled =
          List.for_all
            (fun (name, jobs) ->
              let run budget =
-               match jobs with
-               | None -> Dbspace.find_guarded ~budget schema ~max_size (violation ~budget)
-               | Some jobs ->
-                   Dbspace.find_guarded_par ~budget ~jobs schema ~max_size (violation ?cache:None)
+               Dbspace.find_guarded ~budget ?jobs schema ~max_size (violation ?cache:None)
              in
              let agrees how w =
                show w = want
@@ -496,7 +508,7 @@ let prop_reduced_sweep_matches_labelled =
              match run (Budget.create ~fuel ()) with
              | Outcome.Complete (w, _) when jobs <> Some 2 -> agrees "fuel" w
              | Outcome.Complete _ | Outcome.Exhausted _ -> true)
-           [ ("serial", None); ("jobs=1", Some 1); ("jobs=2", Some 2) ]))
+           [ ("jobs omitted", None); ("jobs=1", Some 1); ("jobs=2", Some 2) ]))
 
 let () =
   Alcotest.run "search"
