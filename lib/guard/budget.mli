@@ -1,12 +1,12 @@
 (** Deterministic execution budgets for the semi-decision search loops.
 
     [QCP^bag] containment is undecidable (Theorem 1), so every search the
-    engine runs — homomorphism backtracking, exhaustive database
-    enumeration, random sampling — is potentially unbounded.  A budget is a
+    engine runs — homomorphism search, exhaustive database enumeration,
+    random sampling — is potentially unbounded.  A budget is a
     mutable tick counter with an optional {e fuel} limit (a deterministic
     cap on the number of ticks) and an optional wall-clock {e deadline}.
-    Hot loops call {!tick} once per unit of work (one backtracking node,
-    one candidate database, one random sample); when the budget trips, the
+    Hot loops call {!tick} once per unit of work (one kernel seek or
+    table row, one candidate database, one random sample); when the budget trips, the
     internal {!Exhausted_} exception unwinds to the nearest
     {!Outcome.guard}, which converts it into a structured
     [Exhausted] outcome instead of an infinite hang.

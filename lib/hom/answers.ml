@@ -52,15 +52,18 @@ let answers ~head q d =
     in
     go [] head
   in
-  Solver.fold
-    (fun bag env ->
-      List.fold_left
-        (fun bag free ->
-          match project env free with
-          | Some tup -> add_tuple tup Nat.one bag
-          | None -> bag)
-        bag frees)
-    empty_bag q d
+  let bag = ref empty_bag in
+  Wcoj.iter
+    (fun env ->
+      bag :=
+        List.fold_left
+          (fun bag free ->
+            match project env free with
+            | Some tup -> add_tuple tup Nat.one bag
+            | None -> bag)
+          !bag frees)
+    (Wcoj.compile q) d;
+  !bag
 
 let cardinal bag = Tuple.Map.fold (fun _ n acc -> Nat.add acc n) bag Nat.zero
 let support bag = List.map fst (Tuple.Map.bindings bag)
@@ -75,10 +78,3 @@ let contained_on ~head_small ~head_big ~small ~big d =
   if List.length head_small <> List.length head_big then
     invalid_arg "Answers.contained_on: head arity mismatch";
   included (answers ~head:head_small small d) (answers ~head:head_big big d)
-
-let pp fmt bag =
-  Format.fprintf fmt "{@[<hov>%a@]}"
-    (Format.pp_print_list
-       ~pp_sep:(fun f () -> Format.fprintf f ";@ ")
-       (fun f (tup, n) -> Format.fprintf f "%a×%a" Tuple.pp tup Nat.pp n))
-    (Tuple.Map.bindings bag)

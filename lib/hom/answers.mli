@@ -18,9 +18,10 @@ type bag
 (** A finite multiset of answer tuples with {!Nat.t} multiplicities. *)
 
 val answers : head:Term.t list -> Query.t -> Structure.t -> bag
-(** Raises [Invalid_argument] when a head constant has no interpretation is
-    not required — such a head simply yields the empty bag (as for bodies
-    with uninterpreted constants). *)
+(** Every homomorphism of the body, enumerated on the leapfrog
+    ({!Wcoj.iter}), projected onto the head.  A head constant
+    without an interpretation yields the empty bag, as does a body with an
+    uninterpreted constant. *)
 
 val cardinal : bag -> Nat.t
 (** Total multiplicity — for an empty head this is exactly the boolean bag
@@ -46,5 +47,3 @@ val contained_on :
   bool
 (** One instance of the general [QCP^bag]: [Ψ_s(D) ⊆ Ψ_b(D)] as multisets.
     Raises [Invalid_argument] when the two heads have different lengths. *)
-
-val pp : Format.formatter -> bag -> unit

@@ -3,7 +3,7 @@ module Nat = Bagcq_bignum.Nat
 module Metrics = Bagcq_obs.Metrics
 module StringSet = Set.Make (String)
 
-(* Plan-selection metrics.  Handles resolve once at module initialisation,
+(* Strategy-selection metrics.  Handles resolve once at module initialisation,
    so the family is present (at zero) in every metrics dump whatever the
    traffic — the check.sh contract. *)
 let components_seen = Metrics.counter Metrics.global "plan_components"
@@ -190,7 +190,7 @@ let count ?budget strategy comp d =
   | Dp t -> Jtree.count ?budget t.dp d
   | Wcoj w -> Wcoj.count ?budget w d
   | Ghd g -> Jtree.count ?budget (Ghd.jtree g) d
-  | Backtrack -> Nat.of_int (Solver.count ?budget comp d)
+  | Backtrack -> Wcoj.count ?budget (Wcoj.compile comp) d
 
 let render = function
   | Backtrack -> [ "backtracking kernel" ]

@@ -15,13 +15,13 @@
     join-tree DP over hypertree bags ({!Ghd}).  {!count} runs whichever
     was chosen; [Eval] and the store both count through it.
 
-    Plan selection is observable through five process-wide counters in
+    Strategy selection is observable through five process-wide counters in
     {!Bagcq_obs.Metrics.global}: [plan_components] (components seen by
     {!factor}), and [plan_dp_selected] / [plan_wcoj_selected] /
     [plan_ghd_selected] / [plan_fallback] — bumped by {!record_choice} on
     cold plans only, so the family tracks plan-cache misses.
     [plan_fallback] stays registered and reads 0: {!choose} never picks
-    the backtracking kernel. *)
+    [Backtrack]. *)
 
 open Bagcq_bignum
 open Bagcq_cq
@@ -60,8 +60,9 @@ type strategy =
       (** cyclic with a weak leapfrog order but small hypertree width:
           join-tree DP over materialised decomposition bags *)
   | Backtrack
-      (** compiled backtracking kernel ({!Solver}): never chosen, kept so
-          a caller can run the baseline through {!count} *)
+      (** never chosen; kept only because perfbench's replay matches it,
+          and goes with the replay (ROADMAP item 1).  {!count} runs it on
+          the leapfrog. *)
 
 val choose : Query.t -> strategy
 (** Classify one component (callers pass the elements of {!factor}).
@@ -97,12 +98,12 @@ val count :
   Bagcq_relational.Structure.t ->
   Nat.t
 (** [count s comp D] = |Hom(comp, D)|, run by [s] — which must be
-    [choose comp], or [Backtrack], which runs any component.  The
-    component executor that [Eval] and the store share.  [?budget] ticks
-    as the chosen kernel documents. *)
+    [choose comp], or [Backtrack], which compiles [comp] for the leapfrog
+    and so runs any component.  The component executor that [Eval] and
+    the store share.  [?budget] ticks as the chosen kernel documents. *)
 
 val render : strategy -> string list
 (** Human-readable plan lines for [bagcq explain]: the join tree indented
     two spaces per depth with [key] annotations, the leapfrog variable
     order with its domain ranks marked [(domain)], the decomposition's bag
-    tree, or the backtracking note.  Deterministic. *)
+    tree, or the [Backtrack] note.  Deterministic. *)

@@ -8,10 +8,10 @@
     kernel reads the relation through a {!view}: the rows re-sorted under
     an attribute order, as per-level code arrays.  The leapfrog kernel
     ({!Wcoj}) intersects the levels of its views by galloping; the
-    join-tree DP ({!Jtree}) and the backtracking kernel ({!Solver}) scan
-    the identity view, and probe a view that puts the probed position
-    first ({!probe_first}), where the rows holding one code are the
-    {!run} that binary search finds.
+    join-tree DP ({!Jtree}) scans the identity view, and its bag joins
+    probe a view that puts the probed position first ({!probe_first}),
+    where the rows holding one code are the {!run} that binary search
+    finds.
 
     The index is memoised on the structure itself (through
     {!Structure.memo_store}), so it is built at most once per structure no

@@ -42,8 +42,8 @@
     comparing codes.  A one-shot count reads the codes of {!Index}: an
     atom scan reads the code columns (the identity {!Index.view}), and a
     probing bag-join step reads a memoised view with the probed position
-    first, whose candidates for a code are the contiguous {!Index.run},
-    the search the backtracking kernel probes with too.  Materialised
+    first, whose candidates for a code are the contiguous {!Index.run}.
+    Materialised
     state codes values through its own append-only {!Index.interner}
     (below), the one place the DP hashes values: once per value of each
     tuple {!build} scans and of each tuple {!delta} folds in.

@@ -47,31 +47,35 @@ let term_of_value = function
   | Value.Sym s -> Term.cst s
   | v -> Term.var (Value.to_string v)
 
-let hom_of_assignment (a : Solver.assignment) : hom = StringMap.map term_of_value a
+let hom_of_assignment (a : Wcoj.assignment) : hom = StringMap.map term_of_value a
 
-exception Found
+exception Found of hom
 
-let find_hom source target =
-  let d = Query.canonical_structure target in
-  match Solver.enumerate ~limit:1 source d with
-  | [] -> None
-  | a :: _ -> Some (hom_of_assignment a)
+(* The first homomorphism [source → d] (if any) satisfying [accept],
+   found on the leapfrog, which stops at the hit. *)
+let first ?budget ?(accept = fun _ -> true) source d =
+  try
+    Wcoj.iter ?budget
+      (fun a ->
+        let h = hom_of_assignment a in
+        if accept h then raise_notrace (Found h))
+      (Wcoj.compile source) d;
+    None
+  with Found h -> Some h
+
+let find_hom source target = first source (Query.canonical_structure target)
 
 let exists_onto_hom source target =
-  let d = Query.canonical_structure target in
-  try
-    Solver.iter
-      (fun a -> if is_onto (hom_of_assignment a) source target then raise_notrace Found)
-      source d;
-    false
-  with Found -> true
+  first ~accept:(fun h -> is_onto h source target) source
+    (Query.canonical_structure target)
+  <> None
 
 let count_dominates bigger smaller = exists_onto_hom bigger smaller
 
 let multiset_symbols q =
   List.sort compare (List.map (fun a -> Symbol.name (Atom.sym a)) (Query.atoms q))
 
-let isomorphic q1 q2 =
+let isomorphic ?budget q1 q2 =
   Query.num_vars q1 = Query.num_vars q2
   && Query.num_atoms q1 = Query.num_atoms q2
   && Query.num_neqs q1 = Query.num_neqs q2
@@ -102,14 +106,10 @@ let isomorphic q1 q2 =
          in
          image = neqs2
        in
-       try
-         Solver.iter
-           (fun a ->
-             let h = hom_of_assignment a in
-             if bijective h && atoms_onto h && neqs_match h then raise_notrace Found)
-           (Query.strip_neqs q1) d2;
-         false
-       with Found -> true
+       first ?budget
+         ~accept:(fun h -> bijective h && atoms_onto h && neqs_match h)
+         (Query.strip_neqs q1) d2
+       <> None
      end
 
 let image_subquery h q =
@@ -118,29 +118,22 @@ let image_subquery h q =
 
 let retract q =
   if Query.has_neqs q then invalid_arg "Morphism.retract: inequality-free CQs only";
-  let d = Query.canonical_structure q in
   let n_vars = Query.num_vars q in
-  let result = ref None in
-  (try
-     Solver.iter
-       (fun a ->
-         let h = hom_of_assignment a in
-         let image_vars =
-           StringMap.fold
-             (fun _ t acc ->
-               match t with Term.Var x -> TermSet.add (Term.var x) acc | Term.Cst _ -> acc)
-             h TermSet.empty
-         in
-         if TermSet.cardinal image_vars < n_vars then begin
-           result := Some (image_subquery h q);
-           raise_notrace Found
-         end)
-       q d;
-     None
-   with Found -> !result)
+  let proper h =
+    let image_vars =
+      StringMap.fold
+        (fun _ t acc ->
+          match t with Term.Var x -> TermSet.add (Term.var x) acc | Term.Cst _ -> acc)
+        h TermSet.empty
+    in
+    TermSet.cardinal image_vars < n_vars
+  in
+  Option.map
+    (fun h -> image_subquery h q)
+    (first ~accept:proper q (Query.canonical_structure q))
 
 let rec core q = match retract q with None -> q | Some smaller -> core smaller
 
 let set_equivalent q1 q2 =
-  Solver.exists q1 (Query.canonical_structure q2)
-  && Solver.exists q2 (Query.canonical_structure q1)
+  Eval.satisfies (Query.canonical_structure q2) q1
+  && Eval.satisfies (Query.canonical_structure q1) q2

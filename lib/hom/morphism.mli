@@ -15,8 +15,6 @@ open Bagcq_cq
 type hom = Term.t Map.Make(String).t
 (** A variable-to-term map; constants are implicitly fixed. *)
 
-val apply : hom -> Term.t -> Term.t
-
 val is_hom : hom -> Query.t -> Query.t -> bool
 (** [is_hom h source target]: every atom of [source] maps into the atom set
     of [target] (inequalities of [source] must map to inequalities
@@ -28,9 +26,10 @@ val is_onto : hom -> Query.t -> Query.t -> bool
     (constants cover themselves). *)
 
 val find_hom : Query.t -> Query.t -> hom option
-(** Some homomorphism [source → target], by backtracking over the target's
-    canonical structure.  Ignores inequalities of the source unless they
-    map to distinct terms — for inequality-free queries this is exact. *)
+(** Some homomorphism [source → target]: the first the leapfrog
+    ({!Wcoj.iter}) finds on the target's canonical structure.  Ignores
+    inequalities of the source unless they map to distinct terms — for
+    inequality-free queries this is exact. *)
 
 val exists_onto_hom : Query.t -> Query.t -> bool
 (** Whether some onto homomorphism [source → target] exists.  Exponential
@@ -42,10 +41,14 @@ val count_dominates : Query.t -> Query.t -> bool
     homomorphism criterion of Lemma 12 ([bigger] plays ρ_b, [smaller]
     plays ρ_s). *)
 
-val isomorphic : Query.t -> Query.t -> bool
+val isomorphic : ?budget:Bagcq_guard.Budget.t -> Query.t -> Query.t -> bool
 (** Query isomorphism: a bijective variable renaming turning one atom set
     (and inequality set) into the other.  Characterises bag-equivalence of
-    CQs (Chaudhuri–Vardi). *)
+    CQs (Chaudhuri–Vardi).  Once the variable, atom and inequality counts
+    and the symbol multisets agree, it searches the homomorphisms of the
+    first query into the second's canonical structure, which can take
+    exponentially many steps: [?budget] ticks as {!Wcoj.iter} does, and
+    the call unwinds with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
 
 (** {2 Cores and set-semantics equivalence (Chandra–Merlin)} *)
 
@@ -62,4 +65,5 @@ val core : Query.t -> Query.t
 
 val set_equivalent : Query.t -> Query.t -> bool
 (** Homomorphisms both ways between the canonical structures — boolean
-    set-semantics equivalence. *)
+    set-semantics equivalence: each query's canonical structure satisfies
+    the other ({!Eval.satisfies}). *)

@@ -1,8 +1,7 @@
 (* The seed (pre-compilation) homomorphism kernel, kept verbatim as a
-   reference implementation: the differential qcheck properties in
-   [test_kernel.ml] compare the compiled {!Solver} against it, and the
-   before/after micro-benchmark in [bench/main.ml] measures the speedup
-   against it.  Do not optimise this module. *)
+   reference implementation: the differential qcheck properties compare
+   every count and enumeration path against it, and the bench rows check
+   their counts with it.  Do not optimise this module. *)
 
 open Bagcq_relational
 module StringMap = Map.Make (String)

@@ -1,5 +1,5 @@
-(** The seed backtracking kernel, kept as a reference implementation for
-    differential testing and benchmarking of the compiled {!Solver}.
+(** The seed backtracking kernel, kept as a reference implementation: the
+    oracle of the differential tests and of the bench rows' count checks.
 
     A homomorphism is a map [h : Var(ψ) → V_D] such that every atom of ψ
     maps to an atom of [D], every constant is sent to its interpretation in

@@ -4,9 +4,9 @@ module Nat = Bagcq_bignum.Nat
 module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 
-(* Kernel metrics, batched like [Solver]'s: handles resolve at module
-   initialisation so the family is present (at zero) in every dump, and the
-   hot path bumps a local ref that lands in one atomic add per run. *)
+(* Kernel metrics, batched: handles resolve at module initialisation so
+   the family is present (at zero) in every dump, and the hot path bumps a
+   local ref that lands in one atomic add per run. *)
 let plans_compiled = Metrics.counter Metrics.global "wcoj_plans_compiled"
 let wcoj_runs = Metrics.counter Metrics.global "wcoj_runs"
 let wcoj_seeks = Metrics.counter Metrics.global "wcoj_seeks"
@@ -242,16 +242,22 @@ type rentry = {
 
 exception Unsat
 
-(* The counting leapfrog.  Differences from textbook LFTJ: (1) the output
-   is a bignum count, accumulated in an int and flushed to [Nat] before it
-   can overflow; (2) the leaf step is algebraic — when the innermost
-   variable occurs in exactly one atom (no repeats), every row of that
-   atom's final range extends the current prefix to exactly one
-   homomorphism, and distinct rows sharing the full bound prefix must
-   differ at the last level, so the whole level contributes [hi - lo]
-   without iterating.  One budget tick per seek keeps fuel semantics: a
-   fuel-limited run trips mid-intersection. *)
-let count ?budget (p : plan) d =
+module StringMap = Map.Make (String)
+
+type assignment = Value.t StringMap.t
+
+(* The leapfrog, counting or enumerating.  Differences from textbook LFTJ:
+   (1) the output is a bignum count, accumulated in an int and flushed to
+   [Nat] before it can overflow; (2) when counting, the leaf step is
+   algebraic — when the innermost variable occurs in exactly one atom (no
+   repeats), every row of that atom's final range extends the current
+   prefix to exactly one homomorphism, and distinct rows sharing the full
+   bound prefix must differ at the last level, so the whole level
+   contributes [hi - lo] without iterating.  With [?emit] the run binds
+   every variable instead and hands [emit] each full binding, decoded.
+   One budget tick per seek keeps fuel semantics: a fuel-limited run trips
+   mid-intersection. *)
+let run ?budget ?emit (p : plan) d =
   Metrics.incr wcoj_runs;
   let work = ref 0 in
   let tick =
@@ -335,11 +341,11 @@ let count ?budget (p : plan) d =
           Array.exists (fun (e : rentry) -> e.ndups > 0) entries)
         rt_occs
     in
-    (* Codes bound at earlier ranks, for the ≠ filters.  Written at every
-       [match_found] and domain-rank value — cheap enough to skip gating —
-       and read only by deeper ranks' filters, which always run after the
-       write because the leaf specialisations fire at the last rank
-       alone. *)
+    (* Codes bound at earlier ranks, for the ≠ filters and the emitted
+       binding.  Written at every [match_found] and domain-rank value —
+       cheap enough to skip gating — and read only by deeper ranks'
+       filters and the leaf, which always run after the write because the
+       counting shortcuts fire at the last rank alone. *)
     let bound = Array.make (max 1 nranks) (-1) in
     let rank_has_filters = Array.map (fun fs -> Array.length fs > 0) p.filters in
     let filters_pass r v =
@@ -364,15 +370,29 @@ let count ?budget (p : plan) d =
       Array.iteri (fun i _ -> if fresh i 0 then incr n) fs;
       !n
     in
-    let ndom = Array.length (Index.domain idx) in
+    let domain = Index.domain idx in
+    let ndom = Array.length domain in
+    (* The rank where counting adds extensions without binding them: the
+       leaf width, the leaf intersection and the innermost domain rank's
+       closed form.  Enumeration binds every rank, so it takes none. *)
+    let shortcut_rank = if Option.is_none emit then nranks - 1 else -1 in
+    let leaf =
+      match emit with
+      | None -> fun () -> add 1
+      | Some f ->
+          fun () ->
+            let a = ref StringMap.empty in
+            Array.iteri (fun r x -> a := StringMap.add x domain.(bound.(r)) !a) p.var_order;
+            f !a
+    in
     let rec go r =
-      if r = nranks then add 1
+      if r = nranks then leaf ()
       else if Array.length rt_occs.(r) = 0 then domain_rank r
       else begin
         let entries = rt_occs.(r) in
         let k = Array.length entries in
         let e0 = Array.unsafe_get entries 0 in
-        if r = nranks - 1 && k = 1 && e0.ndups = 0 && not rank_has_filters.(r)
+        if r = shortcut_rank && k = 1 && e0.ndups = 0 && not rank_has_filters.(r)
         then begin
           tick ();
           add (e0.ia.ahi.(e0.level) - e0.ia.alo.(e0.level))
@@ -386,7 +406,7 @@ let count ?budget (p : plan) d =
           done;
           if !ok then begin
             let next i = if i + 1 = k then 0 else i + 1 in
-            if r = nranks - 1 && (not rank_has_dups.(r)) && not rank_has_filters.(r)
+            if r = shortcut_rank && (not rank_has_dups.(r)) && not rank_has_filters.(r)
             then begin
               (* Leaf intersection.  Every level here is its atom's last:
                  rows in a value run share the whole bound prefix, so a
@@ -474,11 +494,11 @@ let count ?budget (p : plan) d =
         end
       end
     (* A domain rank binds a variable that occurs only in ≠ atoms, so it
-       ranges over the whole domain.  Innermost, every code the filters do
-       not forbid extends the prefix exactly once: one tick, no walk.
-       Further out, it walks the codes, one tick each. *)
+       ranges over the whole domain.  Innermost and counting, every code
+       the filters do not forbid extends the prefix exactly once: one
+       tick, no walk.  Otherwise it walks the codes, one tick each. *)
     and domain_rank r =
-      if r = nranks - 1 then begin
+      if r = shortcut_rank then begin
         tick ();
         add (ndom - forbidden r)
       end
@@ -505,3 +525,6 @@ let count ?budget (p : plan) d =
   | exception e ->
       flush ();
       raise e
+
+let count ?budget p d = run ?budget p d
+let iter ?budget f p d = ignore (run ?budget ~emit:f p d)

@@ -14,12 +14,15 @@
     candidate value costs seeks logarithmic in the ranges instead of a
     scan.
 
-    Counting changes the leaf step.  Textbook LFTJ emits each full match;
-    counting homomorphisms only needs the {e number} of extensions, so when
-    the innermost variable occurs in a single atom (no repeated positions)
-    the kernel adds the width of that atom's final range — the rows share
-    the whole bound prefix, hence are distinct at the last level — without
-    visiting the values.  Counts accumulate in an int and flush into a
+    One recursion serves {!count} and {!iter}.  Textbook LFTJ emits each
+    full match, and {!iter} does: it hands every homomorphism to its
+    callback.  Counting only needs the {e number} of extensions, so
+    {!count} changes the leaf step: when the innermost variable occurs in
+    a single atom (no repeated positions) the kernel adds the width of
+    that atom's final range — the rows share the whole bound prefix, hence
+    are distinct at the last level — without visiting the values; when it
+    occurs in several, each match of the innermost intersection adds one
+    without narrowing.  Counts accumulate in an int and flush into a
     {!Bagcq_bignum.Nat} before overflow.
 
     Inequalities compile into {e per-rank filters}: an [x ≠ y] atom runs
@@ -32,12 +35,21 @@
     component such as [x ≠ y] — becomes a trailing {e domain rank} with no
     iterators: an inner one walks the codes of {!Index.domain} under its
     filters, and the innermost adds [|domain| − |distinct forbidden codes|]
-    without iterating.
+    without iterating when counting.
 
-    Selected by {!Decomp.choose} for cyclic components and for every
-    component with inequalities.  Observable through the process-wide
-    counters [wcoj_plans_compiled], [wcoj_runs] and [wcoj_seeks]. *)
+    These three counting shortcuts add extensions without binding them, so
+    a run takes them only when it counts, decided once per run; {!iter}
+    binds every rank.  Both tick by one rule: once per seek (gallop) and
+    once per domain value walked, plus, when counting, once per leaf width
+    and per innermost domain rank's closed form.
 
+    {!Decomp.choose} selects this kernel for cyclic components and for
+    every component with inequalities, and it is the one enumeration
+    kernel: {!Morphism} and {!Answers} run on {!iter}.  Observable through
+    the process-wide counters [wcoj_plans_compiled], [wcoj_runs] and
+    [wcoj_seeks] (both entry points count as runs and seeks). *)
+
+open Bagcq_relational
 open Bagcq_cq
 
 type plan
@@ -70,14 +82,27 @@ val rank_supports : plan -> int array
 val count :
   ?budget:Bagcq_guard.Budget.t ->
   plan ->
-  Bagcq_relational.Structure.t ->
+  Structure.t ->
   Bagcq_bignum.Nat.t
 (** [count p D] = |Hom(component, D)|.  With [?budget] every seek
-    (gallop), every value an inner domain rank visits and every innermost
-    domain rank ticks once, and the call unwinds with
+    (gallop), every leaf width, every value an inner domain rank visits
+    and every innermost domain rank ticks once, and the call unwinds with
     {!Bagcq_guard.Budget.Exhausted_} mid-intersection on a trip.
     Inequality semantics follow {!Solver_ref}: an uninterpreted constant
     anywhere (≠ atoms included) yields zero, and a [c ≠ c'] between
     constants interpreted equal yields zero.  An interpreted constant
     always lies in the domain, since {!Index.domain} folds in every
     interpretation. *)
+
+type assignment = Value.t Map.Make(String).t
+(** A homomorphism: every variable of the component (inequality-only ones
+    included) mapped to its value in the structure. *)
+
+val iter :
+  ?budget:Bagcq_guard.Budget.t -> (assignment -> unit) -> plan -> Structure.t -> unit
+(** [iter f p D] calls [f] once per homomorphism in Hom(component, D),
+    in the leapfrog's order (outermost rank first, codes ascending), so
+    [f] is called exactly [count p D] times.  Same semantics, budget and
+    ticks as {!count} without its shortcuts: one tick per seek and one
+    per domain value.  An exception raised by [f] unwinds the run, which
+    is how callers stop at the first hit. *)

@@ -10,7 +10,7 @@ let set_contains ?budget ~small ~big () =
      containment holds iff it also satisfies [big] *)
   Eval.satisfies ?budget (Query.canonical_structure small) big
 
-let bag_equivalent q1 q2 = Morphism.isomorphic q1 q2
+let bag_equivalent ?budget q1 q2 = Morphism.isomorphic ?budget q1 q2
 
 let bag_counts ?budget ?cache ~small ~big d =
   (Eval.count ?budget ?cache small d, Eval.count ?budget ?cache big d)
@@ -49,14 +49,14 @@ let ucq_set_contains_counted ?budget ~small ~big () =
   in
   (verdict, !checks)
 
-let ucq_bag_equivalent u1 u2 =
+let ucq_bag_equivalent ?budget u1 u2 =
   (* Chaudhuri–Vardi lifted to unions: equal counts everywhere iff the
      disjuncts pair up into isomorphic couples (multisets of iso classes
      coincide).  Greedy matching is sound because isomorphism is an
      equivalence relation. *)
   let rec extract q = function
     | [] -> None
-    | b :: rest when Morphism.isomorphic q b -> Some rest
+    | b :: rest when Morphism.isomorphic ?budget q b -> Some rest
     | b :: rest -> Option.map (fun r -> b :: r) (extract q rest)
   in
   let rec match_all l1 l2 =

@@ -21,8 +21,11 @@ val set_contains :
     either query has inequalities.  The homomorphism check is NP-hard, so a
     [?budget] bounds it like every other search in the engine. *)
 
-val bag_equivalent : Query.t -> Query.t -> bool
-(** Chaudhuri–Vardi: syntactic isomorphism. *)
+val bag_equivalent : ?budget:Bagcq_guard.Budget.t -> Query.t -> Query.t -> bool
+(** Chaudhuri–Vardi: syntactic isomorphism ({!Bagcq_hom.Morphism.isomorphic}).
+    Its search is exponential in the worst case, so a [?budget] bounds it
+    like the Chandra–Merlin check; the call unwinds with
+    {!Bagcq_guard.Budget.Exhausted_} when it trips. *)
 
 val bag_counts :
   ?budget:Bagcq_guard.Budget.t ->
@@ -59,17 +62,19 @@ val ucq_set_contains_counted :
   unit ->
   bool * int
 (** The ∀∃ decision procedure, with the number of inner Chandra–Merlin
-    checks it spent.  Each check runs the compiled kernel over the
-    canonical structure of one disjunct of [small], ticking [?budget];
+    checks it spent.  Each check counts over the canonical structure of
+    one disjunct of [small] ({!Bagcq_hom.Eval.satisfies}), ticking [?budget];
     the count is deterministic for a given pair, because the ∃ scan
     short-circuits left to right.  The wire's [ucq_contain] reports it.
     Raises [Invalid_argument] on inequalities.  The empty union is
     contained in everything; nothing non-empty is contained in the empty
     union. *)
 
-val ucq_bag_equivalent : Ucq.t -> Ucq.t -> bool
+val ucq_bag_equivalent : ?budget:Bagcq_guard.Budget.t -> Ucq.t -> Ucq.t -> bool
 (** Chaudhuri–Vardi lifted to unions: equal counts on every database iff
-    the multisets of isomorphism classes of disjuncts coincide. *)
+    the multisets of isomorphism classes of disjuncts coincide.  The
+    pairing runs one {!bag_equivalent} test per candidate couple, all
+    ticking the one [?budget]. *)
 
 val ucq_bag_counts :
   ?budget:Bagcq_guard.Budget.t ->

@@ -247,7 +247,7 @@ let handle_contain ?deadline t (req : Proto.request) ~small ~big =
              try Some (Containment.set_contains ~budget ~small ~big ())
              with Invalid_argument _ -> None
            in
-           (set_contains, Containment.bag_equivalent small big)))
+           (set_contains, Containment.bag_equivalent ~budget small big)))
     ~core:(fun (set_contains, bag_equivalent) ->
       Proto.contain_core ~set_contains ~bag_equivalent)
 
@@ -263,7 +263,7 @@ let handle_ucq_contain ?deadline t (req : Proto.request) ~small ~big =
                (Some v, n)
              with Invalid_argument _ -> (None, 0)
            in
-           (set_contains, hom_checks, Containment.ucq_bag_equivalent small big)))
+           (set_contains, hom_checks, Containment.ucq_bag_equivalent ~budget small big)))
     ~core:(fun (set_contains, hom_checks, bag_equivalent) ->
       Proto.ucq_contain_core ~set_contains ~bag_equivalent ~hom_checks)
 

@@ -9,6 +9,7 @@ open Bagcq_reduction
 module Nat = Bagcq_bignum.Nat
 module Eval = Bagcq_hom.Eval
 module Answers = Bagcq_hom.Answers
+module Solver_ref = Bagcq_hom.Solver_ref
 module Poly = Bagcq_poly.Polynomial
 module Diophantine = Bagcq_poly.Diophantine
 
@@ -337,8 +338,68 @@ let arb_db =
       let size = 1 + Random.State.int st 3 in
       Generate.random ~density:(0.2 +. Random.State.float st 0.6) st (Schema.make [ e ]) ~size)
 
+(* A body over E with up to three variables, the constant [a] and at most
+   one inequality, and a head of up to three terms: body variables, [w]
+   (never in the body), [a] (interpreted half the time) and [b] (never
+   interpreted). *)
+let gen_answers_case =
+  QCheck.make
+    ~print:(fun (head, q, d) ->
+      Format.asprintf "head: %s@.body: %a@.db: %a"
+        (String.concat ", " (List.map Term.to_string head))
+        Query.pp q Structure.pp d)
+    (fun st ->
+      let var () = Build.v (Printf.sprintf "x%d" (Random.State.int st 3)) in
+      let term () = if Random.State.int st 6 = 0 then Build.c "a" else var () in
+      let atoms = List.init (1 + Random.State.int st 3) (fun _ -> Build.atom e [ term (); term () ]) in
+      let neqs =
+        let x = var () and y = var () in
+        if Random.State.bool st && not (Term.equal x y) then [ (x, y) ] else []
+      in
+      let head =
+        List.init (Random.State.int st 4) (fun _ ->
+            match Random.State.int st 6 with
+            | 0 -> Build.v "w"
+            | 1 -> Build.c "a"
+            | 2 when Random.State.int st 4 = 0 -> Build.c "b"
+            | _ -> var ())
+      in
+      let d = Generate.random ~density:0.5 st (Schema.make [ e ]) ~size:(1 + Random.State.int st 3) in
+      let d = if Random.State.bool st then Structure.bind_constant d "a" (vi 1) else d in
+      (head, Build.query ~neqs atoms, d))
+
+(* The reference bag: every homomorphism [Solver_ref] enumerates,
+   projected onto the head, a head variable absent from the body taking
+   every domain value and a head constant its interpretation (none: no
+   answer), grouped by tuple. *)
+let reference_bag ~head q d =
+  let module SM = Map.Make (String) in
+  let domain = Value.Set.elements (Structure.domain d) in
+  let bag = ref Tuple.Map.empty in
+  let rec project a free acc = function
+    | [] ->
+        let tup = Tuple.make (List.rev acc) in
+        bag := Tuple.Map.update tup (fun n -> Some (1 + Option.value ~default:0 n)) !bag
+    | Term.Cst c :: rest ->
+        Option.iter
+          (fun v -> project a free (v :: acc) rest)
+          (Structure.interpretation d c)
+    | Term.Var x :: rest -> (
+        match (SM.find_opt x a, List.assoc_opt x free) with
+        | Some v, _ | None, Some v -> project a free (v :: acc) rest
+        | None, None -> List.iter (fun v -> project a ((x, v) :: free) (v :: acc) rest) domain)
+  in
+  List.iter (fun a -> project a [] [] head) (Solver_ref.enumerate q d);
+  Tuple.Map.bindings !bag
+
 let properties =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"answer bag = reference homomorphisms grouped" ~count:1000
+         gen_answers_case (fun (head, q, d) ->
+           let bag = Answers.answers ~head q d in
+           List.map (fun t -> (t, Nat.to_int (Answers.multiplicity bag t))) (Answers.support bag)
+           = reference_bag ~head q d));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"UCQ count = sum of disjunct counts" ~count:100 arb_db
          (fun d ->

@@ -1,6 +1,7 @@
 (* Tests for the budgeted execution engine: the Budget/Outcome core, fault
-   injection into each guarded loop (backtracking, database enumeration,
-   random sampling), and the two contract properties —
+   injection into each guarded loop (homomorphism enumeration, the
+   isomorphism search, database enumeration, random sampling), and the
+   two contract properties —
    (a) a guarded search that runs to [Complete] returns exactly what the
        unguarded search returns, and
    (b) any witness inside an [Exhausted] outcome still verifies. *)
@@ -11,7 +12,7 @@ open Bagcq_search
 module Budget = Bagcq_guard.Budget
 module Outcome = Bagcq_guard.Outcome
 module Eval = Bagcq_hom.Eval
-module Solver = Bagcq_hom.Solver
+module Wcoj = Bagcq_hom.Wcoj
 module Containment = Bagcq_reduction.Containment
 module Nat = Bagcq_bignum.Nat
 
@@ -120,10 +121,16 @@ let test_outcome_helpers () =
 
 let test_trip_mid_backtrack () =
   let k4 = clique 4 in
+  let plan = Wcoj.compile path_q in
+  let homs ?budget () =
+    let n = ref 0 in
+    Wcoj.iter ?budget (fun _ -> incr n) plan k4;
+    !n
+  in
   (* unguarded: 64 homomorphisms of the 2-path into K4 *)
-  Alcotest.(check int) "unguarded count" 64 (Solver.count path_q k4);
+  Alcotest.(check int) "unguarded count" 64 (homs ());
   let b = Budget.fault_at ~tick:10 () in
-  (match Solver.count ~budget:b path_q k4 with
+  (match homs ~budget:b () with
   | _ -> Alcotest.fail "budget must trip mid-backtrack"
   | exception Budget.Exhausted_ Budget.Fuel -> ());
   Alcotest.(check bool) "some work was done before the trip" true (Budget.ticks b > 0);
@@ -131,6 +138,33 @@ let test_trip_mid_backtrack () =
   let b2 = Budget.fault_at ~tick:10 () in
   match Eval.count ~budget:b2 path_q k4 with
   | _ -> Alcotest.fail "budget must trip inside Eval.count"
+  | exception Budget.Exhausted_ Budget.Fuel -> ()
+
+(* k disjoint edges, one inequality placed differently: every count the
+   isomorphism test compares agrees, so it searches the k^k maps of the
+   edges onto each other.  The budget must stop that search. *)
+let iso_pair k =
+  let edges = List.init k (fun i -> Printf.sprintf "E(x%d,y%d)" (i + 1) (i + 1)) in
+  let q neq = Parse.parse_exn (String.concat " & " (edges @ [ neq ])) in
+  (q "x1 != y1", q "x1 != x2")
+
+let test_trip_mid_isomorphism () =
+  let small, big = iso_pair 3 in
+  Alcotest.(check bool) "unguarded: not bag-equivalent" false
+    (Containment.bag_equivalent small big);
+  let b = Budget.create ~fuel:1_000_000 () in
+  Alcotest.(check bool) "ample fuel: the same answer" false
+    (Containment.bag_equivalent ~budget:b small big);
+  let small, big = iso_pair 8 in
+  let b = Budget.create ~fuel:100 () in
+  (match Containment.bag_equivalent ~budget:b small big with
+  | _ -> Alcotest.fail "budget must trip mid-isomorphism"
+  | exception Budget.Exhausted_ Budget.Fuel -> ());
+  Alcotest.(check int) "every tick spent" 100 (Budget.ticks b);
+  let b = Budget.create ~fuel:100 () in
+  let u q = Bagcq_cq.Ucq.of_disjuncts [ q ] in
+  match Containment.ucq_bag_equivalent ~budget:b (u small) (u big) with
+  | _ -> Alcotest.fail "budget must trip mid-pairing"
   | exception Budget.Exhausted_ Budget.Fuel -> ()
 
 let test_trip_mid_enumeration () =
@@ -333,6 +367,7 @@ let () =
       ( "fault-injection",
         [
           Alcotest.test_case "mid-backtrack" `Quick test_trip_mid_backtrack;
+          Alcotest.test_case "mid-isomorphism" `Quick test_trip_mid_isomorphism;
           Alcotest.test_case "mid-enumeration" `Quick test_trip_mid_enumeration;
           Alcotest.test_case "enumeration completes" `Quick test_enumeration_complete_with_ample_fuel;
           Alcotest.test_case "foreign trip propagates" `Quick test_foreign_trip_propagates;

@@ -504,11 +504,12 @@ let test_appendix_a_grouping () =
   let d = Valuation.correct_db t xs in
   let module SM = Map.Make (String) in
   let groups = Hashtbl.create 4 in
-  Bagcq_hom.Solver.iter
+  Bagcq_hom.Wcoj.iter
     (fun a ->
       let x_val = SM.find "x" a in
       Hashtbl.replace groups x_val (1 + Option.value ~default:0 (Hashtbl.find_opt groups x_val)))
-    (Pi.pi_s t) d;
+    (Bagcq_hom.Wcoj.compile (Pi.pi_s t))
+    d;
   (* the center lands only on the monomial constants *)
   let a_values =
     List.init (Lemma11.num_monomials t) (fun i ->

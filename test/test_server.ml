@@ -181,6 +181,27 @@ let test_exhausted_shape () =
   Alcotest.(check bool) "no cached flag on exhausted" true
     (Json.get_bool "cached" v' = None)
 
+(* The bag-equivalence half of [contain] and [ucq_contain] runs inside
+   the request's budget.  The pair is 8 disjoint edges with one
+   inequality placed differently: every count the isomorphism test
+   compares agrees, so it searches the 8^8 maps of the edges onto each
+   other, which unbudgeted took close to a minute. *)
+let test_contain_budgeted () =
+  let r = Router.create () in
+  let edges = String.concat " & " (List.init 8 (fun i -> Printf.sprintf "E(x%d,y%d)" (i + 1) (i + 1))) in
+  let small = edges ^ " & x1 != y1" and big = edges ^ " & x1 != x2" in
+  List.iter
+    (fun op ->
+      let v =
+        handle r
+          (Printf.sprintf {|{"op":"%s","small":"%s","big":"%s","fuel":1000}|} op small big)
+      in
+      Alcotest.(check (option string)) (op ^ " status") (Some "exhausted") (status v);
+      Alcotest.(check (option string)) (op ^ " reason") (Some "fuel")
+        (Json.get_string "reason" v);
+      Alcotest.(check (option int)) (op ^ " ticks") (Some 1000) (Json.get_int "ticks" v))
+    [ "contain"; "ucq_contain" ]
+
 let test_malformed_and_stats () =
   let r = Router.create () in
   let v = handle r "{definitely not json" in
@@ -566,6 +587,8 @@ let () =
             test_ucq_ops;
           Alcotest.test_case "budgets clamped by caps" `Quick test_budget_clamp;
           Alcotest.test_case "exhaustion is structured" `Quick test_exhausted_shape;
+          Alcotest.test_case "contain answers inside its budget" `Quick
+            test_contain_budgeted;
           Alcotest.test_case "malformed input + stats" `Quick test_malformed_and_stats;
           Alcotest.test_case "metrics op dumps both registries" `Quick
             test_metrics_op;

@@ -237,6 +237,39 @@ let prop_cycliq_rotations ~p ~count =
            (Wcoj.count (Wcoj.compile q) d)
            (Nat.of_int (Solver_ref.count q d))))
 
+(* Enumeration: the assignments [Wcoj.iter] hands out are the
+   reference's, as a set, and as many as [Wcoj.count] says — on the
+   chord/constant, inequality and domain-rank generators above, where
+   enumeration binds the ranks counting adds up without binding. *)
+let enumerates (q, d) =
+  let module M = Map.Make (String) in
+  let p = Wcoj.compile q in
+  let homs = ref [] in
+  Wcoj.iter (fun a -> homs := M.bindings a :: !homs) p d;
+  let reference = List.map M.bindings (Solver_ref.enumerate q d) in
+  List.sort compare !homs = List.sort compare reference
+  && Nat.equal (Wcoj.count p d) (Nat.of_int (List.length !homs))
+
+let prop_enumerate_cycles =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"iter: 3/4-cycles (+chords/constants) = reference"
+       ~count:800
+       (QCheck.make ~print:pp_pair (fun st ->
+            (random_cyclic_query ~len:(3 + Random.State.int st 2) st, random_db st)))
+       enumerates)
+
+let prop_enumerate_neq =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"iter: cycles + inequalities = reference" ~count:800
+       (QCheck.make ~print:pp_pair (fun st ->
+            (random_neq_cyclic_query ~len:(3 + Random.State.int st 2) st, random_db st)))
+       enumerates)
+
+let prop_enumerate_domain_ranks =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"iter: inequality-only variables = reference" ~count:1000
+       gen_domain enumerates)
+
 (* ------------------------------------------------------------------ *)
 (* Unit tests                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -394,6 +427,9 @@ let () =
           prop_domain_ranks;
           prop_cycliq_rotations ~p:3 ~count:400;
           prop_cycliq_rotations ~p:4 ~count:200;
+          prop_enumerate_cycles;
+          prop_enumerate_neq;
+          prop_enumerate_domain_ranks;
         ] );
       ( "unit",
         [
