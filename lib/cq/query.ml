@@ -228,4 +228,58 @@ let pp fmt q =
     Format.fprintf fmt "%a@]" (Format.pp_print_list ~pp_sep:sep pp_neq) q.neqs
   end
 
-let to_string q = Format.asprintf "%a" pp q
+(* The flat printer: [pp]'s text with every break a single space, built in
+   one buffer with no Format boxes.  It is the one text of a query that
+   keys the result memo, the store's registrations and, with constants
+   replaced by their slots, the plan map. *)
+let add_term b = function
+  | Term.Var x -> Buffer.add_string b x
+  | Term.Cst c ->
+      Buffer.add_char b '\'';
+      Buffer.add_string b c;
+      Buffer.add_char b '\''
+
+let add_flat ?(term = add_term) b q =
+  if q.atoms = [] && q.neqs = [] then Buffer.add_string b "true"
+  else begin
+    let first = ref true in
+    let sep () = if !first then first := false else Buffer.add_string b " & " in
+    List.iter
+      (fun a ->
+        sep ();
+        Buffer.add_string b (Symbol.name (Atom.sym a));
+        Buffer.add_char b '(';
+        Array.iteri
+          (fun i t ->
+            if i > 0 then Buffer.add_char b ',';
+            term b t)
+          (Atom.args a);
+        Buffer.add_char b ')')
+      q.atoms;
+    List.iter
+      (fun (x, y) ->
+        sep ();
+        term b x;
+        Buffer.add_string b " != ";
+        term b y)
+      q.neqs
+  end
+
+let to_string q =
+  let b = Buffer.create 64 in
+  add_flat b q;
+  Buffer.contents b
+
+let constant_slots q =
+  let seen = ref [] in
+  let add = function
+    | Term.Cst c when not (List.mem c !seen) -> seen := c :: !seen
+    | Term.Var _ | Term.Cst _ -> ()
+  in
+  List.iter (fun a -> Array.iter add (Atom.args a)) q.atoms;
+  List.iter
+    (fun (x, y) ->
+      add x;
+      add y)
+    q.neqs;
+  Array.of_list (List.rev !seen)

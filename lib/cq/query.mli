@@ -79,5 +79,26 @@ val components : t -> t list
     variables are singleton components.  The count of a query is the
     product of the counts of its components. *)
 
+val constant_slots : t -> string array
+(** The query's constants as plan parameters: each distinct constant once,
+    by first occurrence — atoms in order, each atom's arguments left to
+    right, then the inequalities in order, left side first.  A compiled
+    plan's parameter vector is indexed in this order, and two queries
+    that differ only in their constants number them alike. *)
+
 val pp : Format.formatter -> t -> unit
+(** The boxed form: atoms and inequalities joined by [" & "], with a
+    break hint after each [&], so a long query wraps at the formatter's
+    margin.  [true] for the empty conjunction. *)
+
 val to_string : t -> string
+(** {!pp}'s text on one flat line, every break a single space, built in a
+    {!Buffer.t} with no Format boxes.  This one text keys the server's
+    result memo and the store's registrations: it is injective on the
+    normalised query (atoms sorted, inequalities oriented). *)
+
+val add_flat : ?term:(Buffer.t -> Term.t -> unit) -> Buffer.t -> t -> unit
+(** Appends {!to_string}'s text to the buffer, printing each term with
+    [term] (default: a variable as its name, a constant as ['c']).  The
+    planner prints a component's shape through it, each constant as its
+    slot. *)

@@ -1,3 +1,4 @@
+open Bagcq_relational
 open Bagcq_cq
 module Nat = Bagcq_bignum.Nat
 module Metrics = Bagcq_obs.Metrics
@@ -12,11 +13,261 @@ let wcoj_selected = Metrics.counter Metrics.global "plan_wcoj_selected"
 let ghd_selected = Metrics.counter Metrics.global "plan_ghd_selected"
 let fallback_selected = Metrics.counter Metrics.global "plan_fallback"
 
-(* Variables renamed by first occurrence, so that components that differ
-   only in variable names share one search per evaluation — queries built
-   with ∧̄ and ↑ consist of many such copies, and [rename_apart]'s ~n
-   suffixing preserves the relative order of the copies' atoms, so every
-   copy lands on the same canonical form. *)
+(* ------------------------------- factor ------------------------------- *)
+
+(* The factor runs over an int-coded copy of the query.  Variables are
+   numbered once, in order of first sight; union–find on those numbers
+   splits the atoms and inequalities into components; each component's
+   variables are then renamed v1, v2, … by first occurrence, exactly as
+   [Query.rename_vars] would: atoms in order, each atom's arguments left
+   to right, then the inequalities in order, right side first (the order
+   in which OCaml builds the renamed pair).  A renamed component is kept
+   as its atoms paired with their renamed arguments — a variable's
+   number, or 0 at a constant, whose name the atom still holds — and is
+   sorted and compared in that form by an order equal to [Query.compare]
+   on the renamed query, variable names compared as the strings "v<n>".
+   Equal components meet in a hash table, so only the distinct ones are
+   sorted, and only the first copy of each becomes a [Query.t].
+
+   The per-variable tables are domain-local scratch, grown to the largest
+   query seen and reused: an array over 256 words would go straight to
+   the major heap on every request, and the server factors one query per
+   request on each worker domain.  Everything else sized by the query is
+   a list. *)
+
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* One atom, or one inequality, with each variable's number (-1 at a
+   constant). *)
+type piece = Atom_piece of Atom.t * int array | Neq_piece of (Term.t * int) * (Term.t * int)
+
+(* A renamed term: a variable's n in "v<n>" (≥ 1), or 0 with the term
+   itself, a constant. *)
+type cterm = int * Term.t
+
+(* A renamed component: its atoms with their renamed arguments (0 at a
+   constant, which the atom still holds) and its oriented inequalities,
+   each list sorted. *)
+type comp = (Atom.t * int array) list * (cterm * cterm) list
+
+type scratch = {
+  ids : int Names.t;  (* variable name -> number *)
+  mutable parent : int array;  (* union–find over numbers *)
+  mutable renamed : int array;  (* number -> its n in "v<n>", 0 before renaming *)
+  mutable members : piece list array;  (* root -> its pieces *)
+  classes : (int, (comp * int ref) list ref) Hashtbl.t;  (* hash -> distinct components *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        ids = Names.create 64;
+        parent = [||];
+        renamed = [||];
+        members = [||];
+        classes = Hashtbl.create 16;
+      })
+
+(* Decimal strings compare as "v<a>" against "v<b>": "v10" < "v2". *)
+let compare_vnum a b =
+  if a = b then 0
+  else
+    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+    let rec shift n k = if k = 0 then n else shift (n / 10) (k - 1) in
+    let da = digits a and db = digits b in
+    if da = db then Int.compare a b
+    else if da < db then if a <= shift b (db - da) then -1 else 1
+    else if shift a (da - db) < b then -1
+    else 1
+
+(* [Term.compare] on the renamed terms: variables before constants. *)
+let compare_cterm n t m u =
+  if n > 0 && m > 0 then compare_vnum n m
+  else if n > 0 then -1
+  else if m > 0 then 1
+  else Term.compare t u
+
+let compare_catom (a, ra) (b, rb) =
+  match Symbol.compare (Atom.sym a) (Atom.sym b) with
+  | 0 ->
+      let la = Array.length ra and lb = Array.length rb in
+      if la <> lb then Int.compare la lb
+      else
+        let rec go i =
+          if i = la then 0
+          else
+            match compare_cterm ra.(i) (Atom.arg a i) rb.(i) (Atom.arg b i) with
+            | 0 -> go (i + 1)
+            | c -> c
+        in
+        go 0
+  | c -> c
+
+let compare_cneq (((n, t), (m, u)) : cterm * cterm) ((n', t'), (m', u')) =
+  match compare_cterm n t n' t' with 0 -> compare_cterm m u m' u' | c -> c
+
+let compare_comp ((atoms, neqs) : comp) ((atoms', neqs') : comp) =
+  match List.compare compare_catom atoms atoms' with
+  | 0 -> List.compare compare_cneq neqs neqs'
+  | c -> c
+
+(* Equal components hash alike; a collision costs one [compare_comp]. *)
+let hash_comp ((atoms, neqs) : comp) =
+  let mix h x = ((h * 31) + x) land max_int in
+  let term h n t = if n > 0 then mix h n else mix h (Hashtbl.hash t) in
+  let h =
+    List.fold_left
+      (fun h (a, ra) ->
+        let h = ref (mix h (Hashtbl.hash (Symbol.name (Atom.sym a)))) in
+        Array.iteri (fun i n -> h := term !h n (Atom.arg a i)) ra;
+        !h)
+      0 atoms
+  in
+  List.fold_left (fun h ((n, t), (m, u)) -> term (term h n t) m u) h neqs
+
+let vname n = "v" ^ string_of_int n
+
+let to_query ((atoms, neqs) : comp) =
+  let term ((n, t) : cterm) = if n > 0 then Term.Var (vname n) else t in
+  Query.make
+    ~neqs:(List.map (fun (x, y) -> (term x, term y)) neqs)
+    (List.map
+       (fun (a, ra) -> Atom.of_array (Atom.sym a) (Array.mapi (fun i n -> term (n, Atom.arg a i)) ra))
+       atoms)
+
+let factor q =
+  let s = Domain.DLS.get scratch_key in
+  Names.clear s.ids;
+  let number = function
+    | Term.Var x -> (
+        match Names.find_opt s.ids x with
+        | Some i -> i
+        | None ->
+            let i = Names.length s.ids in
+            Names.add s.ids x i;
+            i)
+    | Term.Cst _ -> -1
+  in
+  let atoms = List.map (fun a -> Atom_piece (a, Array.map number (Atom.args a))) (Query.atoms q) in
+  let neqs = List.map (fun (x, y) -> Neq_piece ((x, number x), (y, number y))) (Query.neqs q) in
+  let n = Names.length s.ids in
+  if Array.length s.parent < n then begin
+    let cap = max n (2 * Array.length s.parent) in
+    s.parent <- Array.make cap 0;
+    s.renamed <- Array.make cap 0;
+    s.members <- Array.make cap []
+  end;
+  let parent = s.parent and renamed = s.renamed and members = s.members in
+  for i = 0 to n - 1 do
+    parent.(i) <- i;
+    renamed.(i) <- 0;
+    members.(i) <- []
+  done;
+  Hashtbl.clear s.classes;
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      parent.(i) <- parent.(p);
+      find parent.(i)
+    end
+  in
+  let union i j = if i >= 0 && j >= 0 then parent.(find i) <- find j in
+  (* A piece's first variable, -1 when it has none. *)
+  let head = function
+    | Atom_piece (_, codes) -> Array.fold_left (fun h c -> if h >= 0 then h else c) (-1) codes
+    | Neq_piece ((_, i), (_, j)) -> max i j
+  in
+  let join p =
+    let h = head p in
+    match p with
+    | Atom_piece (_, codes) -> Array.iter (union h) codes
+    | Neq_piece ((_, i), (_, j)) -> union i j
+  in
+  List.iter join atoms;
+  List.iter join neqs;
+  (* File each piece under its component's root, last first, so every
+     list comes out in the query's order; a variable-free piece is a
+     component of its own. *)
+  let roots = ref [] and comps = ref [] in
+  let file p =
+    let h = head p in
+    if h < 0 then comps := [ p ] :: !comps
+    else begin
+      let r = find h in
+      match members.(r) with
+      | [] ->
+          roots := r :: !roots;
+          members.(r) <- [ p ]
+      | ps -> members.(r) <- p :: ps
+    end
+  in
+  List.iter file (List.rev neqs);
+  List.iter file (List.rev atoms);
+  List.iter
+    (fun r ->
+      comps := members.(r) :: !comps;
+      members.(r) <- [])
+    !roots;
+  (* Rename one component, whose pieces come in the query's order. *)
+  let canonical pieces : comp =
+    let next = ref 0 in
+    let rename c =
+      if c < 0 then 0
+      else begin
+        if renamed.(c) = 0 then begin
+          incr next;
+          renamed.(c) <- !next
+        end;
+        renamed.(c)
+      end
+    in
+    let atoms =
+      List.filter_map
+        (function Atom_piece (a, codes) -> Some (a, Array.map rename codes) | Neq_piece _ -> None)
+        pieces
+    in
+    let neqs =
+      List.filter_map
+        (function
+          | Neq_piece ((x, i), (y, j)) ->
+              let m = rename j in
+              let n = rename i in
+              Some (if compare_cterm n x m y <= 0 then ((n, x), (m, y)) else ((m, y), (n, x)))
+          | Atom_piece _ -> None)
+        pieces
+    in
+    (List.sort compare_catom atoms, List.sort compare_cneq neqs)
+  in
+  (* Count the distinct components through a hash table, then sort those
+     alone. *)
+  let total = ref 0 in
+  List.iter
+    (fun pieces ->
+      incr total;
+      let c = canonical pieces in
+      let h = hash_comp c in
+      match Hashtbl.find_opt s.classes h with
+      | None -> Hashtbl.add s.classes h (ref [ (c, ref 1) ])
+      | Some cell -> (
+          match List.find_opt (fun (c', _) -> compare_comp c c' = 0) !cell with
+          | Some (_, m) -> incr m
+          | None -> cell := (c, ref 1) :: !cell))
+    !comps;
+  Metrics.add components_seen !total;
+  let distinct = Hashtbl.fold (fun _ cell acc -> List.rev_append !cell acc) s.classes [] in
+  Hashtbl.clear s.classes;
+  List.map
+    (fun (c, m) -> (to_query c, !m))
+    (List.sort (fun (c, _) (c', _) -> compare_comp c c') distinct)
+
+(* The same renaming on one query, by name: what perfbench's verifier
+   keys its reference counts with. *)
 let canonical q =
   let table = Hashtbl.create 8 in
   let next = ref 0 in
@@ -31,20 +282,24 @@ let canonical q =
   in
   Query.rename_vars rename q
 
-let factor q =
-  let comps = List.sort Query.compare (List.map canonical (Query.components q)) in
-  Metrics.add components_seen (List.length comps);
-  let rec group = function
-    | [] -> []
-    | c :: rest ->
-        let rec span n = function
-          | c' :: tl when Query.equal c c' -> span (n + 1) tl
-          | tl -> (n, tl)
-        in
-        let n, tl = span 1 rest in
-        (c, n) :: group tl
-  in
-  group comps
+type component = { query : Query.t; mult : int; shape : string; constants : string array }
+
+(* The shape: the canonical form printed with each constant as its slot. *)
+let components q =
+  List.map
+    (fun (query, mult) ->
+      let constants = Query.constant_slots query in
+      let b = Buffer.create 32 in
+      let term b = function
+        | Term.Cst c ->
+            let rec slot i = if String.equal constants.(i) c then i else slot (i + 1) in
+            Buffer.add_char b '#';
+            Buffer.add_string b (string_of_int (slot 0))
+        | Term.Var x -> Buffer.add_string b x
+      in
+      Query.add_flat ~term b query;
+      { query; mult; shape = Buffer.contents b; constants })
+    (factor q)
 
 (* The GYO join tree, kept for [render], and its DP compiled once. *)
 type node = { atom : Atom.t; key : string list; children : node list }
@@ -62,7 +317,8 @@ type strategy =
    Exactly one edge survives iff the hypergraph is α-acyclic, and the
    absorption parents then form a join tree with the running-intersection
    property — the soundness of the join-tree DP. *)
-let join_tree (atoms : Atom.t array) : tree option =
+let join_tree q : tree option =
+  let atoms = Array.of_list (Query.atoms q) in
   let n = Array.length atoms in
   if n = 0 then None
   else begin
@@ -132,7 +388,7 @@ let join_tree (atoms : Atom.t array) : tree option =
       in
       let shape = build !root in
       let view n = (Jtree.Scan n.atom, n.key, n.children) in
-      Some { shape; dp = Jtree.compile view shape }
+      Some { shape; dp = Jtree.compile ~consts:(Query.constant_slots q) view shape }
     end
   end
 
@@ -159,7 +415,7 @@ let choose q =
      occurring only in ≠ atoms as a domain rank. *)
   if Query.has_neqs q then Wcoj (Wcoj.compile q)
   else
-    match join_tree (Array.of_list (Query.atoms q)) with
+    match join_tree q with
     | Some t -> Dp t
     | None -> (
         let w = Wcoj.compile q in
@@ -185,12 +441,12 @@ let jtree t = t.dp
 let count_tree ?budget t d = Jtree.count ?budget t.dp d
 
 (* The one component executor, shared by [Eval] and the store. *)
-let count ?budget strategy comp d =
+let count ?budget ?params strategy comp d =
   match strategy with
-  | Dp t -> Jtree.count ?budget t.dp d
-  | Wcoj w -> Wcoj.count ?budget w d
-  | Ghd g -> Jtree.count ?budget (Ghd.jtree g) d
-  | Backtrack -> Wcoj.count ?budget (Wcoj.compile comp) d
+  | Dp t -> Jtree.count ?budget ?params t.dp d
+  | Wcoj w -> Wcoj.count ?budget ?params w d
+  | Ghd g -> Jtree.count ?budget ?params (Ghd.jtree g) d
+  | Backtrack -> Wcoj.count ?budget ?params (Wcoj.compile comp) d
 
 let render = function
   | Backtrack -> [ "backtracking kernel" ]

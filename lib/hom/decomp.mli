@@ -26,19 +26,50 @@
 open Bagcq_bignum
 open Bagcq_cq
 
-val canonical : Query.t -> Query.t
-(** Variables renamed by first occurrence ([v1], [v2], …), so components
-    that differ only in variable names — the disjoint copies produced by
-    [∧̄] and [↑] — share one syntactic form, one cache entry and one
-    search.  A heuristic, not a graph-isomorphism canonical form: two
-    isomorphic components may still canonicalise apart, which costs a
-    duplicate search but never an incorrect count. *)
-
 val factor : Query.t -> (Query.t * int) list
-(** Connected components of the query, canonicalised, grouped by syntactic
-    equality and paired with their multiplicities, in {!Query.compare}
-    order.  [count q D = Π_i count cᵢ D ^ mᵢ] over [factor q]; the empty
-    conjunction factors into [[]]. *)
+(** Connected components of the query ({!Query.components}), each
+    canonicalised, grouped by syntactic equality and paired with its
+    multiplicity, in {!Query.compare} order.  [count q D = Π_i count cᵢ D ^
+    mᵢ] over [factor q]; the empty conjunction factors into [[]].
+
+    A component's canonical form renames its variables [v1], [v2], … by
+    first occurrence: atoms in order, each atom's arguments left to right,
+    then the inequalities in order, right side first.  So components that
+    differ only in variable names — the disjoint copies produced by [∧̄]
+    and [↑] — share one form, one plan and one count.  A heuristic, not a
+    graph-isomorphism canonical form: two isomorphic components may still
+    canonicalise apart, which costs a duplicate count, never a wrong one.
+
+    The factor runs over an int-coded copy of the query: variables are
+    numbered once, and union–find, renaming, sorting and grouping compare
+    ints (a renamed variable [vn] against [vm] as the strings compare, so
+    [v10] sorts before [v2]).  Only the first copy of each distinct
+    component is built as a {!Query.t}: the 150 copies of a path in
+    [θ↑150] build one.  Per-variable arrays are domain-local scratch,
+    reused across calls. *)
+
+val canonical : Query.t -> Query.t
+(** The canonical renaming of one whole query, by name, through
+    {!Query.rename_vars}: for a connected query, {!factor}'s one
+    component.  Kept because perfbench's verifier keys its reference
+    counts with it. *)
+
+type component = {
+  query : Query.t;  (** the canonical form, as {!factor} gives it *)
+  mult : int;  (** its multiplicity *)
+  shape : string;
+      (** the canonical form with each constant replaced by its slot
+          number: printed flat ({!Query.add_flat}), every constant as
+          [#i] where [i] indexes {!constants} *)
+  constants : string array;  (** the component's constants, by slot ({!Query.constant_slots}) *)
+}
+(** One factor of a query, with its plan key.  Two components of one
+    shape differ only in their constants, so one plan, compiled from
+    either, counts both: {!choose}'s decisions and every compiled kernel
+    read constants only through their slots. *)
+
+val components : Query.t -> component list
+(** {!factor}, with each component's shape and constants. *)
 
 type tree
 (** A join tree over a component's atoms, from GYO reduction: the parent
@@ -93,6 +124,7 @@ val count_tree :
 
 val count :
   ?budget:Bagcq_guard.Budget.t ->
+  ?params:Bagcq_relational.Value.t array ->
   strategy ->
   Query.t ->
   Bagcq_relational.Structure.t ->
@@ -100,7 +132,11 @@ val count :
 (** [count s comp D] = |Hom(comp, D)|, run by [s] — which must be
     [choose comp], or [Backtrack], which compiles [comp] for the leapfrog
     and so runs any component.  The component executor that [Eval] and
-    the store share.  [?budget] ticks as the chosen kernel documents. *)
+    the store share.  With [?params], slot [i]'s constant is bound to
+    [params.(i)] instead of its interpretation in [D]: then [s] may be
+    [choose c] for any [c] of [comp]'s shape, and the count is that of
+    [comp] with its constants so bound, in the ticks of [choose comp].
+    [?budget] ticks as the chosen kernel documents. *)
 
 val render : strategy -> string list
 (** Human-readable plan lines for [bagcq explain]: the join tree indented

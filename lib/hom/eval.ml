@@ -1,20 +1,38 @@
 open Bagcq_bignum
+open Bagcq_relational
 open Bagcq_cq
 
-module QueryMap = Map.Make (Query)
-module IntMap = Map.Make (Int)
+module StringMap = Map.Make (String)
 
-(* The evaluation cache.  [plans] maps a canonical component to the plan
-   [Decomp.choose] picked on first encounter and is never invalidated
-   (strategies depend only on the query); [counts] memoises per-plan
-   counts against [counts_for], compared by physical identity — a hunt
-   switches structures thousands of times, and re-keying on the structure
-   pointer makes the table a cheap per-database memo that still amortises
-   across repeated components (∧̄ / ↑ powers, UCQ disjuncts).  The memo is
-   keyed by the plan's id, not by the component: a prepared query carries
-   its plans, so counting it compares ints, never queries.  Without a
-   caller-supplied cache every [count] call gets a fresh one, so the
-   memoisation scope is exactly the seed behaviour. *)
+(* The count memo's key: a plan's id and the values its parameter slots
+   were bound to.  One plan's keys all have its slot count. *)
+module Memo = Map.Make (struct
+  type t = int * Value.t array
+
+  let compare (i, a) (j, b) =
+    match Int.compare i j with
+    | 0 ->
+        let rec go k =
+          if k = Array.length a then 0
+          else match Value.compare a.(k) b.(k) with 0 -> go (k + 1) | c -> c
+        in
+        go 0
+    | c -> c
+end)
+
+(* The evaluation cache.  [plans] maps a component's shape (its canonical
+   form with each constant a parameter slot) to the plan [Decomp.choose]
+   picked for the first component of that shape, and is never
+   invalidated: strategies depend only on the shape, so the map does not
+   grow with every new constant.  [counts] memoises per-plan counts,
+   keyed by the plan's id and its parameter values, against [counts_for],
+   compared by physical identity — a hunt switches structures thousands
+   of times, and re-keying on the structure pointer makes the table a
+   cheap per-database memo that still amortises across repeated
+   components (∧̄ / ↑ powers, UCQ disjuncts).  A prepared query carries
+   its plans, so counting it compares ints and values, never queries.
+   Without a caller-supplied cache every [count] call gets a fresh one,
+   so the memoisation scope is exactly the seed behaviour. *)
 type cache_stats = {
   plan_hits : int;
   plan_misses : int;
@@ -25,13 +43,15 @@ type cache_stats = {
 module Metrics = Bagcq_obs.Metrics
 
 (* A plan's id is drawn once, when the plan enters some cache's plan map,
-   from one process-wide sequence: equal ids mean the same component and
+   from one process-wide sequence: equal ids mean the same shape and
    strategy whichever cache prepared them, so a query prepared through one
    cache can be counted through another (a hunt prepares on the calling
-   domain and counts on its workers) without two components ever sharing
-   a memo slot. *)
+   domain and counts on its workers) without two shapes ever sharing a
+   memo slot.  [comp] is the component the plan was compiled from. *)
 type plan = { id : int; strategy : Decomp.strategy; comp : Query.t }
-type prepared = (plan * int) list
+
+(* Per component: its plan, its own constants by slot, its multiplicity. *)
+type prepared = (plan * string array * int) list
 
 let next_plan_id = Atomic.make 0
 
@@ -43,8 +63,8 @@ let next_plan_id = Atomic.make 0
    hunts allocate one cache per worker and those must not leak into a
    process-wide dump. *)
 type cache = {
-  mutable plans : plan QueryMap.t;
-  mutable counts : Nat.t IntMap.t;
+  mutable plans : plan StringMap.t;
+  mutable counts : Nat.t Memo.t;
   mutable counts_for : Bagcq_relational.Structure.t option;
   plan_hits : Metrics.counter;
   plan_misses : Metrics.counter;
@@ -54,8 +74,8 @@ type cache = {
 
 let create_cache () =
   {
-    plans = QueryMap.empty;
-    counts = IntMap.empty;
+    plans = StringMap.empty;
+    counts = Memo.empty;
     counts_for = None;
     plan_hits = Metrics.fresh_counter ();
     plan_misses = Metrics.fresh_counter ();
@@ -79,45 +99,55 @@ let cache_counters c =
     ("count_misses", c.count_misses);
   ]
 
-let plan_for cache key =
-  match QueryMap.find_opt key cache.plans with
+let plan_for cache (c : Decomp.component) =
+  match StringMap.find_opt c.shape cache.plans with
   | Some p ->
       Metrics.incr cache.plan_hits;
       p
   | None ->
       Metrics.incr cache.plan_misses;
-      let strategy = Decomp.choose key in
+      let strategy = Decomp.choose c.query in
       (* cold plan: this is the one site where the plan_* selection
          counters advance, so they track plan-cache misses exactly *)
       Decomp.record_choice strategy;
-      let p = { id = Atomic.fetch_and_add next_plan_id 1; strategy; comp = key } in
-      cache.plans <- QueryMap.add key p cache.plans;
+      let p = { id = Atomic.fetch_and_add next_plan_id 1; strategy; comp = c.query } in
+      cache.plans <- StringMap.add c.shape p cache.plans;
       p
 
 let or_fresh = function Some c -> c | None -> create_cache ()
 
 let prepare ?cache q =
   let cache = or_fresh cache in
-  List.map (fun (comp, mult) -> (plan_for cache comp, mult)) (Decomp.factor q)
+  List.map
+    (fun (c : Decomp.component) -> (plan_for cache c, c.constants, c.mult))
+    (Decomp.components q)
 
 let sync_structure cache d =
   match cache.counts_for with
   | Some d' when d' == d -> ()
   | _ ->
-      cache.counts <- IntMap.empty;
+      cache.counts <- Memo.empty;
       cache.counts_for <- Some d
 
-(* One memoised count per plan, run by the shared component executor. *)
-let count_memo ?budget cache plan d =
-  match IntMap.find_opt plan.id cache.counts with
-  | Some c ->
-      Metrics.incr cache.count_hits;
-      c
-  | None ->
-      Metrics.incr cache.count_misses;
-      let c = Decomp.count ?budget plan.strategy plan.comp d in
-      cache.counts <- IntMap.add plan.id c cache.counts;
-      c
+(* One memoised count per plan and parameter vector, run by the shared
+   component executor.  The parameters are the component's constants as
+   [d] interprets them; an uninterpreted one answers zero before the
+   memo or any kernel is reached. *)
+let count_memo ?budget cache plan constants d =
+  let values = Array.map (Structure.interpretation d) constants in
+  if Array.exists Option.is_none values then Nat.zero
+  else
+    let params = Array.map Option.get values in
+    let key = (plan.id, params) in
+    match Memo.find_opt key cache.counts with
+    | Some c ->
+        Metrics.incr cache.count_hits;
+        c
+    | None ->
+        Metrics.incr cache.count_misses;
+        let c = Decomp.count ?budget ~params plan.strategy plan.comp d in
+        cache.counts <- Memo.add key c cache.counts;
+        c
 
 (* Repeated components — the ↑/∧̄ powers — are counted once and raised to
    their multiplicity: the factorised form of Lemma 1. *)
@@ -126,8 +156,8 @@ let count_prepared ?budget ?cache p d =
   sync_structure cache d;
   let rec go acc = function
     | [] -> acc
-    | (plan, mult) :: rest ->
-        let c = count_memo ?budget cache plan d in
+    | (plan, constants, mult) :: rest ->
+        let c = count_memo ?budget cache plan constants d in
         if Nat.is_zero c then Nat.zero
         else
           let c = if mult = 1 then c else Nat.pow c mult in
@@ -144,7 +174,10 @@ let satisfies ?budget ?cache d q =
   let cache = or_fresh cache in
   let p = prepare ~cache q in
   sync_structure cache d;
-  List.for_all (fun (plan, _mult) -> not (Nat.is_zero (count_memo ?budget cache plan d))) p
+  List.for_all
+    (fun (plan, constants, _mult) ->
+      not (Nat.is_zero (count_memo ?budget cache plan constants d)))
+    p
 
 (* Per-factor [(θᵢ(D), eᵢ)] pairs — the symbolic form of a power-product
    count, never materialised. *)

@@ -12,28 +12,32 @@ open Bagcq_relational
 open Bagcq_cq
 
 type cache
-(** An evaluation cache: one execution strategy per canonical component —
-    a join-tree dynamic program for acyclic inequality-free components, a
-    worst-case-optimal leapfrog plan (with ≠ filters and domain ranks) for
-    components with inequalities, the leapfrog or a bounded-width
-    hypertree decomposition for cyclic ones, chosen by {!Decomp.choose},
-    run by {!Decomp.count} and kept for the cache's lifetime (strategies
-    depend only on the query) — plus component
-    counts for the most recent structure (invalidated whenever evaluation
-    moves to a structure that is not physically the same).  Each plan gets
-    an int id when it enters a plan map, unique across the process, and
-    the count memo is keyed by that id (an [Int] map, O(log k) per
-    lookup), never by the component itself.  Cold plans
-    call {!Decomp.record_choice}, so the process-wide [plan_*] selection
-    counters count this cache's misses, never its hits.  One cache serves
-    one domain: share nothing, shard everything — parallel sweeps
-    allocate one per worker. *)
+(** An evaluation cache: one execution strategy per component {e shape}
+    ({!Decomp.component}: the canonical form with each constant a
+    parameter slot) — a join-tree dynamic program for acyclic
+    inequality-free components, a worst-case-optimal leapfrog plan (with
+    ≠ filters and domain ranks) for components with inequalities, the
+    leapfrog or a bounded-width hypertree decomposition for cyclic ones,
+    chosen by {!Decomp.choose} for the first component of that shape, run
+    by {!Decomp.count} and kept for the cache's lifetime (strategies
+    depend only on the shape) — plus component counts for the most recent
+    structure (invalidated whenever evaluation moves to a structure that
+    is not physically the same).  So [E('v1',x)] and [E('v2',x)] share one
+    plan, and the plan map stops growing with every new constant.  Each
+    plan gets an int id when it enters a plan map, unique across the
+    process, and the count memo is keyed by that id and the parameter
+    values the component binds its slots to, never by the component
+    itself: [E('v1',x) & E('v2',y)] counts its two components, of one
+    shape, in two memo slots.  Cold plans call {!Decomp.record_choice}, so
+    the process-wide [plan_*] selection counters count this cache's
+    misses, never its hits.  One cache serves one domain: share nothing,
+    shard everything — parallel sweeps allocate one per worker. *)
 
 val create_cache : unit -> cache
 
 type cache_stats = {
   plan_hits : int;  (** strategy lookups answered from the cache *)
-  plan_misses : int;  (** strategy selections (DP build or plan compile) *)
+  plan_misses : int;  (** strategy selections (DP build or plan compile), one per shape *)
   count_hits : int;  (** component counts answered from the memo *)
   count_misses : int;  (** component counts computed by the solver *)
 }
@@ -53,26 +57,29 @@ val cache_counters : cache -> (string * Bagcq_obs.Metrics.counter) list
     caches should not be registered (they are transient). *)
 
 type prepared
-(** A query factored into canonical components ({!Decomp.factor}) with
-    each component's plan resolved: everything about [ψ(D)] that does not
-    depend on [D].  Immutable, so one value may be counted from any
-    domain, through any cache. *)
+(** A query factored into canonical components ({!Decomp.components})
+    with each component's plan resolved and its constants listed by slot:
+    everything about [ψ(D)] that does not depend on [D].  Immutable, so
+    one value may be counted from any domain, through any cache. *)
 
 val prepare : ?cache:cache -> Query.t -> prepared
 (** Factors the query once and resolves each component's strategy
-    through the cache's plan map (a fresh map without [?cache]): a hit
-    bumps [plan_hits], a cold plan bumps [plan_misses], calls
-    {!Decomp.record_choice} and draws the plan's id.  Every component is
-    planned, including those a zero count would later short-circuit. *)
+    through the cache's plan map, keyed by shape (a fresh map without
+    [?cache]): a hit bumps [plan_hits], a cold plan bumps [plan_misses],
+    calls {!Decomp.record_choice} and draws the plan's id.  Every
+    component is planned, including those a zero count would later
+    short-circuit. *)
 
 val count_prepared :
   ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> prepared -> Structure.t -> Nat.t
 (** [ψ(D)] for a prepared [ψ]: only the kernels run, in component order,
-    stopping at the first zero.  Component counts go through the cache's
-    per-structure memo, keyed by plan id, so two prepared queries sharing
-    a plan (prepared through the same cache) count the shared component
-    once per structure.  The counting cache need not be the preparing
-    one. *)
+    stopping at the first zero.  Each component's parameter vector is its
+    constants as [D] interprets them; a constant [D] leaves uninterpreted
+    answers zero before the memo, the index or any tick.  Component
+    counts go through the cache's per-structure memo, keyed by plan id
+    and parameter values, so two prepared queries sharing a component
+    (prepared through the same cache) count it once per structure.  The
+    counting cache need not be the preparing one. *)
 
 val count : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Structure.t -> Nat.t
 (** [count ψ D = ψ(D)], i.e. [count_prepared (prepare ψ) D].  With

@@ -390,7 +390,7 @@ let plan (q : Query.t) : t option =
           else begin
             Metrics.incr plans_built;
             let view b = (Jtree.Join (b.b_chi, b.b_atoms), bag_key b, b.b_children) in
-            let g_dp = Jtree.compile view g_root in
+            let g_dp = Jtree.compile ~consts:(Query.constant_slots q) view g_root in
             Some { g_root; g_width = !width; g_nbags = !nbags; g_dp }
           end
         end
@@ -404,7 +404,7 @@ let plan (q : Query.t) : t option =
    a connected subtree, so the join-tree DP over the bag joins counts
    |Hom(component, D)|.  The engine's one-shot count, kept as a name for
    perfbench's replay. *)
-let count ?budget g d = Jtree.count ?budget g.g_dp d
+let count ?budget ?params g d = Jtree.count ?budget ?params g.g_dp d
 
 (* ------------------------------ reporting ----------------------------- *)
 

@@ -41,13 +41,22 @@ val nbags : t -> int
 
 val jtree : t -> Jtree.t
 (** The decomposition's DP, compiled by {!plan}: one bag-join node per
-    bag.  {!Decomp.count} runs it. *)
+    bag, its constants numbered as parameter slots in
+    {!Query.constant_slots} order.  {!Decomp.count} runs it. *)
 
-val count : ?budget:Bagcq_guard.Budget.t -> t -> Structure.t -> Bagcq_bignum.Nat.t
-(** [Jtree.count (jtree g)]: the engine's one-shot count, kept as a name
-    because perfbench's replay calls it.  An uninterpreted constant yields
-    zero; one budget tick per candidate tuple, so fuel trips mid-bag;
-    bumps [ghd_runs] and [ghd_bag_rows]. *)
+val count :
+  ?budget:Bagcq_guard.Budget.t ->
+  ?params:Value.t array ->
+  t ->
+  Structure.t ->
+  Bagcq_bignum.Nat.t
+(** [Jtree.count ?params (jtree g)]: the engine's one-shot count, kept as
+    a name because perfbench's replay calls it.  The constants' values
+    come from [?params] (one per slot) or the structure's interpretation;
+    an uninterpreted constant yields zero before any tick.  One budget
+    tick per candidate tuple, so fuel trips mid-bag; a step probing a
+    constant reads only that constant's run.  Bumps [ghd_runs] and
+    [ghd_bag_rows]. *)
 
 (** {2 Reporting} — the decomposition shape, for [bagcq explain]. *)
 

@@ -75,15 +75,25 @@ let sym_index idx sym =
 let rows si = si.rows
 let domain idx = idx.domain
 
-(* Interpretations first: an uninterpreted constant fetches no index.  An
-   interpreted one always has a code, because the domain folds in every
-   interpretation. *)
-let constants d names =
-  let values = Array.map (Structure.interpretation d) names in
-  if Array.exists Option.is_none values then None
-  else
-    let idx = get d in
-    Some (idx, Array.map (fun v -> ValueTbl.find idx.code_of (Option.get v)) values)
+(* Parameters as given, or interpretations first: an uninterpreted
+   constant fetches no index.  An interpreted one always has a code,
+   because the domain folds in every interpretation. *)
+let constants ?params d names =
+  let code idx v =
+    match ValueTbl.find_opt idx.code_of v with
+    | Some c -> c
+    | None -> invalid_arg "Index.constants: a parameter outside the structure's domain"
+  in
+  match params with
+  | Some values ->
+      let idx = get d in
+      Some (idx, Array.map (code idx) values)
+  | None ->
+      let values = Array.map (Structure.interpretation d) names in
+      if Array.exists Option.is_none values then None
+      else
+        let idx = get d in
+        Some (idx, Array.map (fun v -> code idx (Option.get v)) values)
 
 (* Codes in order of first sight: the next code is the table's size. *)
 type interner = int ValueTbl.t

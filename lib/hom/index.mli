@@ -45,13 +45,17 @@ val domain : t -> Value.t array
 (** The active domain, in {!Value.compare} order.  Codes are indexes into
     this array. *)
 
-val constants : Structure.t -> string array -> (t * int array) option
-(** [constants d names] resolves a kernel's constants: [None] when some
-    name has no interpretation in [d], decided before any index is
-    fetched, since no homomorphism can then exist; otherwise the index of
-    [d] ({!get}) and each name's code.  The domain folds in every
+val constants :
+  ?params:Value.t array -> Structure.t -> string array -> (t * int array) option
+(** [constants ?params d names] resolves a plan's parameter slots to
+    codes.  Without [params], slot [i] is the constant [names.(i)]: [None]
+    when some name has no interpretation in [d], decided before any index
+    is fetched, since no homomorphism can then exist; otherwise the index
+    of [d] ({!get}) and each name's code.  The domain folds in every
     constant's interpretation, so an interpreted constant always has a
-    code, even when no tuple holds it. *)
+    code, even when no tuple holds it.  With [params] (one value per
+    slot), slot [i] holds [params.(i)] and [names] is not read; every
+    value must lie in [d]'s domain, or [Invalid_argument] is raised. *)
 
 (** {2 Codes that survive writes}
 

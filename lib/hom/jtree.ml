@@ -15,10 +15,10 @@ let bag_rows = Metrics.counter Metrics.global "ghd_bag_rows"
    frame slot an earlier position bound, or bind a frame slot. *)
 type op = Cst of int | Check of int | Bind of int
 
-(* Where a bag-join step reads its candidates: the whole relation; the
-   relation deduplicated once per count with the masked (private)
-   positions blanked; or the rows of its view holding, at the first level,
-   the code of a constant slot or of an already-bound frame slot. *)
+(* Where a step reads its candidates: the whole relation; the relation
+   deduplicated once per count with the masked (private) positions
+   blanked; or the rows of its view holding, at the first level, the code
+   of a constant slot or of an already-bound frame slot. *)
 type rows = All | Projected of bool array | At_cst of int | At_var of int
 
 (* [order] is the {!Index.view} the step reads — the probed position
@@ -26,7 +26,7 @@ type rows = All | Projected of bool array | At_cst of int | At_var of int
 type step = { sym : Symbol.t; order : int array; ops : op array; rows : rows }
 
 type source =
-  | Atom_scan of step  (* reads [All] under the identity order *)
+  | Atom_scan of step  (* reads [All], or [At_cst] at its first constant *)
   | Bag_join of int * step array * bool
       (* |χ| — χ fills the frame's first slots — the steps, and whether
          distinct join results always have distinct χ-projections *)
@@ -44,15 +44,10 @@ type spec = Scan of Atom.t | Join of string array * Atom.t array
 
 (* ------------------------------ compiling ----------------------------- *)
 
-let compile view top =
-  let consts = Hashtbl.create 4 in
+let compile ~consts view top =
   let slot c =
-    match Hashtbl.find_opt consts c with
-    | Some k -> k
-    | None ->
-        let k = Hashtbl.length consts in
-        Hashtbl.add consts c k;
-        k
+    let rec find k = if String.equal consts.(k) c then k else find (k + 1) in
+    find 0
   in
   let syms = ref Symbol.Set.empty and bags = ref false in
   let rec build x =
@@ -83,12 +78,28 @@ let compile view top =
         (Atom.args a)
     in
     let identity ops = Array.init (Array.length ops) Fun.id in
+    (* A probed step reads the view with the probed position first.  It
+       holds a constant or an earlier atom's variable, so no op of the
+       atom binds there, and moving it first keeps every Bind ahead of its
+       Checks. *)
+    let probed sym ops p rows =
+      let order = Index.probe_first (Array.length ops) p in
+      { sym; order; ops = Array.map (fun q -> ops.(q)) order; rows }
+    in
     let source =
       match spec with
       | Scan a ->
           syms := Symbol.Set.add (Atom.sym a) !syms;
-          let ops = ops_of a in
-          Atom_scan { sym = Atom.sym a; order = identity ops; ops; rows = All }
+          let ops = ops_of a and sym = Atom.sym a in
+          let rec first_cst p =
+            if p = Array.length ops then
+              Atom_scan { sym; order = identity ops; ops; rows = All }
+            else
+              match ops.(p) with
+              | Cst k -> Atom_scan (probed sym ops p (At_cst k))
+              | Check _ | Bind _ -> first_cst (p + 1)
+          in
+          first_cst 0
       | Join (chi, _) ->
           bags := true;
           let steps =
@@ -125,13 +136,7 @@ let compile view top =
             Array.map
               (fun (sym, ops, probe) ->
                 match probe with
-                | Some (p, rows) ->
-                    (* The probed position holds a constant or an earlier
-                       atom's variable, so no op of this atom binds at it
-                       and moving it first keeps every Bind ahead of its
-                       Checks. *)
-                    let order = Index.probe_first (Array.length ops) p in
-                    { sym; order; ops = Array.map (fun q -> ops.(q)) order; rows }
+                | Some (p, rows) -> probed sym ops p rows
                 | None ->
                     let mask =
                       Array.map
@@ -168,9 +173,7 @@ let compile view top =
       key )
   in
   let root, _ = build top in
-  let names = Array.make (Hashtbl.length consts) "" in
-  Hashtbl.iter (fun c k -> names.(k) <- c) consts;
-  { root; consts = names; syms = !syms; bags = !bags }
+  { root; consts; syms = !syms; bags = !bags }
 
 (* ------------------------------- tables ------------------------------- *)
 
@@ -401,10 +404,18 @@ let aggregate node ctbls tbl env =
 
 let root_entry tbl = nat tbl (find tbl [||] [||])
 
-(* The atom-scan row source: one tick on entry and one per tuple. *)
-let scan tick consts ops env cols n row =
+(* The rows of [\[0, n)] a step reads from its view's columns: all, or
+   the run of the probed code. *)
+let range st consts env cols n =
+  match st.rows with
+  | All | Projected _ -> (0, n)
+  | At_cst k -> Index.run cols.(0) 0 n consts.(k)
+  | At_var i -> Index.run cols.(0) 0 n env.(i)
+
+(* The atom-scan row source: one tick on entry and one per row read. *)
+let scan tick consts ops env cols lo hi row =
   tick ();
-  for r = 0 to n - 1 do
+  for r = lo to hi - 1 do
     tick ();
     if matches ops consts env cols r 0 then row ()
   done
@@ -453,12 +464,7 @@ let join tick consts ncodes reads nchi steps distinct srcs env rows row =
     else begin
       let st = steps.(s) in
       let cols, n = srcs.(s) in
-      let lo, hi =
-        match st.rows with
-        | All | Projected _ -> (0, n)
-        | At_cst k -> Index.run cols.(0) 0 n consts.(k)
-        | At_var i -> Index.run cols.(0) 0 n env.(i)
-      in
+      let lo, hi = range st consts env cols n in
       for r = lo to hi - 1 do
         tick ();
         if matches st.ops consts env cols r 0 then go (s + 1)
@@ -467,9 +473,9 @@ let join tick consts ncodes reads nchi steps distinct srcs env rows row =
   in
   go 0
 
-let count ?budget t d =
+let count ?budget ?params t d =
   if t.bags then Metrics.incr runs;
-  match Index.constants d t.consts with
+  match Index.constants ?params d t.consts with
   | None -> Nat.zero
   | Some (idx, consts) -> (
       let ncodes = Array.length (Index.domain idx) in
@@ -481,11 +487,11 @@ let count ?budget t d =
         match node.source with
         | Atom_scan st ->
             let si = Index.sym_index idx st.sym in
-            let n = Index.rows si in
+            let cols = Index.view si st.order in
+            let lo, hi = range st consts env cols (Index.rows si) in
             let ctbls = Array.map pass node.children in
-            let tbl = table ~width ~ncodes ~rows:n in
-            scan tick consts st.ops env (Index.view si st.order) n (fun () ->
-                aggregate node ctbls tbl env);
+            let tbl = table ~width ~ncodes ~rows:(hi - lo) in
+            scan tick consts st.ops env cols lo hi (fun () -> aggregate node ctbls tbl env);
             tbl
         | Bag_join (nchi, steps, distinct) ->
             let sis = Array.map (fun st -> Index.sym_index idx st.sym) steps in
@@ -566,7 +572,7 @@ let build ?budget (t : t) d =
           let table = table ~width:(Array.length node.key) ~ncodes:(Index.interned codes) ~rows:n in
           let l = { node; step; table; kids; rev = Array.map (fun _ -> Hashtbl.create 16) kids } in
           let ctbls = tables kids and env = Array.make node.frame 0 in
-          scan tick consts step.ops env cols n (fun () ->
+          scan tick consts step.ops env cols 0 n (fun () ->
               refile l env ~add:true;
               aggregate node ctbls table env);
           l
@@ -591,7 +597,7 @@ let total st = root_entry st.top.table
    below zero — and hands it to its parent. *)
 let delta ?budget st sym (tup : Tuple.t) ~add =
   let tick = ticker budget in
-  let row = lazy (Array.map (fun v -> [| Index.intern st.codes v |]) tup) in
+  let codes = lazy (Array.map (Index.intern st.codes) tup) in
   let rec update l =
     let key = l.node.key and ctbls = tables l.kids in
     let acc = table ~width:(Array.length key) ~ncodes:(Index.interned st.codes) ~rows:0 in
@@ -616,7 +622,8 @@ let delta ?budget st sym (tup : Tuple.t) ~add =
     if Symbol.equal l.step.sym sym then begin
       tick ();
       let env = Array.make l.node.frame 0 in
-      if matches l.step.ops st.consts env (Lazy.force row) 0 0 then begin
+      let row = Array.map (fun p -> [| (Lazy.force codes).(p) |]) l.step.order in
+      if matches l.step.ops st.consts env row 0 0 then begin
         reweigh env Nat.one;
         refile l env ~add
       end

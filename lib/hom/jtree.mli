@@ -10,7 +10,10 @@
     (compare with a constant slot, check a bound slot, bind a slot), the
     slots of its own key (the variables shared with its parent) and, per
     child, the slots of the child's key in this frame.  Constants are
-    slots, resolved against the structure once per count.  Bottom-up,
+    parameter slots, numbered by the caller ({!Query.constant_slots}) and
+    resolved once per count, from a parameter vector or from the
+    structure's interpretation, so one compiled tree counts every
+    component that differs from its own only in constants.  Bottom-up,
     each node weighs every row it produces by the product of its
     children's table entries at the row's lookup projections, and
     aggregates the weights at the row's key projection.  The
@@ -20,8 +23,13 @@
     {2 Two row sources}
 
     - An {e atom scan} (every node of an acyclic component's join tree)
-      matches its atom's ops against each tuple of one relation.  It ticks
-      once on entry and once per tuple.
+      matches its atom's ops against the tuples of one relation.  When
+      the atom holds a constant, it reads only the run of that constant's
+      code in the view with its first constant position first
+      ({!Index.probe_first}), as a bag-join step probing a constant does;
+      otherwise every tuple.  It ticks once on entry and once per row it
+      reads: [E('c',x)] costs 1 + the number of tuples holding [c] first,
+      and an atom with two constants 1 + the run of the first one.
     - A {e bag join} (every node of a decomposition) joins the bag's atoms
       by index probes in a compiled order and hands each distinct
       projection onto the bag's variables χ to the weigh-and-aggregate step
@@ -84,20 +92,24 @@ type spec =
   | Join of string array * Atom.t array
       (** a bag-join node: χ, then the atoms to join in probe order *)
 
-val compile : ('a -> spec * string list * 'a list) -> 'a -> t
-(** [compile view top] compiles the tree whose nodes [view] describes as
-    (row source, key variables, children), rooted at [top].  The key of
-    the root must be empty; every other key must be variables of both the
-    node and its parent. *)
+val compile : consts:string array -> ('a -> spec * string list * 'a list) -> 'a -> t
+(** [compile ~consts view top] compiles the tree whose nodes [view]
+    describes as (row source, key variables, children), rooted at [top].
+    The key of the root must be empty; every other key must be variables
+    of both the node and its parent.  [consts] numbers the parameter
+    slots: it must list every constant of the tree's atoms. *)
 
-val count : ?budget:Bagcq_guard.Budget.t -> t -> Structure.t -> Nat.t
+val count :
+  ?budget:Bagcq_guard.Budget.t -> ?params:Value.t array -> t -> Structure.t -> Nat.t
 (** The one-shot count, run by {!Decomp.count} for [Eval] and the store's
     recounts: one bottom-up pass over the {!Index} code columns and
     probe-first views that keeps no reverse maps and drops each table
-    once its parent has read it.  Constants resolve through
-    {!Index.constants}, so an uninterpreted one answers zero before any
-    index is fetched or any tick is spent.  Ticks [?budget] by the rule
-    above and unwinds with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
+    once its parent has read it.  Slot [i] holds [params.(i)], or,
+    without [?params], the structure's interpretation of [consts.(i)],
+    through {!Index.constants}: an uninterpreted constant answers zero
+    before any index is fetched or any tick is spent.  Ticks [?budget] by
+    the rule above and unwinds with {!Bagcq_guard.Budget.Exhausted_} on a
+    trip. *)
 
 (** {2 Materialised state}
 
@@ -149,8 +161,9 @@ val build : ?budget:Bagcq_guard.Budget.t -> t -> Structure.t -> state option
     node's table and reverse maps: the one time the state reads a
     relation.  [None] when a constant is uninterpreted: the count is zero
     and not maintainable, since a later insert can bind the constant.
-    Ticks [?budget] like {!count}.  Raises [Invalid_argument] on a tree
-    with bag joins. *)
+    Ticks [?budget] like {!count}, except that an atom scan reads every
+    tuple, bound position or not (the tuple array is not sorted by the
+    view).  Raises [Invalid_argument] on a tree with bag joins. *)
 
 val total : state -> Nat.t
 (** The root's entry at the empty key: |Hom(component, D)|.  O(1). *)

@@ -53,13 +53,13 @@ exception Found of hom
 
 (* The first homomorphism [source → d] (if any) satisfying [accept],
    found on the leapfrog, which stops at the hit. *)
-let first ?budget ?(accept = fun _ -> true) source d =
+let first ?budget ?injective ?(accept = fun _ -> true) source d =
   try
     Wcoj.iter ?budget
       (fun a ->
         let h = hom_of_assignment a in
         if accept h then raise_notrace (Found h))
-      (Wcoj.compile source) d;
+      (Wcoj.compile ?injective source) d;
     None
   with Found h -> Some h
 
@@ -75,6 +75,19 @@ let count_dominates bigger smaller = exists_onto_hom bigger smaller
 let multiset_symbols q =
   List.sort compare (List.map (fun a -> Symbol.name (Atom.sym a)) (Query.atoms q))
 
+(* A binary symbol no atom of [q1] or [q2] uses, for their inequalities. *)
+let fresh_binary q1 q2 =
+  let used = List.map (fun a -> Symbol.name (Atom.sym a)) (Query.atoms q1 @ Query.atoms q2) in
+  let rec fresh n = if List.mem n used then fresh (n ^ "'") else n in
+  Symbol.make (fresh "!=") 2
+
+(* [q]'s inequalities written as atoms of [sym], one per orientation, so a
+   homomorphism must carry each onto an inequality of the target, and a
+   variable occurring only in inequalities is bound like any other. *)
+let neq_atoms sym q =
+  Query.atoms q
+  @ List.concat_map (fun (a, b) -> [ Atom.make sym [ a; b ]; Atom.make sym [ b; a ] ]) (Query.neqs q)
+
 let isomorphic ?budget q1 q2 =
   Query.num_vars q1 = Query.num_vars q2
   && Query.num_atoms q1 = Query.num_atoms q2
@@ -86,7 +99,8 @@ let isomorphic ?budget q1 q2 =
        let neqs2 =
          List.sort_uniq compare (List.map (fun p -> orient p) (Query.neqs q2))
        in
-       let d2 = Query.canonical_structure q2 in
+       let sym = fresh_binary q1 q2 in
+       let d2 = Query.canonical_structure (Query.make (neq_atoms sym q2)) in
        let bijective h =
          let image =
            StringMap.fold (fun _ t acc -> TermSet.add t acc) h TermSet.empty
@@ -106,9 +120,10 @@ let isomorphic ?budget q1 q2 =
          in
          image = neqs2
        in
-       first ?budget
+       (* Only injective maps carrying ≠ onto ≠ are walked. *)
+       first ?budget ~injective:true
          ~accept:(fun h -> bijective h && atoms_onto h && neqs_match h)
-         (Query.strip_neqs q1) d2
+         (Query.make (neq_atoms sym q1)) d2
        <> None
      end
 

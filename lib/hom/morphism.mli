@@ -43,12 +43,20 @@ val count_dominates : Query.t -> Query.t -> bool
 
 val isomorphic : ?budget:Bagcq_guard.Budget.t -> Query.t -> Query.t -> bool
 (** Query isomorphism: a bijective variable renaming turning one atom set
-    (and inequality set) into the other.  Characterises bag-equivalence of
-    CQs (Chaudhuri–Vardi).  Once the variable, atom and inequality counts
-    and the symbol multisets agree, it searches the homomorphisms of the
-    first query into the second's canonical structure, which can take
-    exponentially many steps: [?budget] ticks as {!Wcoj.iter} does, and
-    the call unwinds with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
+    (and inequality set) into the other, variables that occur only in
+    inequalities included.  Characterises bag-equivalence of CQs
+    (Chaudhuri–Vardi).  Once the variable, atom and inequality counts and
+    the symbol multisets agree, it searches only the maps that are
+    injective and carry inequalities onto inequalities: each query's
+    inequalities become atoms of a fresh binary relation, in both
+    orientations, in the first query and in the second's canonical
+    structure, and the leapfrog runs an injective plan
+    ({!Wcoj.compile}), which keeps every two variables of the first
+    query apart.  So queries whose inequalities sit
+    differently are refuted without walking the other homomorphisms.
+    The search can still take exponentially many steps: [?budget] ticks as
+    {!Wcoj.iter} does, and the call unwinds with
+    {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
 
 (** {2 Cores and set-semantics equivalence (Chandra–Merlin)} *)
 

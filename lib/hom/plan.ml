@@ -1,3 +1,3 @@
 type t = Wcoj.plan
 
-let compile = Wcoj.compile
+let compile q = Wcoj.compile q

@@ -33,10 +33,11 @@ type plan = {
   atoms : atom_plan array;
   occs : occ array array;
       (* per variable rank, in atom order; empty at a domain rank *)
-  consts : string array;  (* join and ≠ constants alike *)
+  consts : string array;  (* join and ≠ constants alike, by slot *)
   var_order : string array;
   filters : filter array array;  (* per variable rank *)
   neq_const_pairs : (int * int) list;  (* c ≠ c' between two constants *)
+  injective : bool;  (* every rank's value differs from every earlier rank's *)
 }
 
 let variable_order p = Array.to_list p.var_order
@@ -107,7 +108,7 @@ let choose_var_order (atoms : Atom.t array) =
   done;
   Array.of_list (List.rev !order)
 
-let compile q =
+let compile ?(injective = false) q =
   Metrics.incr plans_compiled;
   let atoms = Array.of_list (Query.atoms q) in
   (* Variables occurring only in ≠ atoms have no iterator: they trail the
@@ -120,17 +121,11 @@ let compile q =
   in
   let rank = Hashtbl.create 16 in
   Array.iteri (fun r x -> Hashtbl.add rank x r) var_order;
-  let const_tbl = Hashtbl.create 8 in
-  let const_list = ref [] and nconsts = ref 0 in
+  (* Constants are numbered by slot, so a parameter vector indexes them. *)
+  let consts = Query.constant_slots q in
   let const_id c =
-    match Hashtbl.find_opt const_tbl c with
-    | Some i -> i
-    | None ->
-        let i = !nconsts in
-        incr nconsts;
-        Hashtbl.add const_tbl c i;
-        const_list := c :: !const_list;
-        i
+    let rec find i = if String.equal consts.(i) c then i else find (i + 1) in
+    find 0
   in
   let nranks = Array.length var_order in
   let occs = Array.make (max 1 nranks) [] in
@@ -194,10 +189,11 @@ let compile q =
     atoms = atom_plans;
     occs =
       Array.init nranks (fun r -> Array.of_list (List.rev occs.(r)));
-    consts = Array.of_list (List.rev !const_list);
+    consts;
     var_order;
     filters = Array.init (max 1 nranks) (fun r -> Array.of_list (List.rev filters.(r)));
     neq_const_pairs = List.rev !const_pairs;
+    injective;
   }
 
 (* Galloping search: first index in [lo, hi) whose code is >= v, or [hi].
@@ -257,7 +253,7 @@ type assignment = Value.t StringMap.t
    every variable instead and hands [emit] each full binding, decoded.
    One budget tick per seek keeps fuel semantics: a fuel-limited run trips
    mid-intersection. *)
-let run ?budget ?emit (p : plan) d =
+let run ?budget ?params ?emit (p : plan) d =
   Metrics.incr wcoj_runs;
   let work = ref 0 in
   let tick =
@@ -279,7 +275,9 @@ let run ?budget ?emit (p : plan) d =
        reference solver's semantics).  Two constants interpreted equal
        refute a c ≠ c' outright. *)
     let idx, ccodes =
-      match Index.constants d p.consts with Some r -> r | None -> raise_notrace Unsat
+      match Index.constants ?params d p.consts with
+      | Some r -> r
+      | None -> raise_notrace Unsat
     in
     List.iter
       (fun (i, j) -> if ccodes.(i) = ccodes.(j) then raise_notrace Unsat)
@@ -347,7 +345,9 @@ let run ?budget ?emit (p : plan) d =
        filters and the leaf, which always run after the write because the
        counting shortcuts fire at the last rank alone. *)
     let bound = Array.make (max 1 nranks) (-1) in
-    let rank_has_filters = Array.map (fun fs -> Array.length fs > 0) p.filters in
+    let rank_has_filters =
+      Array.mapi (fun r fs -> Array.length fs > 0 || (p.injective && r > 0)) p.filters
+    in
     let filters_pass r v =
       let fs = p.filters.(r) in
       let nf = Array.length fs in
@@ -358,7 +358,8 @@ let run ?budget ?emit (p : plan) d =
            | F_const ci -> v <> ccodes.(ci))
            && ok (i + 1)
       in
-      ok 0
+      let rec apart r' = r' = r || (v <> bound.(r') && apart (r' + 1)) in
+      ok 0 && ((not p.injective) || apart 0)
     in
     (* How many distinct codes rank [r]'s filters forbid.  Each is a
        domain code (a bound value, or an interpreted constant). *)
@@ -374,8 +375,10 @@ let run ?budget ?emit (p : plan) d =
     let ndom = Array.length domain in
     (* The rank where counting adds extensions without binding them: the
        leaf width, the leaf intersection and the innermost domain rank's
-       closed form.  Enumeration binds every rank, so it takes none. *)
-    let shortcut_rank = if Option.is_none emit then nranks - 1 else -1 in
+       closed form.  Enumeration binds every rank, so it takes none, and
+       neither does an injective plan, whose last rank must see every
+       earlier binding. *)
+    let shortcut_rank = if Option.is_none emit && not p.injective then nranks - 1 else -1 in
     let leaf =
       match emit with
       | None -> fun () -> add 1
@@ -526,5 +529,5 @@ let run ?budget ?emit (p : plan) d =
       flush ();
       raise e
 
-let count ?budget p d = run ?budget p d
-let iter ?budget f p d = ignore (run ?budget ~emit:f p d)
+let count ?budget ?params p d = run ?budget ?params p d
+let iter ?budget ?params f p d = ignore (run ?budget ?params ~emit:f p d)

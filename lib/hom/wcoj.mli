@@ -54,14 +54,20 @@ open Bagcq_cq
 
 type plan
 
-val compile : Query.t -> plan
+val compile : ?injective:bool -> Query.t -> plan
 (** Compile one component: choose the global variable order (prefer
     variables connected to already-ordered ones, then higher atom
     frequency, ties by name — deterministic) with the inequality-only
     variables appended by name as domain ranks, lay out each atom's trie
     level order (constants first, then variables by rank, repeats on
     consecutive levels), and attach inequalities as per-rank filters.
-    Total on every query. *)
+    The constants become parameter slots, numbered as
+    {!Query.constant_slots} numbers them; nothing else in the plan depends
+    on their names, so two components that differ only in their constants
+    compile to the same plan up to those names.  With [~injective:true]
+    every rank after the first also filters out the codes bound at all
+    earlier ranks, so only injective maps are counted or enumerated, and
+    a count takes none of the shortcuts below.  Total on every query. *)
 
 val variable_order : plan -> string list
 (** The chosen global variable order, outermost first — what
@@ -81,6 +87,7 @@ val rank_supports : plan -> int array
 
 val count :
   ?budget:Bagcq_guard.Budget.t ->
+  ?params:Value.t array ->
   plan ->
   Structure.t ->
   Bagcq_bignum.Nat.t
@@ -88,21 +95,33 @@ val count :
     (gallop), every leaf width, every value an inner domain rank visits
     and every innermost domain rank ticks once, and the call unwinds with
     {!Bagcq_guard.Budget.Exhausted_} mid-intersection on a trip.
-    Inequality semantics follow {!Solver_ref}: an uninterpreted constant
-    anywhere (≠ atoms included) yields zero, and a [c ≠ c'] between
-    constants interpreted equal yields zero.  An interpreted constant
-    always lies in the domain, since {!Index.domain} folds in every
-    interpretation. *)
+
+    The constants' values come from [?params], one per slot
+    ({!Query.constant_slots} order), or, without it, from [D]'s
+    interpretation of the names the plan was compiled with: so a plan
+    compiled from one component counts every component of the same shape,
+    with the ticks of a plan compiled for that component.  Inequality
+    semantics follow {!Solver_ref}: an uninterpreted constant anywhere
+    (≠ atoms included) yields zero before the first tick, and a
+    [c ≠ c'] between constants interpreted equal yields zero.  An
+    interpreted constant always lies in the domain, since {!Index.domain}
+    folds in every interpretation, and so must every parameter
+    ({!Index.constants}). *)
 
 type assignment = Value.t Map.Make(String).t
 (** A homomorphism: every variable of the component (inequality-only ones
     included) mapped to its value in the structure. *)
 
 val iter :
-  ?budget:Bagcq_guard.Budget.t -> (assignment -> unit) -> plan -> Structure.t -> unit
+  ?budget:Bagcq_guard.Budget.t ->
+  ?params:Value.t array ->
+  (assignment -> unit) ->
+  plan ->
+  Structure.t ->
+  unit
 (** [iter f p D] calls [f] once per homomorphism in Hom(component, D),
     in the leapfrog's order (outermost rank first, codes ascending), so
-    [f] is called exactly [count p D] times.  Same semantics, budget and
-    ticks as {!count} without its shortcuts: one tick per seek and one
-    per domain value.  An exception raised by [f] unwinds the run, which
-    is how callers stop at the first hit. *)
+    [f] is called exactly [count p D] times.  Same semantics, parameters,
+    budget and ticks as {!count} without its shortcuts: one tick per seek
+    and one per domain value.  An exception raised by [f] unwinds the
+    run, which is how callers stop at the first hit. *)

@@ -73,7 +73,7 @@ type reg_info = {
 }
 
 type count_row = {
-  cr_query : string;  (** the registration key, [Query.to_string] *)
+  cr_query : string;  (** the registration key, the flat [Query.to_string] on one line *)
   cr_count : Nat.t;
   cr_maintained : bool;  (** every component delta-maintained *)
 }

@@ -103,8 +103,12 @@ val cache_key : request -> string
 (** A canonical spelling of the request {e without} its [id]: two requests
     with the same key are semantically identical (same op, same payloads,
     same budget), which is what the server's shared result cache is keyed
-    on.  Parsed payloads are re-printed, so formatting differences in the
-    incoming text do not split cache entries. *)
+    on.  Parsed payloads are re-printed — a query by the flat
+    {!Bagcq_cq.Query.to_string}, a union by {!Bagcq_cq.Ucq.to_string} over
+    it — so formatting differences in the incoming text do not split
+    cache entries.  The key is injective on the normalised query, not on
+    its shape: [E('v5',q0)] and [E('v5',q1)] are two keys, and the plan
+    map, not this memo, is where queries of one shape meet. *)
 
 (** {2 Response builders}
 

@@ -186,7 +186,7 @@ let test_bag_rows_are_distinct () =
   let d = random_db ~max_n:5 ~max_edges:20 (Random.State.make [| 11 |]) in
   let bag chi =
     let atoms = Build.[| atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ] |] in
-    Jtree.compile (fun () -> (Jtree.Join (chi, atoms), [], [])) ()
+    Jtree.compile ~consts:[||] (fun () -> (Jtree.Join (chi, atoms), [], [])) ()
   in
   let edges = Structure.tuples d e in
   let ends = Hashtbl.create 16 in

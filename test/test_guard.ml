@@ -140,13 +140,19 @@ let test_trip_mid_backtrack () =
   | _ -> Alcotest.fail "budget must trip inside Eval.count"
   | exception Budget.Exhausted_ Budget.Fuel -> ()
 
-(* k disjoint edges, one inequality placed differently: every count the
-   isomorphism test compares agrees, so it searches the k^k maps of the
-   edges onto each other.  The budget must stop that search. *)
+(* k disjoint 2-paths and a directed 6-cycle, against the same 2-paths
+   and two directed triangles, with one inequality in both: every count
+   the isomorphism test compares agrees, and the search binds the paths
+   before the cycle, so it walks the k! injective ways of placing the
+   paths before each fails on the cycle.  The budget must stop that
+   search. *)
 let iso_pair k =
-  let edges = List.init k (fun i -> Printf.sprintf "E(x%d,y%d)" (i + 1) (i + 1)) in
-  let q neq = Parse.parse_exn (String.concat " & " (edges @ [ neq ])) in
-  (q "x1 != y1", q "x1 != x2")
+  let paths =
+    List.init k (fun i -> Printf.sprintf "E(a%d,b%d) & E(b%d,c%d)" i i i i)
+  in
+  let q cycle = Parse.parse_exn (String.concat " & " (paths @ [ cycle; "a0 != c0" ])) in
+  ( q "E(z1,z2) & E(z2,z3) & E(z3,z4) & E(z4,z5) & E(z5,z6) & E(z6,z1)",
+    q "E(z1,z2) & E(z2,z3) & E(z3,z1) & E(z4,z5) & E(z5,z6) & E(z6,z4)" )
 
 let test_trip_mid_isomorphism () =
   let small, big = iso_pair 3 in

@@ -286,6 +286,34 @@ let test_isomorphic () =
   let q_neq2 = Build.(query ~neqs:[ (v "q", v "p") ] [ atom e [ v "p"; v "q" ] ]) in
   Alcotest.(check bool) "neq iso neq" true (Morphism.isomorphic q_neq q_neq2)
 
+(* A variable that occurs only in an inequality is part of the query: a
+   query carrying one is isomorphic to itself and to its renamings, and
+   the map must carry each inequality onto one of the other query's. *)
+let test_isomorphic_inequality_only () =
+  List.iter
+    (fun text ->
+      let q = Parse.parse_exn text in
+      Alcotest.(check bool) (text ^ " iso itself") true (Morphism.isomorphic q q);
+      let renamed = Query.rename_vars (fun x -> x ^ "'") q in
+      Alcotest.(check bool) (text ^ " iso renamed") true (Morphism.isomorphic q renamed))
+    [ "E(x,y) & w != y"; "x != y"; "E(x,x) & y != z"; "E(x,'a') & w != 'a' & 'a' != 'b'" ];
+  let q1 = Parse.parse_exn "E(x,y) & w != y" and q2 = Parse.parse_exn "E(x,y) & w != x" in
+  Alcotest.(check bool) "≠ onto a differently placed ≠" false (Morphism.isomorphic q1 q2)
+
+(* k disjoint edges, one inequality placed differently: every count the
+   test compares first agrees, so only the search can refuse the pair,
+   and a search over injective maps carrying ≠ onto ≠ refuses it within
+   a small fuel, without walking the k^k maps of the edges. *)
+let test_isomorphic_refutes_fast () =
+  let edges = List.init 8 (fun i -> Printf.sprintf "E(x%d,y%d)" (i + 1) (i + 1)) in
+  let q neq = Parse.parse_exn (String.concat " & " (edges @ [ neq ])) in
+  let b = Bagcq_guard.Budget.create ~fuel:1000 () in
+  Alcotest.(check bool) "k = 8 not isomorphic" false
+    (Morphism.isomorphic ~budget:b (q "x1 != y1") (q "x1 != x2"));
+  let b = Bagcq_guard.Budget.create ~fuel:1000 () in
+  Alcotest.(check bool) "k = 8 isomorphic to itself" true
+    (Morphism.isomorphic ~budget:b (q "x1 != y1") (q "x1 != y1"))
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -306,6 +334,31 @@ let arb_q =
       (List.init n (fun _ ->
            if Random.State.bool st then Build.atom e [ var (); var () ]
            else Build.atom u [ var () ]))
+  in
+  QCheck.make ~print:Query.to_string gen
+
+(* Queries with constants, inequalities between joined variables, and
+   variables that occur only in inequalities. *)
+let arb_neq_q =
+  let gen st =
+    let var () = Term.var (Printf.sprintf "v%d" (Random.State.int st 4)) in
+    let term () =
+      match Random.State.int st 6 with
+      | 0 -> Term.cst (if Random.State.bool st then "a" else "b")
+      | 1 -> Term.var (Printf.sprintf "w%d" (Random.State.int st 3))
+      | _ -> var ()
+    in
+    let atoms =
+      List.init (1 + Random.State.int st 3) (fun _ ->
+          if Random.State.bool st then Build.atom e [ var (); term () ]
+          else Build.atom u [ var () ])
+    in
+    let neqs =
+      List.filter
+        (fun (a, b) -> not (Term.equal a b))
+        (List.init (Random.State.int st 3) (fun _ -> (term (), term ())))
+    in
+    Query.make ~neqs atoms
   in
   QCheck.make ~print:Query.to_string gen
 
@@ -364,6 +417,21 @@ let properties =
            let renamed = Query.rename_vars (fun x -> x ^ "_r") q in
            Morphism.isomorphic q renamed
            && Nat.equal (Eval.count q d) (Eval.count renamed d)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"isomorphic to itself and its renamings, with ≠-only variables"
+         ~count:300 arb_neq_q (fun q ->
+           let vars = Array.of_list (Query.vars q) in
+           let n = Array.length vars in
+           (* a renaming that reverses the variables' name order *)
+           let renamed =
+             Query.rename_vars
+               (fun x ->
+                 let rec at i = if vars.(i) = x then i else at (i + 1) in
+                 Printf.sprintf "r%d" (n - at 0))
+               q
+           in
+           Morphism.isomorphic q q && Morphism.isomorphic q renamed
+           && Morphism.isomorphic renamed q));
   ]
 
 let () =
@@ -415,6 +483,10 @@ let () =
           Alcotest.test_case "verification" `Quick test_hom_verification;
           Alcotest.test_case "onto domination" `Quick test_onto_hom_domination;
           Alcotest.test_case "isomorphic" `Quick test_isomorphic;
+          Alcotest.test_case "isomorphic: inequality-only variables" `Quick
+            test_isomorphic_inequality_only;
+          Alcotest.test_case "isomorphic: refutes a misplaced ≠ at once" `Quick
+            test_isomorphic_refutes_fast;
         ] );
       ("properties", properties);
     ]

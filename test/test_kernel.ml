@@ -173,6 +173,23 @@ let prop_enumerate_matches_reference =
          let norm hs = List.sort compare (List.map M.bindings hs) in
          norm (iter_list (Wcoj.compile q) d) = norm (Solver_ref.enumerate q d)))
 
+(* An injective plan hands out exactly the reference's injective
+   homomorphisms, by [iter] and by [count] alike. *)
+let prop_injective_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"injective plan = reference injective homomorphisms" ~count:2000
+       gen_wide_pair (fun (q, d) ->
+         let module M = Map.Make (String) in
+         let injective h =
+           let vs = List.map snd (M.bindings h) in
+           List.length (List.sort_uniq Value.compare vs) = List.length vs
+         in
+         let norm hs = List.sort compare (List.map M.bindings hs) in
+         let want = List.filter injective (Solver_ref.enumerate q d) in
+         let p = Wcoj.compile ~injective:true q in
+         norm (iter_list p d) = norm want
+         && Nat.equal (Wcoj.count p d) (Nat.of_int (List.length want))))
+
 let prop_cached_eval_matches_uncached =
   (* one cache across the whole run: exercises plan reuse across queries
      and the per-structure count memo invalidation on structure change *)
@@ -286,6 +303,126 @@ let prop_acyclic_dp_matches_reference =
          | Decomp.Dp _ -> true
          | Decomp.Wcoj _ | Decomp.Ghd _ | Decomp.Backtrack -> false)
          && Nat.equal (Eval.count q d) (Nat.of_int (Solver_ref.count q d))))
+
+(* ------------------------------------------------------------------ *)
+(* The factor, against its string implementation                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The factor written over names, kept as the oracle: rename
+   each component's variables by first occurrence through
+   [Query.rename_vars], sort the components with [Query.compare] and
+   group equal neighbours. *)
+let oracle_canonical q =
+  let table = Hashtbl.create 8 in
+  let next = ref 0 in
+  let rename x =
+    match Hashtbl.find_opt table x with
+    | Some y -> y
+    | None ->
+        incr next;
+        let y = Printf.sprintf "v%d" !next in
+        Hashtbl.add table x y;
+        y
+  in
+  Query.rename_vars rename q
+
+let oracle_factor q =
+  let comps = List.sort Query.compare (List.map oracle_canonical (Query.components q)) in
+  let rec group = function
+    | [] -> []
+    | c :: rest ->
+        let rec span n = function
+          | c' :: tl when Query.equal c c' -> span (n + 1) tl
+          | tl -> (n, tl)
+        in
+        let n, tl = span 1 rest in
+        (c, n) :: group tl
+  in
+  (group comps, List.length comps)
+
+(* Queries mixing every case the renaming order can trip on: constants,
+   ≠ between two variables no atom holds (the right side is renamed
+   first), ≠ between constants, variable-free atoms, components of ten
+   and more variables (v10 sorts before v2) and isomorphic copies of one
+   component under different, shuffled variable names. *)
+let random_factor_query st =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let constant () = Build.c (pick [ "a"; "b"; "c"; "v1"; "x0" ]) in
+  let component tag =
+    let nvars = 1 + Random.State.int st 14 in
+    let var () = Build.v (Printf.sprintf "%sx%d" tag (Random.State.int st nvars)) in
+    let term () = if Random.State.int st 6 = 0 then constant () else var () in
+    let path =
+      if Random.State.int st 3 = 0 then
+        List.init nvars (fun i ->
+            Build.atom e
+              [ Build.v (Printf.sprintf "%sx%d" tag i); Build.v (Printf.sprintf "%sx%d" tag (i + 1)) ])
+      else []
+    in
+    let atoms =
+      path
+      @ List.init (Random.State.int st 6) (fun _ ->
+            match Random.State.int st 5 with
+            | 0 -> Build.atom u [ term () ]
+            | 1 -> Build.atom t3 [ term (); term (); term () ]
+            | _ -> Build.atom e [ term (); term () ])
+    in
+    let neqs =
+      List.init (Random.State.int st 3) (fun i ->
+          match Random.State.int st 4 with
+          | 0 ->
+              (Build.v (Printf.sprintf "%sw%d" tag i), Build.v (Printf.sprintf "%sz%d" tag i))
+          | 1 -> (constant (), constant ())
+          | _ -> (term (), term ()))
+    in
+    let neqs = List.filter (fun (a, b) -> not (Term.equal a b)) neqs in
+    Build.query atoms ~neqs
+  in
+  (* a copy under a random injective renaming *)
+  let copy q k =
+    let vars = Array.of_list (Query.vars q) in
+    let names = Array.mapi (fun i _ -> Printf.sprintf "c%d_%d" k i) vars in
+    for i = Array.length names - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = names.(i) in
+      names.(i) <- names.(j);
+      names.(j) <- t
+    done;
+    let tbl = Hashtbl.create 8 in
+    Array.iteri (fun i x -> Hashtbl.add tbl x names.(i)) vars;
+    Query.rename_vars (Hashtbl.find tbl) q
+  in
+  let parts =
+    List.concat
+      (List.init (1 + Random.State.int st 3) (fun i ->
+           let c = component (Printf.sprintf "p%d" i) in
+           c :: List.init (Random.State.int st 4) (fun k -> copy c ((10 * i) + k))))
+  in
+  let ground =
+    List.init (Random.State.int st 3) (fun _ ->
+        if Random.State.bool st then Build.atom u [ constant () ]
+        else Build.atom e [ constant (); constant () ])
+  in
+  List.fold_left Query.conj (Build.query ground) parts
+
+let gen_factor_query =
+  QCheck.make ~print:Query.to_string (fun st ->
+      let rec q () =
+        match random_factor_query st with q -> q | exception Invalid_argument _ -> q ()
+      in
+      q ())
+
+let prop_factor_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Decomp.factor = the string factor, byte for byte" ~count:2000
+       gen_factor_query (fun q ->
+         let seen = Metrics.counter Metrics.global "plan_components" in
+         let before = Metrics.counter_value seen in
+         let got = Decomp.factor q in
+         let rise = Metrics.counter_value seen - before in
+         let want, ncomps = oracle_factor q in
+         let text l = List.map (fun (c, n) -> (Query.to_string c, n)) l in
+         text got = text want && rise = ncomps))
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests                                                          *)
@@ -538,6 +675,107 @@ let test_selection_counters_count_cold_plans_only () =
   Alcotest.(check int) "counters advanced once per plan miss" misses
     (List.fold_left ( + ) 0 (List.map2 ( - ) (selection_counters ()) before))
 
+(* ------------------------------------------------------------------ *)
+(* Plans keyed by shape, constants as parameters                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A graph whose vertices are named constants: [vK] has out-degree
+   [degree K]. *)
+let pinned_graph n degree =
+  let v k = Value.sym (Printf.sprintf "v%d" k) in
+  let d =
+    List.fold_left
+      (fun d k -> Structure.declare_constant d (Printf.sprintf "v%d" k))
+      (Structure.empty (Schema.make [ e ]))
+      (List.init n Fun.id)
+  in
+  List.fold_left
+    (fun d k ->
+      List.fold_left
+        (fun d j -> Structure.add_fact d e [ v k; v ((k + j + 1) mod n) ])
+        d
+        (List.init (degree k) Fun.id))
+    d (List.init n Fun.id)
+
+let pin k = Build.(query [ atom e [ c (Printf.sprintf "v%d" k); v "q" ] ])
+
+(* [E('v1',x) & E('v2',y)] factors into two components of one shape:
+   one plan, two memo slots, and the product of the two out-degrees. *)
+let test_shape_two_memo_slots () =
+  let d = pinned_graph 5 (fun k -> k + 1) in
+  let q = Build.(query [ atom e [ c "v1"; v "x" ]; atom e [ c "v2"; v "y" ] ]) in
+  let cache = Eval.create_cache () in
+  Alcotest.(check int) "deg(v1) * deg(v2)" 6 (Nat.to_int (Eval.count ~cache q d));
+  Alcotest.(check int) "reference" 6 (Solver_ref.count q d);
+  let s = Eval.cache_stats cache in
+  Alcotest.(check (pair int int)) "one plan for the shape" (1, 1)
+    (s.Eval.plan_misses, s.Eval.plan_hits);
+  Alcotest.(check int) "two memo slots" 2 s.Eval.count_misses
+
+(* 250 pinned vertices through one cache: one plan miss, every count the
+   pinned vertex's out-degree. *)
+let test_shape_one_plan_for_many_pins () =
+  let degree k = 1 + (k mod 4) in
+  let d = pinned_graph 250 degree in
+  let cache = Eval.create_cache () in
+  for k = 0 to 249 do
+    Alcotest.(check int) (Printf.sprintf "deg(v%d)" k) (degree k)
+      (Nat.to_int (Eval.count ~cache (pin k) d))
+  done;
+  Alcotest.(check int) "one plan miss" 1 (Eval.cache_stats cache).Eval.plan_misses
+
+(* A constant the structure leaves uninterpreted answers zero before any
+   tick, also when its shape's plan is warm. *)
+let test_shape_uninterpreted_zero_ticks () =
+  let d = pinned_graph 4 (fun _ -> 2) in
+  let cache = Eval.create_cache () in
+  Alcotest.(check int) "warm the shape" 2 (Nat.to_int (Eval.count ~cache (pin 1) d));
+  let b = Budget.unlimited () in
+  Alcotest.(check int) "uninterpreted" 0 (Nat.to_int (Eval.count ~budget:b ~cache (pin 9) d));
+  Alcotest.(check int) "no tick" 0 (Budget.ticks b)
+
+(* The same query with its constants permuted has the same shape when its
+   atoms keep their order: counting both through one cache runs one plan
+   with two parameter vectors, and each count equals the reference. *)
+let permute_constants q =
+  let swap = function
+    | Term.Cst "a" -> Term.cst "c"
+    | Term.Cst "b" -> Term.cst "a"
+    | Term.Cst "c" -> Term.cst "b"
+    | t -> t
+  in
+  Query.make
+    ~neqs:(List.map (fun (x, y) -> (swap x, swap y)) (Query.neqs q))
+    (List.map (fun a -> Atom.of_array (Atom.sym a) (Array.map swap (Atom.args a))) (Query.atoms q))
+
+let prop_shape_plans_match_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"shape-keyed plans: Eval.count = reference on permuted constants"
+       ~count:1000 gen_wide_pair (fun (q, d) ->
+         let cache = Eval.create_cache () in
+         List.for_all
+           (fun q -> Nat.equal (Eval.count ~cache q d) (Nat.of_int (Solver_ref.count q d)))
+           [ q; permute_constants q; permute_constants (permute_constants q); q ]))
+
+(* An atom scan with a constant reads that constant's run: one tick on
+   entry and one per row of the run, where the whole relation has six
+   rows. *)
+let scan_db =
+  let d = db_of_edges [ (1, 2); (1, 3); (1, 4); (2, 1); (3, 3); (4, 1) ] in
+  Structure.bind_constant (Structure.bind_constant d "k" (Value.int 1)) "m" (Value.int 3)
+
+let scan_pin q ~count ~ticks () =
+  (match Decomp.factor q with
+  | [ (c, 1) ] -> (
+      match Decomp.choose c with
+      | Decomp.Dp _ -> ()
+      | _ -> Alcotest.fail "an acyclic atom takes the join-tree DP")
+  | _ -> Alcotest.fail "one component");
+  let b = Budget.unlimited () in
+  Alcotest.(check int) "count" count (Nat.to_int (Eval.count ~budget:b q scan_db));
+  Alcotest.(check int) "reference" count (Solver_ref.count q scan_db);
+  Alcotest.(check int) "ticks" ticks (Budget.ticks b)
+
 let () =
   Alcotest.run "kernel"
     [
@@ -551,6 +789,8 @@ let () =
           prop_choose_never_backtracks;
           prop_power_matches_reference;
           prop_acyclic_dp_matches_reference;
+          prop_factor_matches_oracle;
+          prop_injective_matches_reference;
         ] );
       ( "planner",
         [
@@ -579,5 +819,21 @@ let () =
             test_cache_invalidated_on_structure_change;
           Alcotest.test_case "prepared: memo per structure" `Quick
             test_prepared_memo_per_structure;
+        ] );
+      ( "shapes",
+        [
+          Alcotest.test_case "two components of one shape: two memo slots" `Quick
+            test_shape_two_memo_slots;
+          Alcotest.test_case "250 pinned vertices: one plan miss" `Quick
+            test_shape_one_plan_for_many_pins;
+          Alcotest.test_case "uninterpreted constant: zero in zero ticks" `Quick
+            test_shape_uninterpreted_zero_ticks;
+          prop_shape_plans_match_reference;
+          Alcotest.test_case "bound scan: E('k',q) reads the run of k" `Quick
+            (scan_pin Build.(query [ atom e [ c "k"; v "q" ] ]) ~count:3 ~ticks:4);
+          Alcotest.test_case "bound scan: E(q,'k') reads the run of k" `Quick
+            (scan_pin Build.(query [ atom e [ v "q"; c "k" ] ]) ~count:2 ~ticks:3);
+          Alcotest.test_case "bound scan: E('k','m') reads the run of k" `Quick
+            (scan_pin Build.(query [ atom e [ c "k"; c "m" ] ]) ~count:1 ~ticks:4);
         ] );
     ]

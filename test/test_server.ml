@@ -182,14 +182,19 @@ let test_exhausted_shape () =
     (Json.get_bool "cached" v' = None)
 
 (* The bag-equivalence half of [contain] and [ucq_contain] runs inside
-   the request's budget.  The pair is 8 disjoint edges with one
-   inequality placed differently: every count the isomorphism test
-   compares agrees, so it searches the 8^8 maps of the edges onto each
-   other, which unbudgeted took close to a minute. *)
+   the request's budget.  The pair is 8 disjoint 2-paths and a directed
+   6-cycle against the same paths and two directed triangles, with one
+   inequality in both (so the set check is skipped): every count the
+   isomorphism test compares agrees, and its injective search walks the
+   8! placements of the paths before each fails on the cycle, more than
+   the server's 50 000 000-tick cap. *)
 let test_contain_budgeted () =
   let r = Router.create () in
-  let edges = String.concat " & " (List.init 8 (fun i -> Printf.sprintf "E(x%d,y%d)" (i + 1) (i + 1))) in
-  let small = edges ^ " & x1 != y1" and big = edges ^ " & x1 != x2" in
+  let paths =
+    String.concat " & " (List.init 8 (fun i -> Printf.sprintf "E(a%d,b%d) & E(b%d,c%d)" i i i i))
+  in
+  let small = paths ^ " & E(z1,z2) & E(z2,z3) & E(z3,z4) & E(z4,z5) & E(z5,z6) & E(z6,z1) & a0 != c0"
+  and big = paths ^ " & E(z1,z2) & E(z2,z3) & E(z3,z1) & E(z4,z5) & E(z5,z6) & E(z6,z4) & a0 != c0" in
   List.iter
     (fun op ->
       let v =
@@ -201,6 +206,83 @@ let test_contain_budgeted () =
         (Json.get_string "reason" v);
       Alcotest.(check (option int)) (op ^ " ticks") (Some 1000) (Json.get_int "ticks" v))
     [ "contain"; "ucq_contain" ]
+
+(* Bag equivalence is isomorphism, and a variable that occurs only in an
+   inequality takes part in it: each pair below is a query against
+   itself, for [contain] and, as one-disjunct and two-disjunct unions,
+   for [ucq_contain]. *)
+let test_contain_inequality_only () =
+  let r = Router.create () in
+  let pairs = [ "E(x,y) & w != y"; "x != y"; "E(x,x) & y != z" ] in
+  List.iter
+    (fun q ->
+      let v = handle r (Printf.sprintf {|{"op":"contain","small":"%s","big":"%s"}|} q q) in
+      Alcotest.(check (option bool)) (q ^ ": contain") (Some true)
+        (Json.get_bool "bag_equivalent" v))
+    pairs;
+  let u = "(E(x,y) & w != y) | (x != y)" in
+  let v = handle r (Printf.sprintf {|{"op":"ucq_contain","small":"%s","big":"%s"}|} u u) in
+  Alcotest.(check (option bool)) "ucq_contain pairs the disjuncts up" (Some true)
+    (Json.get_bool "bag_equivalent" v)
+
+(* 8 disjoint edges with one inequality placed differently: a search
+   over all 8^8 maps of the edges would run out the default 10 s
+   deadline; searching injective maps carrying ≠ onto ≠, the default
+   caps answer the pair in well under a second. *)
+let test_contain_misplaced_neq () =
+  let r = Router.create () in
+  let edges = String.concat " & " (List.init 8 (fun i -> Printf.sprintf "E(x%d,y%d)" (i + 1) (i + 1))) in
+  let t0 = Unix.gettimeofday () in
+  let v =
+    handle r
+      (Printf.sprintf {|{"op":"contain","small":"%s & x1 != y1","big":"%s & x1 != x2"}|} edges
+         edges)
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (option string)) "status" (Some "ok") (status v);
+  Alcotest.(check (option bool)) "not bag-equivalent" (Some false)
+    (Json.get_bool "bag_equivalent" v);
+  Alcotest.(check bool) "under a second" true (elapsed < 1.0)
+
+(* The registration key is the flat print: a query longer than a Format
+   margin echoes on one line in [counts], and the same query spelt with
+   other spacing finds its registration. *)
+let test_long_registration_one_line () =
+  let r = Router.create () in
+  let path = String.concat " & " (List.init 8 (fun i -> Printf.sprintf "E(x%d,x%d)" i (i + 1))) in
+  Alcotest.(check bool) "longer than 78 characters" true (String.length path > 78);
+  ignore (handle r {|{"op":"db_create","name":"g","db":"E(1,2). E(2,3)."}|});
+  ignore (handle r (Printf.sprintf {|{"op":"register","name":"g","query":"%s"}|} path));
+  let v = handle r {|{"op":"counts","name":"g"}|} in
+  (match get "counts" v with
+  | Some (Json.List [ row ]) ->
+      Alcotest.(check (option string)) "echoed on one line" (Some path)
+        (Json.get_string "query" row)
+  | _ -> Alcotest.fail "one counts row expected");
+  let respaced = "  " ^ String.concat "" (String.split_on_char ' ' path) ^ " " in
+  let v = handle r (Printf.sprintf {|{"op":"unregister","name":"g","query":"%s"}|} respaced) in
+  Alcotest.(check (option string)) "unregister finds it" (Some "ok") (status v)
+
+(* Plans are keyed by shape: pinning a new vertex reuses the pinned
+   component's plan, so three evals of [E(x,y) & E('vK',q)] compile two
+   plans, one per shape. *)
+let test_plans_per_shape () =
+  let r = Router.create () in
+  ignore
+    (handle r
+       {|{"op":"db_create","name":"g","db":"const v1. const v2. const v3. E(v1,v2). E(v1,v3). E(v2,v3). E(v3,v1)."}|});
+  let misses () = Json.get_int "plan_misses" (handle r {|{"op":"stats"}|}) in
+  let before = Option.get (misses ()) in
+  List.iter
+    (fun (k, count) ->
+      let v =
+        handle r
+          (Printf.sprintf {|{"op":"eval","query":"E(x,y) & E('v%d',q)","db_name":"g"}|} k)
+      in
+      Alcotest.(check (option string)) (Printf.sprintf "v%d" k) (Some count)
+        (Json.get_string "count" v))
+    [ (1, "8"); (2, "4"); (3, "4") ];
+  Alcotest.(check (option int)) "two plan misses" (Some (before + 2)) (misses ())
 
 let test_malformed_and_stats () =
   let r = Router.create () in
@@ -594,6 +676,13 @@ let () =
             test_metrics_op;
           Alcotest.test_case "stats carries latency summaries" `Quick
             test_stats_latency_summaries;
+          Alcotest.test_case "contain: inequality-only variables" `Quick
+            test_contain_inequality_only;
+          Alcotest.test_case "contain: a misplaced inequality answers at once" `Quick
+            test_contain_misplaced_neq;
+          Alcotest.test_case "a long registration echoes on one line" `Quick
+            test_long_registration_one_line;
+          Alcotest.test_case "one plan per shape" `Quick test_plans_per_shape;
         ] );
       ("robustness", [ never_crashes; never_crashes_request_soup ]);
       ( "serving",
