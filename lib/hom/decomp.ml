@@ -26,8 +26,8 @@ let fallback_selected = Metrics.counter Metrics.global "plan_fallback"
    number, or 0 at a constant, whose name the atom still holds — and is
    sorted and compared in that form by an order equal to [Query.compare]
    on the renamed query, variable names compared as the strings "v<n>".
-   Equal components meet in a hash table, so only the distinct ones are
-   sorted, and only the first copy of each becomes a [Query.t].
+   Sorted, equal components are neighbours: they are grouped there, and
+   only the first copy of each becomes a [Query.t].
 
    The per-variable tables are domain-local scratch, grown to the largest
    query seen and reused: an array over 256 words would go straight to
@@ -60,18 +60,11 @@ type scratch = {
   mutable parent : int array;  (* union–find over numbers *)
   mutable renamed : int array;  (* number -> its n in "v<n>", 0 before renaming *)
   mutable members : piece list array;  (* root -> its pieces *)
-  classes : (int, (comp * int ref) list ref) Hashtbl.t;  (* hash -> distinct components *)
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      {
-        ids = Names.create 64;
-        parent = [||];
-        renamed = [||];
-        members = [||];
-        classes = Hashtbl.create 16;
-      })
+      { ids = Names.create 64; parent = [||]; renamed = [||]; members = [||] })
 
 (* Decimal strings compare as "v<a>" against "v<b>": "v10" < "v2". *)
 let compare_vnum a b =
@@ -116,20 +109,6 @@ let compare_comp ((atoms, neqs) : comp) ((atoms', neqs') : comp) =
   | 0 -> List.compare compare_cneq neqs neqs'
   | c -> c
 
-(* Equal components hash alike; a collision costs one [compare_comp]. *)
-let hash_comp ((atoms, neqs) : comp) =
-  let mix h x = ((h * 31) + x) land max_int in
-  let term h n t = if n > 0 then mix h n else mix h (Hashtbl.hash t) in
-  let h =
-    List.fold_left
-      (fun h (a, ra) ->
-        let h = ref (mix h (Hashtbl.hash (Symbol.name (Atom.sym a)))) in
-        Array.iteri (fun i n -> h := term !h n (Atom.arg a i)) ra;
-        !h)
-      0 atoms
-  in
-  List.fold_left (fun h ((n, t), (m, u)) -> term (term h n t) m u) h neqs
-
 let vname n = "v" ^ string_of_int n
 
 let to_query ((atoms, neqs) : comp) =
@@ -168,7 +147,6 @@ let factor q =
     renamed.(i) <- 0;
     members.(i) <- []
   done;
-  Hashtbl.clear s.classes;
   let rec find i =
     let p = parent.(i) in
     if p = i then i
@@ -244,27 +222,19 @@ let factor q =
     in
     (List.sort compare_catom atoms, List.sort compare_cneq neqs)
   in
-  (* Count the distinct components through a hash table, then sort those
-     alone. *)
-  let total = ref 0 in
-  List.iter
-    (fun pieces ->
-      incr total;
-      let c = canonical pieces in
-      let h = hash_comp c in
-      match Hashtbl.find_opt s.classes h with
-      | None -> Hashtbl.add s.classes h (ref [ (c, ref 1) ])
-      | Some cell -> (
-          match List.find_opt (fun (c', _) -> compare_comp c c' = 0) !cell with
-          | Some (_, m) -> incr m
-          | None -> cell := (c, ref 1) :: !cell))
-    !comps;
-  Metrics.add components_seen !total;
-  let distinct = Hashtbl.fold (fun _ cell acc -> List.rev_append !cell acc) s.classes [] in
-  Hashtbl.clear s.classes;
-  List.map
-    (fun (c, m) -> (to_query c, !m))
-    (List.sort (fun (c, _) (c', _) -> compare_comp c c') distinct)
+  let sorted = List.sort compare_comp (List.map canonical !comps) in
+  Metrics.add components_seen (List.length sorted);
+  let rec group = function
+    | [] -> []
+    | c :: rest ->
+        let rec span m = function
+          | c' :: tl when compare_comp c c' = 0 -> span (m + 1) tl
+          | tl -> (m, tl)
+        in
+        let m, tl = span 1 rest in
+        (to_query c, m) :: group tl
+  in
+  group sorted
 
 (* The same renaming on one query, by name: what perfbench's verifier
    keys its reference counts with. *)

@@ -53,13 +53,13 @@ exception Found of hom
 
 (* The first homomorphism [source → d] (if any) satisfying [accept],
    found on the leapfrog, which stops at the hit. *)
-let first ?budget ?injective ?(accept = fun _ -> true) source d =
+let first ?budget ?(accept = fun _ -> true) source d =
   try
     Wcoj.iter ?budget
       (fun a ->
         let h = hom_of_assignment a in
         if accept h then raise_notrace (Found h))
-      (Wcoj.compile ?injective source) d;
+      (Wcoj.compile source) d;
     None
   with Found h -> Some h
 
@@ -120,10 +120,16 @@ let isomorphic ?budget q1 q2 =
          in
          image = neqs2
        in
-       (* Only injective maps carrying ≠ onto ≠ are walked. *)
-       first ?budget ~injective:true
+       (* Only injective maps carrying ≠ onto ≠ are walked: one ≠
+          between every two variables of [q1] keeps them apart. *)
+       let rec apart = function
+         | [] -> []
+         | x :: ys -> List.map (fun y -> (Term.var x, Term.var y)) ys @ apart ys
+       in
+       first ?budget
          ~accept:(fun h -> bijective h && atoms_onto h && neqs_match h)
-         (Query.make (neq_atoms sym q1)) d2
+         (Query.make ~neqs:(apart (Query.vars q1)) (neq_atoms sym q1))
+         d2
        <> None
      end
 

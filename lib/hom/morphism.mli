@@ -50,10 +50,10 @@ val isomorphic : ?budget:Bagcq_guard.Budget.t -> Query.t -> Query.t -> bool
     injective and carry inequalities onto inequalities: each query's
     inequalities become atoms of a fresh binary relation, in both
     orientations, in the first query and in the second's canonical
-    structure, and the leapfrog runs an injective plan
-    ({!Wcoj.compile}), which keeps every two variables of the first
-    query apart.  So queries whose inequalities sit
-    differently are refuted without walking the other homomorphisms.
+    structure, and one more inequality between every two variables of
+    the first query keeps them apart, as a leapfrog ≠ filter
+    ({!Wcoj.compile}).  So queries whose inequalities sit differently
+    are refuted without walking the other homomorphisms.
     The search can still take exponentially many steps: [?budget] ticks as
     {!Wcoj.iter} does, and the call unwinds with
     {!Bagcq_guard.Budget.Exhausted_} on a trip. *)

@@ -37,7 +37,6 @@ type plan = {
   var_order : string array;
   filters : filter array array;  (* per variable rank *)
   neq_const_pairs : (int * int) list;  (* c ≠ c' between two constants *)
-  injective : bool;  (* every rank's value differs from every earlier rank's *)
 }
 
 let variable_order p = Array.to_list p.var_order
@@ -108,7 +107,7 @@ let choose_var_order (atoms : Atom.t array) =
   done;
   Array.of_list (List.rev !order)
 
-let compile ?(injective = false) q =
+let compile q =
   Metrics.incr plans_compiled;
   let atoms = Array.of_list (Query.atoms q) in
   (* Variables occurring only in ≠ atoms have no iterator: they trail the
@@ -193,7 +192,6 @@ let compile ?(injective = false) q =
     var_order;
     filters = Array.init (max 1 nranks) (fun r -> Array.of_list (List.rev filters.(r)));
     neq_const_pairs = List.rev !const_pairs;
-    injective;
   }
 
 (* Galloping search: first index in [lo, hi) whose code is >= v, or [hi].
@@ -345,9 +343,7 @@ let run ?budget ?params ?emit (p : plan) d =
        filters and the leaf, which always run after the write because the
        counting shortcuts fire at the last rank alone. *)
     let bound = Array.make (max 1 nranks) (-1) in
-    let rank_has_filters =
-      Array.mapi (fun r fs -> Array.length fs > 0 || (p.injective && r > 0)) p.filters
-    in
+    let rank_has_filters = Array.map (fun fs -> Array.length fs > 0) p.filters in
     let filters_pass r v =
       let fs = p.filters.(r) in
       let nf = Array.length fs in
@@ -358,8 +354,7 @@ let run ?budget ?params ?emit (p : plan) d =
            | F_const ci -> v <> ccodes.(ci))
            && ok (i + 1)
       in
-      let rec apart r' = r' = r || (v <> bound.(r') && apart (r' + 1)) in
-      ok 0 && ((not p.injective) || apart 0)
+      ok 0
     in
     (* How many distinct codes rank [r]'s filters forbid.  Each is a
        domain code (a bound value, or an interpreted constant). *)
@@ -375,10 +370,8 @@ let run ?budget ?params ?emit (p : plan) d =
     let ndom = Array.length domain in
     (* The rank where counting adds extensions without binding them: the
        leaf width, the leaf intersection and the innermost domain rank's
-       closed form.  Enumeration binds every rank, so it takes none, and
-       neither does an injective plan, whose last rank must see every
-       earlier binding. *)
-    let shortcut_rank = if Option.is_none emit && not p.injective then nranks - 1 else -1 in
+       closed form.  Enumeration binds every rank, so it takes none. *)
+    let shortcut_rank = if Option.is_none emit then nranks - 1 else -1 in
     let leaf =
       match emit with
       | None -> fun () -> add 1

@@ -54,7 +54,7 @@ open Bagcq_cq
 
 type plan
 
-val compile : ?injective:bool -> Query.t -> plan
+val compile : Query.t -> plan
 (** Compile one component: choose the global variable order (prefer
     variables connected to already-ordered ones, then higher atom
     frequency, ties by name — deterministic) with the inequality-only
@@ -64,10 +64,7 @@ val compile : ?injective:bool -> Query.t -> plan
     The constants become parameter slots, numbered as
     {!Query.constant_slots} numbers them; nothing else in the plan depends
     on their names, so two components that differ only in their constants
-    compile to the same plan up to those names.  With [~injective:true]
-    every rank after the first also filters out the codes bound at all
-    earlier ranks, so only injective maps are counted or enumerated, and
-    a count takes none of the shortcuts below.  Total on every query. *)
+    compile to the same plan up to those names.  Total on every query. *)
 
 val variable_order : plan -> string list
 (** The chosen global variable order, outermost first — what

@@ -226,23 +226,20 @@ let test_contain_inequality_only () =
     (Json.get_bool "bag_equivalent" v)
 
 (* 8 disjoint edges with one inequality placed differently: a search
-   over all 8^8 maps of the edges would run out the default 10 s
-   deadline; searching injective maps carrying ≠ onto ≠, the default
-   caps answer the pair in well under a second. *)
+   over all 8^8 maps of the edges would run out any small fuel; searching
+   injective maps carrying ≠ onto ≠ answers the pair within 1 000 ticks. *)
 let test_contain_misplaced_neq () =
   let r = Router.create () in
   let edges = String.concat " & " (List.init 8 (fun i -> Printf.sprintf "E(x%d,y%d)" (i + 1) (i + 1))) in
-  let t0 = Unix.gettimeofday () in
   let v =
     handle r
-      (Printf.sprintf {|{"op":"contain","small":"%s & x1 != y1","big":"%s & x1 != x2"}|} edges
+      (Printf.sprintf
+         {|{"op":"contain","small":"%s & x1 != y1","big":"%s & x1 != x2","fuel":1000}|} edges
          edges)
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check (option string)) "status" (Some "ok") (status v);
   Alcotest.(check (option bool)) "not bag-equivalent" (Some false)
-    (Json.get_bool "bag_equivalent" v);
-  Alcotest.(check bool) "under a second" true (elapsed < 1.0)
+    (Json.get_bool "bag_equivalent" v)
 
 (* The registration key is the flat print: a query longer than a Format
    margin echoes on one line in [counts], and the same query spelt with
