@@ -319,6 +319,7 @@ let explain_json q groups =
         ("vars", strs (Ghd.bag_vars b));
         ("cover", strs (List.map atom_str (Ghd.bag_cover b)));
         ("join_order", strs (List.map atom_str (Ghd.bag_atoms b)));
+        ("variable_order", strs (Ghd.bag_order b));
         ("key", strs (Ghd.bag_key b));
         ("children", Json.List (List.map bag_json (Ghd.bag_children b)));
       ]

@@ -363,7 +363,7 @@ let join_tree q : tree option =
   end
 
 (* The GHD cost model, computed on query structure alone ({!choose} runs
-   before any structure is seen — [Eval]'s plan cache is keyed by query).
+   before any structure is seen — [Eval]'s plan cache is keyed by shape).
    Leapfrog degrades toward its worst case when many ranks of the chosen
    variable order intersect nothing — each iterator spans its whole
    relation because no earlier binding narrowed it — while a bounded-width

@@ -5,16 +5,16 @@ module StringSet = Set.Make (String)
 (* Resolved once at module initialisation so the cell is present (at zero)
    in every metrics dump — the check.sh contract.  The module is always
    linked: [Decomp.strategy] carries a [Ghd.t].  [ghd_runs] and
-   [ghd_bag_rows] belong to the bag join, in [Jtree]. *)
+   [ghd_bag_rows] belong to the bag nodes, in [Jtree]. *)
 let plans_built = Metrics.counter Metrics.global "ghd_plans_built"
 
 (* One bag of a generalised hypertree decomposition.  [b_chi] is χ(B) —
    the bag's variables, sorted.  [b_cover] is λ(B) — atoms whose variables
    jointly cover χ(B); they may mention variables outside χ(B), which is
    the "generalised" part.  [b_atoms] is the full join the bag
-   materialises — λ(B) plus every query atom assigned to this bag — in
-   the backtracking join order [bagcq explain] reports.  [b_key] indexes
-   into [b_chi]: the positions of χ(B) ∩ χ(parent), the DP interface. *)
+   materialises — λ(B), then every other query atom assigned to this
+   bag.  [b_key] indexes into [b_chi]: the positions of χ(B) ∩ χ(parent),
+   the DP interface. *)
 type bag = {
   b_chi : string array;
   b_cover : Atom.t array;
@@ -32,6 +32,12 @@ let jtree g = g.g_dp
 let bag_vars b = Array.to_list b.b_chi
 let bag_cover b = Array.to_list b.b_cover
 let bag_atoms b = Array.to_list b.b_atoms
+
+(* The order of the leapfrog that materialises the bag: [Jtree.compile]
+   compiles the same plan for the bag's node. *)
+let bag_order b =
+  Wcoj.variable_order (Wcoj.compile ~head:b.b_chi (Query.make (bag_atoms b)))
+
 let bag_key b = List.map (fun i -> b.b_chi.(i)) (Array.to_list b.b_key)
 let bag_children b = b.b_children
 
@@ -150,7 +156,7 @@ let max_cover = 3
 
 (* Smallest λ ⊆ atoms with χ ⊆ vars(λ), searched exhaustively over
    singletons, pairs, and triples; among equal sizes, prefer covers
-   introducing the fewest variables outside χ (cheaper bag joins), then
+   introducing the fewest variables outside χ (cheaper bags), then
    lexicographic atom order for determinism.  None when three atoms do
    not suffice — the planner then refuses the decomposition. *)
 let find_cover (atom_sets : (Atom.t * StringSet.t) array) chi =
@@ -194,32 +200,6 @@ let find_cover (atom_sets : (Atom.t * StringSet.t) array) chi =
       done
     done;
   Option.map fst !best
-
-(* Greedy backtracking join order over a bag's atoms: most
-   already-determined variables first, ties towards more total variables
-   (wider atoms narrow the remainder harder), then atom order. *)
-let join_order (atoms : Atom.t list) =
-  let remaining = ref atoms and bound = ref StringSet.empty and out = ref [] in
-  while !remaining <> [] do
-    let score a =
-      let vs = Atom.vars a in
-      let det = List.length (List.filter (fun x -> StringSet.mem x !bound) vs) in
-      (det, List.length vs)
-    in
-    let best =
-      List.fold_left
-        (fun best a ->
-          match best with
-          | Some (_, s) when s >= score a -> best
-          | _ -> Some (a, score a))
-        None !remaining
-    in
-    let a, _ = Option.get best in
-    out := a :: !out;
-    remaining := List.filter (fun a' -> a' != a) !remaining;
-    bound := List.fold_left (fun s x -> StringSet.add x s) !bound (Atom.vars a)
-  done;
-  List.rev !out
 
 let plan (q : Query.t) : t option =
   if Query.has_neqs q then None
@@ -376,7 +356,7 @@ let plan (q : Query.t) : t option =
             {
               b_chi = chi_arr;
               b_cover = Array.of_list cover;
-              b_atoms = Array.of_list (join_order (cover @ locals));
+              b_atoms = Array.of_list (cover @ locals);
               b_key = key;
               b_children = List.map build (List.rev kids.(i));
             }
@@ -401,7 +381,7 @@ let plan (q : Query.t) : t option =
 (* ------------------------------ counting ------------------------------ *)
 
 (* Every atom is enforced in exactly one bag and each variable's bags form
-   a connected subtree, so the join-tree DP over the bag joins counts
+   a connected subtree, so the join-tree DP over the bags counts
    |Hom(component, D)|.  The engine's one-shot count, kept as a name for
    perfbench's replay. *)
 let count ?budget ?params g d = Jtree.count ?budget ?params g.g_dp d
@@ -420,12 +400,13 @@ let render g =
       | ks -> Printf.sprintf " [%s]" (String.concat "," ks)
     in
     lines :=
-      Printf.sprintf "%sbag {%s}%s cover: %s | join: %s"
+      Printf.sprintf "%sbag {%s}%s cover: %s | join: %s | order: %s"
         (String.make (2 * depth) ' ')
         (String.concat "," (Array.to_list b.b_chi))
         key
         (atom_list (bag_cover b))
         (atom_list (bag_atoms b))
+        (String.concat " -> " (bag_order b))
       :: !lines;
     List.iter (go (depth + 1)) b.b_children
   in

@@ -6,9 +6,11 @@
     form a tree in which every variable's bags are connected (the
     running-intersection property), and every query atom fits inside some
     bag.  Joining each bag — the distinct projections onto [χ(B)] of the
-    join of its atoms — inside the join-tree DP ({!Jtree}) then
-    counts homomorphisms in time polynomial in the bag sizes, where the leapfrog kernel on the flat query can degrade toward
-    its worst case ([AGM] bound) on large relation intersections.
+    join of its atoms, which the leapfrog hands on head-first
+    ({!Wcoj.rows}) — inside the join-tree DP ({!Jtree}) then counts
+    homomorphisms in time polynomial in the bag sizes, where the leapfrog
+    on the flat query can degrade toward its worst case ([AGM] bound) on
+    large relation intersections.
 
     The decomposition search runs on the query's variable graph (a clique
     per atom) through elimination orders: exact by a subset DP for small
@@ -40,9 +42,9 @@ val width : t -> int
 val nbags : t -> int
 
 val jtree : t -> Jtree.t
-(** The decomposition's DP, compiled by {!plan}: one bag-join node per
-    bag, its constants numbered as parameter slots in
-    {!Query.constant_slots} order.  {!Decomp.count} runs it. *)
+(** The decomposition's DP, compiled by {!plan}: one bag node per bag,
+    its constants numbered as parameter slots in {!Query.constant_slots}
+    order.  {!Decomp.count} runs it. *)
 
 val count :
   ?budget:Bagcq_guard.Budget.t ->
@@ -53,10 +55,10 @@ val count :
 (** [Jtree.count ?params (jtree g)]: the engine's one-shot count, kept as
     a name because perfbench's replay calls it.  The constants' values
     come from [?params] (one per slot) or the structure's interpretation;
-    an uninterpreted constant yields zero before any tick.  One budget
-    tick per candidate tuple, so fuel trips mid-bag; a step probing a
-    constant reads only that constant's run.  Bumps [ghd_runs] and
-    [ghd_bag_rows]. *)
+    an uninterpreted constant yields zero before any tick.  Each bag ticks
+    by the leapfrog's rule ({!Wcoj.rows}), so fuel trips mid-bag.  Bumps
+    [ghd_runs], [ghd_bag_rows] by the bags' rows, and [wcoj_runs] and
+    [wcoj_seeks]. *)
 
 (** {2 Reporting} — the decomposition shape, for [bagcq explain]. *)
 
@@ -66,8 +68,12 @@ val bag_vars : bag -> string list  (** χ(B), sorted. *)
 val bag_cover : bag -> Atom.t list  (** λ(B). *)
 
 val bag_atoms : bag -> Atom.t list
-(** Everything the bag joins — λ(B) plus assigned atoms — in the
-    backtracking join order the materialisation uses. *)
+(** Everything the bag joins: λ(B), then the other atoms assigned to
+    it. *)
+
+val bag_order : bag -> string list
+(** The variable order of the leapfrog that materialises the bag: χ(B)
+    first, private variables left out ({!Wcoj.compile}). *)
 
 val bag_key : bag -> string list
 (** χ(B) ∩ χ(parent), the DP interface ([[]] at the root). *)

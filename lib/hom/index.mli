@@ -7,11 +7,11 @@
     seeks, membership) is integer comparison on dense arrays.  Every
     kernel reads the relation through a {!view}: the rows re-sorted under
     an attribute order, as per-level code arrays.  The leapfrog kernel
-    ({!Wcoj}) intersects the levels of its views by galloping; the
-    join-tree DP ({!Jtree}) scans the identity view, and its bag joins
-    probe a view that puts the probed position first ({!probe_first}),
-    where the rows holding one code are the {!run} that binary search
-    finds.
+    ({!Wcoj}) intersects the levels of its views by galloping, for counts,
+    enumerations and hypertree bags alike; the join-tree DP ({!Jtree})
+    scans the identity view, and a scan of an atom holding a constant
+    reads a view that puts that position first ({!probe_first}), where
+    the rows holding one code are the {!run} that binary search finds.
 
     The index is memoised on the structure itself (through
     {!Structure.memo_store}), so it is built at most once per structure no
@@ -92,7 +92,8 @@ val view : sym_index -> int array -> int array array
 val probe_first : int -> int -> int array
 (** [probe_first arity p] is the attribute order with position [p] first
     and the others after it in position order.  In its view the rows
-    holding a code at [p] are one run, in {!Tuple.compare} order. *)
+    holding a code at [p] are one run, in {!Tuple.compare} order.  Only
+    {!Jtree}'s constant scans read these views. *)
 
 val run : int array -> int -> int -> int -> int * int
 (** [run col lo hi c] is the run [(lo', hi')] of the rows of [\[lo, hi)]

@@ -4,9 +4,9 @@ module Nat = Bagcq_bignum.Nat
 module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 
-(* The bag-join metrics.  Only a GHD plan compiles bag joins, so the
-   [ghd_*] names stay; the handles resolve at module initialisation and
-   the module is always linked, so both are present (at zero) in every
+(* The bag metrics.  Only a GHD plan compiles bag nodes, so the [ghd_*]
+   names stay; the handles resolve at module initialisation and the
+   module is always linked, so both are present (at zero) in every
    dump. *)
 let runs = Metrics.counter Metrics.global "ghd_runs"
 let bag_rows = Metrics.counter Metrics.global "ghd_bag_rows"
@@ -15,21 +15,20 @@ let bag_rows = Metrics.counter Metrics.global "ghd_bag_rows"
    frame slot an earlier position bound, or bind a frame slot. *)
 type op = Cst of int | Check of int | Bind of int
 
-(* Where a step reads its candidates: the whole relation; the relation
-   deduplicated once per count with the masked (private) positions
-   blanked; or the rows of its view holding, at the first level, the code
-   of a constant slot or of an already-bound frame slot. *)
-type rows = All | Projected of bool array | At_cst of int | At_var of int
+(* Where a scan reads its candidates: the whole relation, or the rows of
+   its view holding the code of a constant slot at the first level. *)
+type rows = All | At_cst of int
 
-(* [order] is the {!Index.view} the step reads — the probed position
+(* [order] is the {!Index.view} the scan reads — the probed position
    first, otherwise the identity — and [ops.(l)] tests its level [l]. *)
 type step = { sym : Symbol.t; order : int array; ops : op array; rows : rows }
 
 type source =
-  | Atom_scan of step  (* reads [All], or [At_cst] at its first constant *)
-  | Bag_join of int * step array * bool
-      (* |χ| — χ fills the frame's first slots — the steps, and whether
-         distinct join results always have distinct χ-projections *)
+  | Atom_scan of step
+  | Bag of Wcoj.plan * int array * Symbol.t array
+      (* the bag's leapfrog, compiled with χ as its head; per constant
+         slot of the bag, the tree's slot; its atoms' symbols, which size
+         its table *)
 
 type node = {
   frame : int;
@@ -54,117 +53,55 @@ let compile ~consts view top =
     let spec, key, kids = view x in
     let pos = Hashtbl.create 8 in
     let add v = if not (Hashtbl.mem pos v) then Hashtbl.add pos v (Hashtbl.length pos) in
-    let atoms =
-      match spec with
-      | Scan a -> [| a |]
-      | Join (chi, atoms) ->
-          Array.iter add chi;
-          atoms
-    in
-    Array.iter (fun a -> List.iter add (Atom.vars a)) atoms;
-    let frame = Hashtbl.length pos in
-    let bound = Array.make frame false in
-    let ops_of a =
-      Array.map
-        (function
-          | Term.Cst c -> Cst (slot c)
-          | Term.Var x ->
-              let i = Hashtbl.find pos x in
-              if bound.(i) then Check i
-              else begin
-                bound.(i) <- true;
-                Bind i
-              end)
-        (Atom.args a)
-    in
-    let identity ops = Array.init (Array.length ops) Fun.id in
-    (* A probed step reads the view with the probed position first.  It
-       holds a constant or an earlier atom's variable, so no op of the
-       atom binds there, and moving it first keeps every Bind ahead of its
-       Checks. *)
-    let probed sym ops p rows =
-      let order = Index.probe_first (Array.length ops) p in
-      { sym; order; ops = Array.map (fun q -> ops.(q)) order; rows }
-    in
     let source =
       match spec with
       | Scan a ->
           syms := Symbol.Set.add (Atom.sym a) !syms;
-          let ops = ops_of a and sym = Atom.sym a in
+          List.iter add (Atom.vars a);
+          let bound = Array.make (Hashtbl.length pos) false in
+          let ops =
+            Array.map
+              (function
+                | Term.Cst c -> Cst (slot c)
+                | Term.Var x ->
+                    let i = Hashtbl.find pos x in
+                    if bound.(i) then Check i
+                    else begin
+                      bound.(i) <- true;
+                      Bind i
+                    end)
+              (Atom.args a)
+          in
+          let sym = Atom.sym a in
+          (* A scan of an atom holding a constant reads the view with its
+             first constant position first.  No op binds there, so moving
+             it first keeps every Bind ahead of its Checks. *)
           let rec first_cst p =
             if p = Array.length ops then
-              Atom_scan { sym; order = identity ops; ops; rows = All }
+              Atom_scan { sym; order = Array.init (Array.length ops) Fun.id; ops; rows = All }
             else
               match ops.(p) with
-              | Cst k -> Atom_scan (probed sym ops p (At_cst k))
+              | Cst k ->
+                  let order = Index.probe_first (Array.length ops) p in
+                  Atom_scan { sym; order; ops = Array.map (fun q -> ops.(q)) order; rows = At_cst k }
               | Check _ | Bind _ -> first_cst (p + 1)
           in
           first_cst 0
-      | Join (chi, _) ->
+      | Join (chi, atoms) ->
           bags := true;
-          let steps =
-            Array.map
-              (fun a ->
-                (* only slots bound by an earlier atom can drive a probe: a
-                   repeat within this atom is not bound when it runs *)
-                let earlier = Array.copy bound in
-                let ops = ops_of a in
-                let probe = ref None in
-                Array.iteri
-                  (fun p op ->
-                    if !probe = None then
-                      match op with
-                      | Cst k -> probe := Some (p, At_cst k)
-                      | Check i when earlier.(i) -> probe := Some (p, At_var i)
-                      | Check _ | Bind _ -> ())
-                  ops;
-                (Atom.sym a, ops, !probe))
-              atoms
-          in
-          (* A cover atom can carry private variables: outside χ and read
-             by no other atom (pure range restrictors, e.g. the v in E(v,x)
-             covering only x).  Enumerating them multiplies the join by
-             their degree only for the seen-set to fold it away again, so
-             an unprobed step with private positions is pre-projected. *)
-          let checked = Array.make frame false in
-          Array.iter
-            (fun (_, ops, _) ->
-              Array.iter (function Check j -> checked.(j) <- true | _ -> ()) ops)
-            steps;
-          let nchi = Array.length chi in
-          let steps =
-            Array.map
-              (fun (sym, ops, probe) ->
-                match probe with
-                | Some (p, rows) -> probed sym ops p rows
-                | None ->
-                    let mask =
-                      Array.map
-                        (function Bind j -> j >= nchi && not checked.(j) | _ -> false)
-                        ops
-                    in
-                    let rows = if Array.exists Fun.id mask then Projected mask else All in
-                    { sym; order = identity ops; ops; rows })
-              steps
-          in
-          (* When every slot outside χ is a blanked private one, a frame is
-             fixed by its χ codes and each step's row by the frame, so two
-             join results never share a χ-projection: no seen-set. *)
-          let outside_chi st =
-            Array.exists
-              (fun l ->
-                match (st.ops.(l), st.rows) with
-                | Bind j, Projected mask -> j >= nchi && not mask.(l)
-                | Bind j, _ -> j >= nchi
-                | _ -> false)
-              (identity st.ops)
-          in
-          Bag_join (nchi, steps, not (Array.exists outside_chi steps))
+          let q = Query.make (Array.to_list atoms) in
+          let plan = Wcoj.compile ~head:chi q in
+          (* χ takes the frame's slots in the plan's rank order, so the
+             codes each row hands on are the frame. *)
+          List.iteri
+            (fun r x -> if r < Array.length chi then add x)
+            (Wcoj.variable_order plan);
+          Bag (plan, Array.map slot (Query.constant_slots q), Array.map Atom.sym atoms)
     in
     let slots names = Array.of_list (List.map (Hashtbl.find pos) names) in
     let kids = Array.of_list (List.map build kids) in
     ( {
-        frame;
+        frame = Hashtbl.length pos;
         source;
         key = slots key;
         children = Array.map fst kids;
@@ -325,16 +262,6 @@ let add_nat t e n ~add =
     t.big.(e) <- (if add then Nat.add else Nat.sub) t.big.(e) n
   end
 
-(* Set membership on the same table: [true] the first time a key is
-   marked. *)
-let mark t codes slots =
-  let e = entry t codes slots in
-  t.small.(e) = 0
-  && begin
-       t.small.(e) <- 1;
-       true
-     end
-
 (* Every entry of nonzero weight, with its key. *)
 let iter_entries t f =
   let n = if t.dense then capacity t else t.len in
@@ -404,13 +331,10 @@ let aggregate node ctbls tbl env =
 
 let root_entry tbl = nat tbl (find tbl [||] [||])
 
-(* The rows of [\[0, n)] a step reads from its view's columns: all, or
-   the run of the probed code. *)
-let range st consts env cols n =
-  match st.rows with
-  | All | Projected _ -> (0, n)
-  | At_cst k -> Index.run cols.(0) 0 n consts.(k)
-  | At_var i -> Index.run cols.(0) 0 n env.(i)
+(* The rows of [\[0, n)] a scan reads from its view's columns: all, or
+   the run of the constant's code. *)
+let range st consts cols n =
+  match st.rows with All -> (0, n) | At_cst k -> Index.run cols.(0) 0 n consts.(k)
 
 (* The atom-scan row source: one tick on entry and one per row read. *)
 let scan tick consts ops env cols lo hi row =
@@ -422,57 +346,6 @@ let scan tick consts ops env cols lo hi row =
 
 (* ------------------------------ one-shot ------------------------------ *)
 
-(* The bag-join row source, in two stages.  First each step's view; the
-   pre-projected steps read theirs, one tick per tuple, into fresh code
-   columns of the distinct rows, in order of first occurrence. *)
-let preproject tick ncodes steps sis =
-  Array.mapi
-    (fun s st ->
-      let cols = Index.view sis.(s) st.order and n = Index.rows sis.(s) in
-      match st.rows with
-      | Projected mask ->
-          let dedup = table ~width:(Array.length mask) ~ncodes ~rows:n in
-          let row = Array.make (Array.length mask) 0 in
-          let out = Array.map (fun _ -> Array.make n 0) mask and m = ref 0 in
-          for r = 0 to n - 1 do
-            tick ();
-            Array.iteri (fun p col -> row.(p) <- (if mask.(p) then 0 else col.(r))) cols;
-            if mark dedup row st.order then begin
-              Array.iteri (fun p c -> out.(p).(!m) <- c) row;
-              incr m
-            end
-          done;
-          (Array.map (fun col -> Array.sub col 0 !m) out, !m)
-      | All | At_cst _ | At_var _ -> (cols, n))
-    steps
-
-(* Then a backtracking join in the compiled step order, one tick per
-   candidate: a probed step's candidates are the run of its view holding
-   the probed code first.  A bag row asserts only that an extension
-   exists, so each distinct χ-projection is counted in [rows] and handed
-   to [row] once. *)
-let join tick consts ncodes reads nchi steps distinct srcs env rows row =
-  let seen = if distinct then None else Some (table ~width:nchi ~ncodes ~rows:reads) in
-  let chi = Array.init nchi Fun.id in
-  let rec go s =
-    if s = Array.length steps then begin
-      if match seen with None -> true | Some t -> mark t env chi then begin
-        incr rows;
-        row ()
-      end
-    end
-    else begin
-      let st = steps.(s) in
-      let cols, n = srcs.(s) in
-      let lo, hi = range st consts env cols n in
-      for r = lo to hi - 1 do
-        tick ();
-        if matches st.ops consts env cols r 0 then go (s + 1)
-      done
-    end
-  in
-  go 0
-
 let count ?budget ?params t d =
   if t.bags then Metrics.incr runs;
   match Index.constants ?params d t.consts with
@@ -482,25 +355,28 @@ let count ?budget ?params t d =
       let tick = ticker budget in
       let rows = ref 0 in
       let rec pass node =
-        let env = Array.make node.frame 0 in
+        let ctbls = Array.map pass node.children in
         let width = Array.length node.key in
         match node.source with
         | Atom_scan st ->
             let si = Index.sym_index idx st.sym in
             let cols = Index.view si st.order in
-            let lo, hi = range st consts env cols (Index.rows si) in
-            let ctbls = Array.map pass node.children in
+            let lo, hi = range st consts cols (Index.rows si) in
             let tbl = table ~width ~ncodes ~rows:(hi - lo) in
+            let env = Array.make node.frame 0 in
             scan tick consts st.ops env cols lo hi (fun () -> aggregate node ctbls tbl env);
             tbl
-        | Bag_join (nchi, steps, distinct) ->
-            let sis = Array.map (fun st -> Index.sym_index idx st.sym) steps in
-            let reads = Array.fold_left (fun a si -> a + Index.rows si) 0 sis in
-            let srcs = preproject tick ncodes steps sis in
-            let ctbls = Array.map pass node.children in
+        | Bag (plan, slots, syms) ->
+            (* The bag's rows come from its leapfrog, which reads the
+               parameters by its own slots. *)
+            let reads = Array.fold_left (fun a s -> a + Index.rows (Index.sym_index idx s)) 0 syms in
             let tbl = table ~width ~ncodes ~rows:reads in
-            join tick consts ncodes reads nchi steps distinct srcs env rows (fun () ->
-                aggregate node ctbls tbl env);
+            let params = Option.map (fun ps -> Array.map (Array.get ps) slots) params in
+            Wcoj.rows ?budget ?params
+              (fun frame ->
+                incr rows;
+                aggregate node ctbls tbl frame)
+              plan d;
             tbl
       in
       match pass t.root with
@@ -558,7 +434,7 @@ let build ?budget (t : t) d =
     let consts = Array.map (fun v -> Index.intern codes (Option.get v)) values in
     let rec live node =
       match node.source with
-      | Bag_join _ -> invalid_arg "Jtree.build: bag-join nodes are not materialised"
+      | Bag _ -> invalid_arg "Jtree.build: bag nodes are not materialised"
       | Atom_scan step ->
           let kids = Array.map live node.children in
           (* the relation as code columns, interning values first seen *)

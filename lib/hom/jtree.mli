@@ -6,8 +6,7 @@
 
     A tree is compiled once, when {!Decomp.choose} or {!Ghd.plan} builds
     the plan that [Eval.prepare] caches.  Every node has one shape: a
-    variable frame (slots numbered at compile time), an op array per atom
-    (compare with a constant slot, check a bound slot, bind a slot), the
+    variable frame (slots numbered at compile time), a row source, the
     slots of its own key (the variables shared with its parent) and, per
     child, the slots of the child's key in this frame.  Constants are
     parameter slots, numbered by the caller ({!Query.constant_slots}) and
@@ -23,48 +22,47 @@
     {2 Two row sources}
 
     - An {e atom scan} (every node of an acyclic component's join tree)
-      matches its atom's ops against the tuples of one relation.  When
+      matches its atom's op array (compare with a constant slot, check a
+      bound slot, bind a slot) against the tuples of one relation.  When
       the atom holds a constant, it reads only the run of that constant's
       code in the view with its first constant position first
-      ({!Index.probe_first}), as a bag-join step probing a constant does;
-      otherwise every tuple.  It ticks once on entry and once per row it
-      reads: [E('c',x)] costs 1 + the number of tuples holding [c] first,
-      and an atom with two constants 1 + the run of the first one.
-    - A {e bag join} (every node of a decomposition) joins the bag's atoms
-      by index probes in a compiled order and hands each distinct
-      projection onto the bag's variables χ to the weigh-and-aggregate step
-      as the join reaches it, so bag rows are never stored and walked a
-      second time.  A set of the χ-rows seen so far folds repeats; a bag
-      whose only variables outside χ are private ones, pre-projected away,
-      needs no such set, because each of its join results then has a χ-row
-      of its own.  It ticks once per candidate tuple and once per tuple a
-      pre-projected step reads, never per bag.  Each distinct row adds one
-      to [ghd_bag_rows], and each count of a tree with bag joins adds one
-      to [ghd_runs]; both cells live here because only this module sees
-      bag rows.
+      ({!Index.probe_first}); otherwise every tuple.  It ticks once on
+      entry and once per row it reads: [E('c',x)] costs 1 + the number of
+      tuples holding [c] first, and an atom with two constants 1 + the
+      run of the first one.
+    - A {e bag} (every node of a decomposition) is the leapfrog compiled
+      with the bag's variables χ as its head ({!Wcoj.rows}): it hands
+      each distinct projection onto χ of its atoms' join to the
+      weigh-and-aggregate step once, at its first extension, so bag rows
+      are never stored.  χ takes the frame's slots in the leapfrog's rank
+      order, so the codes it hands on are the frame, and a count remaps
+      the tree's parameters to the bag plan's own slots.  It ticks by the
+      leapfrog's rule, never per bag.  Each row adds one to
+      [ghd_bag_rows], and each count of a tree with bags adds one to
+      [ghd_runs]; both cells live here because only this module sees bag
+      rows.
 
     {2 Codes, tables and weights}
 
     No table, frame or match holds a {!Value.t}: frames, keys and
     constants are integer codes, and a tuple matches an op array by
     comparing codes.  A one-shot count reads the codes of {!Index}: an
-    atom scan reads the code columns (the identity {!Index.view}), and a
-    probing bag-join step reads a memoised view with the probed position
-    first, whose candidates for a code are the contiguous {!Index.run}.
-    Materialised
-    state codes values through its own append-only {!Index.interner}
-    (below), the one place the DP hashes values: once per value of each
-    tuple {!build} scans and of each tuple {!delta} folds in.
+    atom scan reads the code columns (the identity {!Index.view}) or, with
+    a constant, a memoised view with that position first, whose rows for
+    a code are the contiguous {!Index.run}; a bag's leapfrog reads its
+    trie views.  Materialised state codes values through its own
+    append-only {!Index.interner} (below), the one place the DP hashes
+    values: once per value of each tuple {!build} scans and of each tuple
+    {!delta} folds in.
 
-    Every table — a node's key aggregation, a bag join's set of seen
-    χ-rows, a pre-projection's set of distinct rows, a propagation's
-    per-key deltas — has one type: a map from keys of a fixed width in
-    codes to weights, where an absent key weighs zero.  A key of width ≤ 1
-    is a dense array indexed by code (the root's empty key is one cell)
-    when the codes number no more than the rows the node reads (or
-    eight); any other key is hashed, open-addressed over its codes, and
-    starts with room for the rows the node reads.  So no table is sized
-    by the domain when the node reads fewer rows than that.
+    Every table — a node's key aggregation, a propagation's per-key
+    deltas — has one type: a map from keys of a fixed width in codes to
+    weights, where an absent key weighs zero.  A key of width ≤ 1 is a
+    dense array indexed by code (the root's empty key is one cell) when
+    the codes number no more than the rows the node reads (or eight); any
+    other key is hashed, open-addressed over its codes, and starts with
+    room for the rows the node reads.  So no table is sized by the domain
+    when the node reads fewer rows than that.
 
     Weights are [int]s while they stay below 2{^ 61}.  When an addition
     at an entry, or a product of child weights, would reach 2{^ 61}, that
@@ -90,21 +88,22 @@ type t
 type spec =
   | Scan of Atom.t  (** an atom-scan node over one atom *)
   | Join of string array * Atom.t array
-      (** a bag-join node: χ, then the atoms to join in probe order *)
+      (** a bag node: χ, then the atoms whose join it projects onto χ *)
 
 val compile : consts:string array -> ('a -> spec * string list * 'a list) -> 'a -> t
 (** [compile ~consts view top] compiles the tree whose nodes [view]
     describes as (row source, key variables, children), rooted at [top].
     The key of the root must be empty; every other key must be variables
-    of both the node and its parent.  [consts] numbers the parameter
-    slots: it must list every constant of the tree's atoms. *)
+    of both the node and its parent, and of χ at a bag.  χ must list
+    distinct variables of the bag's atoms.  [consts] numbers the
+    parameter slots: it must list every constant of the tree's atoms. *)
 
 val count :
   ?budget:Bagcq_guard.Budget.t -> ?params:Value.t array -> t -> Structure.t -> Nat.t
 (** The one-shot count, run by {!Decomp.count} for [Eval] and the store's
     recounts: one bottom-up pass over the {!Index} code columns and
-    probe-first views that keeps no reverse maps and drops each table
-    once its parent has read it.  Slot [i] holds [params.(i)], or,
+    views that keeps no reverse maps and drops each table once its parent
+    has read it.  Slot [i] holds [params.(i)], or,
     without [?params], the structure's interpretation of [consts.(i)],
     through {!Index.constants}: an uninterpreted constant answers zero
     before any index is fetched or any tick is spent.  Ticks [?budget] by
@@ -163,7 +162,7 @@ val build : ?budget:Bagcq_guard.Budget.t -> t -> Structure.t -> state option
     and not maintainable, since a later insert can bind the constant.
     Ticks [?budget] like {!count}, except that an atom scan reads every
     tuple, bound position or not (the tuple array is not sorted by the
-    view).  Raises [Invalid_argument] on a tree with bag joins. *)
+    view).  Raises [Invalid_argument] on a tree with bags. *)
 
 val total : state -> Nat.t
 (** The root's entry at the empty key: |Hom(component, D)|.  O(1). *)

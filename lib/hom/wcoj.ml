@@ -35,8 +35,15 @@ type plan = {
       (* per variable rank, in atom order; empty at a domain rank *)
   consts : string array;  (* join and ≠ constants alike, by slot *)
   var_order : string array;
+  nhead : int;  (* the head's ranks, first in the order; 0 without a head *)
   filters : filter array array;  (* per variable rank *)
   neq_const_pairs : (int * int) list;  (* c ≠ c' between two constants *)
+  (* Per rank, fixed by the plan, so no run builds them: *)
+  has_dups : bool array;  (* an entry repeats its variable on further levels *)
+  has_filters : bool array;
+  walks : bool array;
+      (* one entry, at its atom's last trie level, no repeat, no filter:
+         every row of its range is a distinct value *)
 }
 
 let variable_order p = Array.to_list p.var_order
@@ -65,16 +72,19 @@ let rank_supports p =
    new level intersects constrained iterators rather than scanning a fresh
    relation), then the variable occurring in the most atoms (highest
    degree intersects hardest, shrinking ranges earliest), ties broken by
-   name for determinism — [bagcq explain] pins the result. *)
-let choose_var_order (atoms : Atom.t array) =
+   name for determinism — [bagcq explain] pins the result.  Variables
+   satisfying [first] are all taken before any other; those satisfying
+   [skip] get no rank. *)
+let choose_var_order ~first ~skip (atoms : Atom.t array) =
   let n = Array.length atoms in
   let atoms_of : (string, int list) Hashtbl.t = Hashtbl.create 16 in
   Array.iteri
     (fun i a ->
       List.iter
         (fun x ->
-          Hashtbl.replace atoms_of x
-            (i :: Option.value ~default:[] (Hashtbl.find_opt atoms_of x)))
+          if not (skip x) then
+            Hashtbl.replace atoms_of x
+              (i :: Option.value ~default:[] (Hashtbl.find_opt atoms_of x)))
         (Atom.vars a))
     atoms;
   let vars =
@@ -90,6 +100,7 @@ let choose_var_order (atoms : Atom.t array) =
       in
       (conn, List.length occ)
     in
+    let pool = match List.filter first !remaining with [] -> !remaining | xs -> xs in
     let pick =
       List.fold_left
         (fun best x ->
@@ -98,7 +109,7 @@ let choose_var_order (atoms : Atom.t array) =
           | Some (bx, bs) ->
               let s = score x in
               if s > bs || (s = bs && x < bx) then Some (x, s) else best)
-        None !remaining
+        None pool
     in
     let x, _ = Option.get pick in
     order := x :: !order;
@@ -107,17 +118,33 @@ let choose_var_order (atoms : Atom.t array) =
   done;
   Array.of_list (List.rev !order)
 
-let compile q =
+let compile ?(head = [||]) q =
   Metrics.incr plans_compiled;
   let atoms = Array.of_list (Query.atoms q) in
+  let in_head x = Array.mem x head in
+  (* With a head, a variable outside it that occurs once, in no ≠, is
+     private: any row reaching its atom's last ranked level extends to it,
+     so it gets no rank and its level goes last. *)
+  let private_ x =
+    let var t = Term.equal t (Term.Var x) in
+    let uses a = Array.fold_left (fun n t -> if var t then n + 1 else n) 0 (Atom.args a) in
+    head <> [||] && (not (in_head x))
+    && Array.fold_left (fun n a -> n + uses a) 0 atoms = 1
+    && not (List.exists (fun (s, t) -> var s || var t) (Query.neqs q))
+  in
   (* Variables occurring only in ≠ atoms have no iterator: they trail the
      joined ones as domain ranks, by name. *)
   let var_order =
-    let joined = choose_var_order atoms in
+    let joined = choose_var_order ~first:in_head ~skip:private_ atoms in
     Array.append joined
       (Array.of_list
-         (List.filter (fun x -> not (Array.mem x joined)) (Query.vars q)))
+         (List.filter
+            (fun x -> not (Array.mem x joined || private_ x))
+            (Query.vars q)))
   in
+  let nhead = Array.length head in
+  if nhead > Array.length var_order || not (Array.for_all in_head (Array.sub var_order 0 nhead))
+  then invalid_arg "Wcoj.compile: the head must list distinct variables of the atoms";
   let rank = Hashtbl.create 16 in
   Array.iteri (fun r x -> Hashtbl.add rank x r) var_order;
   (* Constants are numbered by slot, so a parameter vector indexes them. *)
@@ -134,14 +161,18 @@ let compile q =
         let args = Atom.args a in
         let arity = Array.length args in
         (* Constants descend first (they narrow once, for free), then
-           variables in global rank order; repeats of one variable land on
-           consecutive levels.  The position component makes the sort key
-           total, hence the order deterministic. *)
+           variables in global rank order, then private ones, which no
+           iterator reaches; repeats of one variable land on consecutive
+           levels.  The position component makes the sort key total, hence
+           the order deterministic. *)
         let keyed =
           Array.init arity (fun pos ->
               match args.(pos) with
               | Term.Cst c -> ((0, 0, pos), pos, `C (const_id c))
-              | Term.Var x -> ((1, Hashtbl.find rank x, pos), pos, `V (Hashtbl.find rank x)))
+              | Term.Var x -> (
+                  match Hashtbl.find_opt rank x with
+                  | Some r -> ((1, r, pos), pos, `V r)
+                  | None -> ((2, 0, pos), pos, `P)))
         in
         Array.sort (fun (k1, _, _) (k2, _, _) -> compare k1 k2) keyed;
         let order = Array.map (fun (_, pos, _) -> pos) keyed in
@@ -152,7 +183,7 @@ let compile q =
                (Array.to_list keyed))
         in
         let l = ref (Array.length cids) in
-        while !l < arity do
+        while !l < arity && (match keyed.(!l) with _, _, `V _ -> true | _ -> false) do
           let r = match keyed.(!l) with _, _, `V r -> r | _ -> assert false in
           let j = ref (!l + 1) in
           while
@@ -184,14 +215,25 @@ let compile q =
           filters.(r) <- F_const (const_id c) :: filters.(r)
       | Term.Cst c, Term.Cst c' -> const_pairs := (const_id c, const_id c') :: !const_pairs)
     (Query.neqs q);
+  let occs = Array.init nranks (fun r -> Array.of_list (List.rev occs.(r))) in
+  let filters = Array.init (max 1 nranks) (fun r -> Array.of_list (List.rev filters.(r))) in
+  let has_filters = Array.map (fun fs -> Array.length fs > 0) filters in
   {
     atoms = atom_plans;
-    occs =
-      Array.init nranks (fun r -> Array.of_list (List.rev occs.(r)));
+    occs;
     consts;
     var_order;
-    filters = Array.init (max 1 nranks) (fun r -> Array.of_list (List.rev filters.(r)));
+    nhead;
+    filters;
     neq_const_pairs = List.rev !const_pairs;
+    has_dups = Array.map (Array.exists (fun o -> o.ndups > 0)) occs;
+    has_filters;
+    walks =
+      Array.mapi
+        (fun r -> function
+          | [| o |] -> o.ndups = 0 && (not has_filters.(r)) && o.level = Array.length atom_plans.(o.atom_id).order - 1
+          | _ -> false)
+        occs;
   }
 
 (* Galloping search: first index in [lo, hi) whose code is >= v, or [hi].
@@ -236,22 +278,31 @@ type rentry = {
 
 exception Unsat
 
+(* Raised in rows mode by the first leaf, or existence test, below the
+   last head rank, and caught at that rank: the head tuple bound so far
+   has an extension. *)
+exception Found
+
 module StringMap = Map.Make (String)
 
 type assignment = Value.t StringMap.t
 
-(* The leapfrog, counting or enumerating.  Differences from textbook LFTJ:
-   (1) the output is a bignum count, accumulated in an int and flushed to
-   [Nat] before it can overflow; (2) when counting, the leaf step is
-   algebraic — when the innermost variable occurs in exactly one atom (no
-   repeats), every row of that atom's final range extends the current
-   prefix to exactly one homomorphism, and distinct rows sharing the full
-   bound prefix must differ at the last level, so the whole level
-   contributes [hi - lo] without iterating.  With [?emit] the run binds
-   every variable instead and hands [emit] each full binding, decoded.
-   One budget tick per seek keeps fuel semantics: a fuel-limited run trips
-   mid-intersection. *)
-let run ?budget ?params ?emit (p : plan) d =
+type mode = Count | Iter of (assignment -> unit) | Rows of (int array -> unit)
+
+(* The leapfrog, counting, enumerating or handing on head tuples.
+   Differences from textbook LFTJ: (1) the output is a bignum count,
+   accumulated in an int and flushed to [Nat] before it can overflow;
+   (2) when counting, the leaf step is algebraic — when the innermost
+   variable occurs in exactly one atom (no repeats), every row of that
+   atom's final range extends the current prefix to exactly one
+   homomorphism, and distinct rows sharing the full bound prefix must
+   differ at the last level, so the whole level contributes [hi - lo]
+   without iterating.  [Iter] binds every variable instead and hands each
+   full binding on, decoded.  [Rows] binds the head ranks, runs the rest
+   to their first leaf, where the counting shortcuts only test that an
+   extension exists, and hands on the codes.  One budget tick per seek
+   keeps fuel semantics: a fuel-limited run trips mid-intersection. *)
+let run ?budget ?params mode (p : plan) d =
   Metrics.incr wcoj_runs;
   let work = ref 0 in
   let tick =
@@ -329,21 +380,13 @@ let run ?budget ?params ?emit (p : plan) d =
       if !acc >= 0x2000000000000000 then flush_acc ()
     in
     let nranks = Array.length p.occs in
-    (* Does any entry at this rank carry duplicate levels?  Computed once:
-       it gates the allocation-free leaf intersection below. *)
-    let rank_has_dups =
-      Array.map
-        (fun entries ->
-          Array.exists (fun (e : rentry) -> e.ndups > 0) entries)
-        rt_occs
-    in
-    (* Codes bound at earlier ranks, for the ≠ filters and the emitted
-       binding.  Written at every [match_found] and domain-rank value —
-       cheap enough to skip gating — and read only by deeper ranks'
-       filters and the leaf, which always run after the write because the
-       counting shortcuts fire at the last rank alone. *)
+    (* Codes bound at earlier ranks, for the ≠ filters, the emitted
+       binding and the rows handed on.  Written at every [match_found],
+       walked row and domain-rank value — cheap enough to skip gating —
+       and read only by deeper ranks' filters and the leaf, which always
+       run after the write because the counting shortcuts fire at the
+       last rank alone. *)
     let bound = Array.make (max 1 nranks) (-1) in
-    let rank_has_filters = Array.map (fun fs -> Array.length fs > 0) p.filters in
     let filters_pass r v =
       let fs = p.filters.(r) in
       let nf = Array.length fs in
@@ -368,18 +411,34 @@ let run ?budget ?params ?emit (p : plan) d =
     in
     let domain = Index.domain idx in
     let ndom = Array.length domain in
+    (* Rows mode is tested with this one bool at the three counting
+       shortcuts, where it turns an addition into an existence test, so
+       counting pays nothing for it. *)
+    let rows = match mode with Rows _ -> true | Count | Iter _ -> false in
     (* The rank where counting adds extensions without binding them: the
        leaf width, the leaf intersection and the innermost domain rank's
-       closed form.  Enumeration binds every rank, so it takes none. *)
-    let shortcut_rank = if Option.is_none emit then nranks - 1 else -1 in
+       closed form.  Enumeration binds every rank, so it takes none, and
+       neither does a head rank. *)
+    let shortcut_rank =
+      match mode with
+      | Count -> nranks - 1
+      | Iter _ -> -1
+      | Rows _ -> if p.nhead < nranks then nranks - 1 else -1
+    in
+    (* The last head rank, where rows mode catches [Found] when ranks
+       follow the head; when none does, the leaf hands each row on
+       itself.  No rank otherwise. *)
+    let head_last = match mode with Rows _ when p.nhead < nranks -> p.nhead - 1 | _ -> -1 in
+    let hand_on = match mode with Rows f -> f | Count | Iter _ -> ignore in
     let leaf =
-      match emit with
-      | None -> fun () -> add 1
-      | Some f ->
+      match mode with
+      | Count -> fun () -> add 1
+      | Iter f ->
           fun () ->
             let a = ref StringMap.empty in
             Array.iteri (fun r x -> a := StringMap.add x domain.(bound.(r)) !a) p.var_order;
             f !a
+      | Rows f -> if head_last >= 0 then fun () -> raise_notrace Found else fun () -> f bound
     in
     let rec go r =
       if r = nranks then leaf ()
@@ -388,11 +447,22 @@ let run ?budget ?params ?emit (p : plan) d =
         let entries = rt_occs.(r) in
         let k = Array.length entries in
         let e0 = Array.unsafe_get entries 0 in
-        if r = shortcut_rank && k = 1 && e0.ndups = 0 && not rank_has_filters.(r)
+        if r = shortcut_rank && k = 1 && e0.ndups = 0 && not p.has_filters.(r)
         then begin
           tick ();
-          add (e0.ia.ahi.(e0.level) - e0.ia.alo.(e0.level))
+          let w = e0.ia.ahi.(e0.level) - e0.ia.alo.(e0.level) in
+          if rows then (if w > 0 then raise_notrace Found) else add w
         end
+        else if p.walks.(r) then
+          (* The walk.  The rows of the range are distinct values, so each
+             binds the rank at once, with the one tick the narrowing seek
+             past its run would have cost; no deeper level of the atom
+             needs a range. *)
+          for i = e0.ia.alo.(e0.level) to e0.ia.ahi.(e0.level) - 1 do
+            tick ();
+            bound.(r) <- Array.unsafe_get e0.col i;
+            if r = head_last then head_row r else go (r + 1)
+          done
         else begin
           let ok = ref true in
           for i = 0 to k - 1 do
@@ -402,14 +472,16 @@ let run ?budget ?params ?emit (p : plan) d =
           done;
           if !ok then begin
             let next i = if i + 1 = k then 0 else i + 1 in
-            if r = shortcut_rank && (not rank_has_dups.(r)) && not rank_has_filters.(r)
+            if r = shortcut_rank && (not p.has_dups.(r)) && not p.has_filters.(r)
             then begin
-              (* Leaf intersection.  Every level here is its atom's last:
-                 rows in a value run share the whole bound prefix, so a
-                 run has width exactly 1 (tuples are a set).  Each match
-                 therefore adds one homomorphism, the matched entry
-                 advances with [cur + 1] instead of a seek, and no range
-                 narrowing or recursion happens at all. *)
+              (* Leaf intersection.  Every level here is its atom's last
+                 ranked one.  When counting, that is the atom's last: rows
+                 in a value run share the whole bound prefix, so a run has
+                 width exactly 1 (tuples are a set).  Each match therefore
+                 adds one homomorphism, the matched entry advances with
+                 [cur + 1] instead of a seek, and no range narrowing or
+                 recursion happens at all.  In rows mode the first match
+                 is the extension sought. *)
               let rec lf_leaf v i matched =
                 let e = Array.unsafe_get entries i in
                 let hi = e.ia.ahi.(e.level) in
@@ -419,6 +491,7 @@ let run ?budget ?params ?emit (p : plan) d =
                   if v' <> v then lf_leaf v' (next i) 1
                   else if matched + 1 < k then lf_leaf v (next i) (matched + 1)
                   else begin
+                    if rows then raise_notrace Found;
                     add 1;
                     e.cur <- e.cur + 1;
                     if e.cur < hi then
@@ -443,7 +516,7 @@ let run ?budget ?params ?emit (p : plan) d =
                 end
               and match_found v =
                 bound.(r) <- v;
-                if rank_has_filters.(r) && not (filters_pass r v) then begin
+                if p.has_filters.(r) && not (filters_pass r v) then begin
                   (* filtered out: skip the narrowing pass entirely and
                      resume the intersection past this value *)
                   let hi0 = e0.ia.ahi.(e0.level) in
@@ -478,7 +551,7 @@ let run ?budget ?params ?emit (p : plan) d =
                    the range stack; deeper ranks only write strictly
                    deeper slots, but read it before recursing anyway. *)
                 let stop0 = e0.ia.ahi.(e0.level + 1) in
-                if !alive then go (r + 1);
+                if !alive then (if r = head_last then head_row r else go (r + 1));
                 e0.cur <- stop0;
                 if e0.cur < e0.ia.ahi.(e0.level) then
                   leapfrog e0.col.(e0.cur) (next 0) 1
@@ -496,16 +569,21 @@ let run ?budget ?params ?emit (p : plan) d =
     and domain_rank r =
       if r = shortcut_rank then begin
         tick ();
-        add (ndom - forbidden r)
+        let n = ndom - forbidden r in
+        if rows then (if n > 0 then raise_notrace Found) else add n
       end
       else
         for v = 0 to ndom - 1 do
           tick ();
           if filters_pass r v then begin
             bound.(r) <- v;
-            go (r + 1)
+            if r = head_last then head_row r else go (r + 1)
           end
         done
+    (* The head tuple bound through rank [r] is a row when some leaf
+       below it is reached: the first one stops the descent. *)
+    and head_row r =
+      match go (r + 1) with () -> () | exception Found -> hand_on bound
     in
     go 0;
     flush_acc ();
@@ -522,5 +600,10 @@ let run ?budget ?params ?emit (p : plan) d =
       flush ();
       raise e
 
-let count ?budget ?params p d = run ?budget ?params p d
-let iter ?budget ?params f p d = ignore (run ?budget ?params ~emit:f p d)
+let headless p = if p.nhead > 0 then invalid_arg "Wcoj: a plan with a head serves only rows"
+let count ?budget ?params p d = headless p; run ?budget ?params Count p d
+let iter ?budget ?params f p d = headless p; ignore (run ?budget ?params (Iter f) p d)
+
+let rows ?budget ?params f p d =
+  if p.nhead = 0 then invalid_arg "Wcoj.rows: a plan without a head";
+  ignore (run ?budget ?params (Rows f) p d)

@@ -180,8 +180,8 @@ let test_metrics_family () =
 
 (* A one-bag tree counts the distinct χ-rows of its join.  With χ =
    (x, z) the two atoms also bind y, so 2-paths through different
-   middles repeat a row and the join must fold them; with y in χ every
-   join result is already a distinct row. *)
+   middles share a row, which the leapfrog hands on once, at its first
+   extension; with y in χ every join result is already a distinct row. *)
 let test_bag_rows_are_distinct () =
   let d = random_db ~max_n:5 ~max_edges:20 (Random.State.make [| 11 |]) in
   let bag chi =
@@ -201,6 +201,115 @@ let test_bag_rows_are_distinct () =
   Alcotest.(check int) "2-paths"
     (Solver_ref.count Build.(query [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ] ]) d)
     (Nat.to_int (Jtree.count (bag [| "x"; "y"; "z" |]) d))
+
+(* One bag over random atoms of a binary and a ternary symbol, with
+   constants, repeated variables and private variables (p1, p2, …, each
+   used once) at any position, and a random nonempty χ: the bag's rows
+   are the distinct χ-projections of the reference's homomorphisms, and
+   [ghd_bag_rows] rises by their number. *)
+let t3 = Build.sym "T" 3
+
+let random_bag st =
+  let fresh = ref 0 in
+  let term () =
+    match Random.State.int st 6 with
+    | 0 -> Build.c (if Random.State.bool st then "a" else "b")
+    | 1 ->
+        incr fresh;
+        Build.v (Printf.sprintf "p%d" !fresh)
+    | _ -> Build.v (Printf.sprintf "x%d" (Random.State.int st 3))
+  in
+  let atom () =
+    if Random.State.bool st then Build.atom e [ term (); term () ]
+    else Build.atom t3 [ term (); term (); term () ]
+  in
+  let q = Build.query (List.init (1 + Random.State.int st 4) (fun _ -> atom ())) in
+  let chi = List.filter (fun _ -> Random.State.bool st) (Query.vars q) in
+  let chi = if chi = [] && Query.vars q <> [] then [ List.hd (Query.vars q) ] else chi in
+  let d = ref (random_db ~max_n:3 ~max_edges:10 st) in
+  for _ = 1 to Random.State.int st 12 do
+    d :=
+      Structure.add_fact !d t3 (List.init 3 (fun _ -> Value.int (Random.State.int st 3)))
+  done;
+  if Random.State.bool st then d := Structure.bind_constant !d "b" (Value.int 1);
+  (q, Array.of_list chi, !d)
+
+let prop_bag_rows =
+  let print (q, chi, d) =
+    Format.asprintf "query: %a@.chi: %s@.db: %a" Query.pp q
+      (String.concat "," (Array.to_list chi))
+      Structure.pp d
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"one bag = distinct χ-projections of the reference" ~count:1000
+       (QCheck.make ~print random_bag)
+       (fun (q, chi, d) ->
+         QCheck.assume (chi <> [||]);
+         let module M = Map.Make (String) in
+         let distinct =
+           Solver_ref.fold
+             (fun acc h -> Array.map (fun x -> M.find x h) chi :: acc)
+             [] q d
+           |> List.sort_uniq compare |> List.length
+         in
+         let atoms = Array.of_list (Query.atoms q) in
+         let t =
+           Jtree.compile ~consts:(Query.constant_slots q)
+             (fun () -> (Jtree.Join (chi, atoms), [], []))
+             ()
+         in
+         let rows0 = global_counter "ghd_bag_rows" in
+         let n = Nat.to_int (Jtree.count t d) in
+         n = distinct && global_counter "ghd_bag_rows" - rows0 = distinct))
+
+(* The bags' constants are parameter slots of their own: here 'a' and 'b'
+   land in different bags, each as its bag's slot 0, so each bag reads
+   the tree's parameter vector through its own map.  Swapping the two
+   values counts the query with 'a' and 'b' swapped. *)
+let test_bag_constant_slots () =
+  let q =
+    Build.(
+      query
+        (cycle e (List.init 6 (fun i -> v (Printf.sprintf "x%d" i)))
+        @ [ atom e [ c "a"; v "x1" ]; atom e [ v "x4"; c "b" ] ]))
+  in
+  let swapped =
+    Build.(
+      query
+        (cycle e (List.init 6 (fun i -> v (Printf.sprintf "x%d" i)))
+        @ [ atom e [ c "b"; v "x1" ]; atom e [ v "x4"; c "a" ] ]))
+  in
+  let d =
+    let d = ref (Structure.empty (Schema.make [ e ])) in
+    List.iter
+      (fun (x, y) -> d := Structure.add_fact !d e [ Value.int x; Value.int y ])
+      [ (0, 1); (0, 2); (1, 2); (2, 0); (2, 3); (3, 0); (3, 1); (1, 3); (0, 0) ];
+    Structure.bind_constant (Structure.bind_constant !d "a" (Value.int 0)) "b" (Value.int 3)
+  in
+  let g =
+    match Decomp.choose q with
+    | Decomp.Ghd g -> g
+    | _ -> Alcotest.fail "the decorated 6-cycle must route to the decomposition"
+  in
+  let rec bags b = b :: List.concat_map bags (Ghd.bag_children b) in
+  let home c =
+    List.filter
+      (fun b -> List.exists (fun a -> List.mem c (Atom.constants a)) (Ghd.bag_atoms b))
+      (bags (Ghd.root g))
+  in
+  (match (home "a", home "b") with
+  | [ ba ], [ bb ] -> Alcotest.(check bool) "different bags" false (ba == bb)
+  | _ -> Alcotest.fail "each constant sits in one bag");
+  let reference q = string_of_int (Solver_ref.count q d) in
+  Alcotest.(check bool) "the swap changes the count" false (reference q = reference swapped);
+  Alcotest.(check string) "Eval.count" (reference q) (Nat.to_string (Eval.count q d));
+  let value c = Option.get (Structure.interpretation d c) in
+  let params = Array.map value (Query.constant_slots q) in
+  let swap = Array.map (fun c -> value (if c = "a" then "b" else "a")) (Query.constant_slots q) in
+  Alcotest.(check string) "Decomp.count" (reference q)
+    (Nat.to_string (Decomp.count ~params (Decomp.Ghd g) q d));
+  Alcotest.(check string) "Decomp.count, values swapped" (reference swapped)
+    (Nat.to_string (Decomp.count ~params:swap (Decomp.Ghd g) q d))
 
 let test_fuel_trips_mid_bag () =
   let d = complete_digraph 6 in
@@ -273,6 +382,9 @@ let () =
           Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
           Alcotest.test_case "ghd_* metrics family" `Quick test_metrics_family;
           Alcotest.test_case "bag rows are distinct" `Quick test_bag_rows_are_distinct;
+          prop_bag_rows;
+          Alcotest.test_case "bag constants read their own slots" `Quick
+            test_bag_constant_slots;
           Alcotest.test_case "fuel trips mid-bag-materialisation" `Quick
             test_fuel_trips_mid_bag;
           Alcotest.test_case "deadline reason preserved" `Quick

@@ -74,11 +74,11 @@ let gen_pair =
       let rec q () = match random_query st with Some q -> q | None -> q () in
       (q (), random_db st))
 
-(* The generator above, widened.  A ternary T puts probes and bag-join
-   steps at positions 1 and 2, where a probe-first view permutes its
+(* The generator above, widened.  A ternary T puts constant scans and
+   bag leapfrogs' levels at positions 1 and 2, where a view permutes its
    levels; a quarter of the queries are cycles that take the GHD kernel,
-   so its bag joins probe there too.  The constant [c] is always
-   interpreted, by an element no tuple holds, so a probe on it finds an
+   so its bags read such views too.  The constant [c] is always
+   interpreted, by an element no tuple holds, so a scan of it finds an
    empty run. *)
 let t3 = Build.sym "T" 3
 
@@ -549,6 +549,45 @@ let probe_pins =
         ~count:18 ~ticks:33 ~count_ticks:15;
     ]
 
+(* The head-first rows entry on the same structure: each distinct head
+   tuple once, ticked by the same rule.  With χ = (x) over E(x,y), y is
+   private: one seek past each of the three sources.  With χ = (x, z)
+   over E(x,y) & E(y,z), the order is x, z, y: three seeks for x, three
+   for z under each x, and a leaf intersection on y that stops at its
+   first match, 13 seeks over the nine (x, z) pairs.  With χ every
+   variable the run binds every rank, as [iter] does, at [iter]'s
+   figure. *)
+let rows_pin q head ~rows ~ticks () =
+  let module M = Map.Make (String) in
+  let p = Wcoj.compile ~head q in
+  let b = Budget.unlimited () in
+  let n = ref 0 in
+  Wcoj.rows ~budget:b (fun _ -> incr n) p probe_db;
+  let expected = Hashtbl.create 16 in
+  Solver_ref.iter
+    (fun h -> Hashtbl.replace expected (Array.map (fun x -> M.find x h) head) ())
+    q probe_db;
+  Alcotest.(check int) "rows = distinct head projections" (Hashtbl.length expected) !n;
+  Alcotest.(check int) "rows" rows !n;
+  Alcotest.(check int) "ticks" ticks (Budget.ticks b);
+  if Array.length head = List.length (Query.vars q) then begin
+    let b = Budget.unlimited () in
+    Wcoj.iter ~budget:b ignore (Wcoj.compile q) probe_db;
+    Alcotest.(check int) "iter ticks" ticks (Budget.ticks b)
+  end
+
+let rows_pins =
+  let pin name q head ~rows ~ticks = Alcotest.test_case name `Quick (rows_pin q head ~rows ~ticks) in
+  let two_path = Build.(query [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ] ]) in
+  [
+    pin "private variable: (x) over E(x,y)"
+      Build.(query [ atom e [ v "x"; v "y" ] ])
+      [| "x" |] ~rows:3 ~ticks:3;
+    pin "first extension: (x,z) over E(x,y) & E(y,z)" two_path [| "x"; "z" |] ~rows:8 ~ticks:25;
+    pin "every variable: (x,y,z) over E(x,y) & E(y,z)" two_path [| "x"; "y"; "z" |] ~rows:12
+      ~ticks:27;
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Planner unit tests                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -782,6 +821,7 @@ let () =
           Alcotest.test_case "neq between constants" `Quick test_neq_between_constants;
         ] );
       ("probe-ticks", probe_pins);
+      ("rows-ticks", rows_pins);
       ( "eval-cache",
         [
           Alcotest.test_case "invalidated on structure change" `Quick
