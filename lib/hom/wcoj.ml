@@ -425,10 +425,9 @@ let run ?budget ?params mode (p : plan) d =
       | Iter _ -> -1
       | Rows _ -> if p.nhead < nranks then nranks - 1 else -1
     in
-    (* The last head rank, where rows mode catches [Found] when ranks
-       follow the head; when none does, the leaf hands each row on
-       itself.  No rank otherwise. *)
-    let head_last = match mode with Rows _ when p.nhead < nranks -> p.nhead - 1 | _ -> -1 in
+    (* The last head rank, where rows mode hands each head tuple on; no
+       rank otherwise. *)
+    let head_last = if rows then p.nhead - 1 else -1 in
     let hand_on = match mode with Rows f -> f | Count | Iter _ -> ignore in
     let leaf =
       match mode with
@@ -438,7 +437,7 @@ let run ?budget ?params mode (p : plan) d =
             let a = ref StringMap.empty in
             Array.iteri (fun r x -> a := StringMap.add x domain.(bound.(r)) !a) p.var_order;
             f !a
-      | Rows f -> if head_last >= 0 then fun () -> raise_notrace Found else fun () -> f bound
+      | Rows _ -> fun () -> raise_notrace Found
     in
     let rec go r =
       if r = nranks then leaf ()
@@ -580,10 +579,12 @@ let run ?budget ?params mode (p : plan) d =
             if r = head_last then head_row r else go (r + 1)
           end
         done
-    (* The head tuple bound through rank [r] is a row when some leaf
-       below it is reached: the first one stops the descent. *)
+    (* The head tuple bound through rank [r] is a row at once when no
+       rank follows, else when some leaf below it is reached: the first
+       one stops the descent. *)
     and head_row r =
-      match go (r + 1) with () -> () | exception Found -> hand_on bound
+      if r + 1 = nranks then hand_on bound
+      else match go (r + 1) with () -> () | exception Found -> hand_on bound
     in
     go 0;
     flush_acc ();
