@@ -32,12 +32,7 @@ let jtree g = g.g_dp
 let bag_vars b = Array.to_list b.b_chi
 let bag_cover b = Array.to_list b.b_cover
 let bag_atoms b = Array.to_list b.b_atoms
-
-(* The order of the leapfrog that materialises the bag: [Jtree.compile]
-   compiles the same plan for the bag's node. *)
-let bag_order b =
-  Wcoj.variable_order (Wcoj.compile ~head:b.b_chi (Query.make (bag_atoms b)))
-
+let bag_order b = Jtree.bag_order b.b_chi b.b_atoms
 let bag_key b = List.map (fun i -> b.b_chi.(i)) (Array.to_list b.b_key)
 let bag_children b = b.b_children
 

@@ -43,6 +43,13 @@ type spec = Scan of Atom.t | Join of string array * Atom.t array
 
 (* ------------------------------ compiling ----------------------------- *)
 
+(* A bag's leapfrog, with χ as its head, and its constant slots. *)
+let bag_plan chi atoms =
+  let q = Query.make (Array.to_list atoms) in
+  (Wcoj.compile ~head:chi q, Query.constant_slots q)
+
+let bag_order chi atoms = Wcoj.variable_order (fst (bag_plan chi atoms))
+
 let compile ~consts view top =
   let slot c =
     let rec find k = if String.equal consts.(k) c then k else find (k + 1) in
@@ -89,14 +96,13 @@ let compile ~consts view top =
           first_cst 0
       | Join (chi, atoms) ->
           bags := true;
-          let q = Query.make (Array.to_list atoms) in
-          let plan = Wcoj.compile ~head:chi q in
+          let plan, bag_consts = bag_plan chi atoms in
           (* χ takes the frame's slots in the plan's rank order, so the
              codes each row hands on are the frame. *)
           List.iteri
             (fun r x -> if r < Array.length chi then add x)
             (Wcoj.variable_order plan);
-          Bag (plan, Array.map slot (Query.constant_slots q), Array.map Atom.sym atoms)
+          Bag (plan, Array.map slot bag_consts, Array.map Atom.sym atoms)
     in
     let slots names = Array.of_list (List.map (Hashtbl.find pos) names) in
     let kids = Array.of_list (List.map build kids) in

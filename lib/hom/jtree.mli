@@ -98,6 +98,10 @@ val compile : consts:string array -> ('a -> spec * string list * 'a list) -> 'a 
     distinct variables of the bag's atoms.  [consts] numbers the
     parameter slots: it must list every constant of the tree's atoms. *)
 
+val bag_order : string array -> Atom.t array -> string list
+(** The variable order of the leapfrog a [Join (χ, atoms)] node runs:
+    χ first, private variables left out ({!Wcoj.compile}). *)
+
 val count :
   ?budget:Bagcq_guard.Budget.t -> ?params:Value.t array -> t -> Structure.t -> Nat.t
 (** The one-shot count, run by {!Decomp.count} for [Eval] and the store's
