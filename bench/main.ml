@@ -515,8 +515,7 @@ let wall f =
   (r, Unix.gettimeofday () -. t0)
 
 (* CYCLIQ-style rotation query: the paper's R-atom cycle over all p
-   rotations of a tuple, on a database closed under rotation.  Shared by
-   EXP-WCOJ and the EXP-OBS overhead measurement. *)
+   rotations of a tuple, on a database closed under rotation (EXP-WCOJ). *)
 let cycliq_fixture () =
   let p = 5 in
   let r = Cycliq.r_symbol ~p in
@@ -793,52 +792,6 @@ let exp_ghd () =
       ("ghd_5x_bar", Json.Bool bar_ok);
       ("counts_match", Json.Bool counts_ok);
       ("planner_picks_ghd", Json.Bool strategy_is_ghd);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* EXP-OBS: cost of the always-on instrumentation.  The leapfrog counts *)
-(* the CYCLIQ fixture, whole and unfactorised, with the metrics         *)
-(* registry recording and with the global switch off (the "no-op        *)
-(* registry").  A measurement, not a gate: the batched kernel counters  *)
-(* cost far less than the +-10% a busy host swings between two          *)
-(* best-of-3 timings, so the row prints no verdict.                     *)
-(* ------------------------------------------------------------------ *)
-
-let exp_obs () =
-  header "EXP-OBS - observability overhead: metrics enabled vs disabled";
-  let q, d = cycliq_fixture () in
-  let plan = Wcoj.compile q in
-  ignore (Wcoj.count plan d) (* warm the structure's index *);
-  let reps = 200 in
-  let run () =
-    let n = ref Nat.zero in
-    for _ = 1 to reps do
-      n := Wcoj.count plan d
-    done;
-    !n
-  in
-  let best_of_3 f =
-    let t = ref infinity in
-    for _ = 1 to 3 do
-      let _, w = wall f in
-      if w < !t then t := w
-    done;
-    !t
-  in
-  Metrics.set_enabled true;
-  let t_on = best_of_3 run in
-  Metrics.set_enabled false;
-  let t_off = best_of_3 run in
-  Metrics.set_enabled true;
-  let overhead_pct = 100. *. ((t_on /. Stdlib.max 1e-9 t_off) -. 1.) in
-  row "  kernel sweep x%d: enabled %.4fs  disabled %.4fs  overhead %+.2f%%  (measurement)\n"
-    reps t_on t_off overhead_pct;
-  emit "obs-overhead-kernel-sweep"
-    [
-      ("reps", Json.Int reps);
-      ("enabled_wall_s", Json.Float t_on);
-      ("disabled_wall_s", Json.Float t_off);
-      ("overhead_pct", Json.Float overhead_pct);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1342,12 +1295,11 @@ let bench_json_path =
 
 let () =
   if Array.exists (( = ) "--json-only") Sys.argv then begin
-    (* fast mode for CI: just the kernel/parallel/plan/obs/serve rows and the JSON file *)
+    (* fast mode for CI: just the kernel/parallel/plan/serve rows and the JSON file *)
     exp_parallel_sweep ();
     exp_plan ();
     exp_wcoj ();
     exp_ghd ();
-    exp_obs ();
     exp_serve ();
     exp_store ();
     exp_ucq ();
@@ -1382,7 +1334,6 @@ let () =
   exp_plan ();
   exp_wcoj ();
   exp_ghd ();
-  exp_obs ();
   exp_serve ();
   exp_store ();
   exp_ucq ();

@@ -7,8 +7,9 @@ module ValueTbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-(* Index construction is the metric the server dedup test watches: repeated
-   evals against one (interned) structure must bump this exactly once. *)
+(* Index construction is the metric the store's rebuild test watches:
+   repeated evals against one structure (a named database between writes)
+   must bump this exactly once. *)
 let index_builds =
   Bagcq_obs.Metrics.counter Bagcq_obs.Metrics.global "hom_index_builds"
 

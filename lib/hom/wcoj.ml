@@ -306,10 +306,9 @@ let run ?budget ?params mode (p : plan) d =
   Metrics.incr wcoj_runs;
   let work = ref 0 in
   let tick =
-    match (budget, Metrics.is_enabled ()) with
-    | None, false -> fun () -> ()
-    | None, true -> fun () -> incr work
-    | Some b, _ ->
+    match budget with
+    | None -> fun () -> incr work
+    | Some b ->
         fun () ->
           incr work;
           Budget.tick b

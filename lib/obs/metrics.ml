@@ -1,21 +1,13 @@
 (* Recording is Atomic-only; the registry mutex guards creation and
-   [rows] snapshots.  The enable switch is itself an Atomic read on every
-   record — one load, no fence on x86 — so the disabled registry really
-   is a branch-and-return (what EXP-OBS measures against). *)
-
-let enabled = Atomic.make true
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+   [rows] snapshots. *)
 
 (* ---------------- counters ---------------- *)
 
 type counter = int Atomic.t
 
 let fresh_counter () = Atomic.make 0
-let incr c = if Atomic.get enabled then ignore (Atomic.fetch_and_add c 1)
-
-let add c n =
-  if n <> 0 && Atomic.get enabled then ignore (Atomic.fetch_and_add c n)
+let incr c = ignore (Atomic.fetch_and_add c 1)
+let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c n)
 
 let counter_value = Atomic.get
 
@@ -24,8 +16,8 @@ let counter_value = Atomic.get
 type gauge = int Atomic.t
 
 let fresh_gauge () = Atomic.make 0
-let gauge_set g v = if Atomic.get enabled then Atomic.set g v
-let gauge_add g n = if Atomic.get enabled then ignore (Atomic.fetch_and_add g n)
+let gauge_set = Atomic.set
+let gauge_add g n = ignore (Atomic.fetch_and_add g n)
 let gauge_value = Atomic.get
 
 (* ---------------- histograms ---------------- *)
@@ -80,17 +72,11 @@ let rec store_max a v =
   if v > cur && not (Atomic.compare_and_set a cur v) then store_max a v
 
 let observe_ms h v =
-  if Atomic.get enabled then begin
-    let v = if Float.is_finite v && v > 0. then v else 0. in
-    ignore (Atomic.fetch_and_add h.buckets.(bucket_index h v) 1);
-    let ns = int_of_float (v *. 1e6) in
-    ignore (Atomic.fetch_and_add h.sum_ns ns);
-    store_max h.max_ns ns
-  end
-
-let time h f =
-  let t0 = Clock.now_ms () in
-  Fun.protect ~finally:(fun () -> observe_ms h (Clock.elapsed_ms t0)) f
+  let v = if Float.is_finite v && v > 0. then v else 0. in
+  ignore (Atomic.fetch_and_add h.buckets.(bucket_index h v) 1);
+  let ns = int_of_float (v *. 1e6) in
+  ignore (Atomic.fetch_and_add h.sum_ns ns);
+  store_max h.max_ns ns
 
 type summary = {
   count : int;

@@ -12,13 +12,8 @@
     Handles ({!counter}, {!gauge}, {!histogram}) are meant to be looked
     up once — at module initialisation or structure creation — and kept;
     recording through a handle never touches the registry again.
-
-    {!set_enabled} is a process-wide switch that turns every recording
-    operation into a branch-and-return — the "no-op registry" the bench
-    harness compares against when measuring instrumentation overhead
-    (EXP-OBS).  It is not meant for steady-state use: while disabled,
-    counters that back functional stats surfaces (e.g. cache hit/miss
-    views) stop advancing too. *)
+    Recording is always on: some counters back functional surfaces too
+    (the cache's hit/miss [stats]). *)
 
 type t
 (** A registry: a namespace of metrics dumped together. *)
@@ -30,11 +25,6 @@ val global : t
     register into.  Servers keep their own per-instance registry for
     request metrics — tests pin exact per-router counts — and merge
     [global] in when dumping. *)
-
-val set_enabled : bool -> unit
-(** Process-wide recording switch (default on).  Affects every registry. *)
-
-val is_enabled : unit -> bool
 
 (** {2 Counters} *)
 
@@ -101,10 +91,6 @@ val fresh_histogram : ?buckets:float array -> unit -> histogram
 val observe_ms : histogram -> float -> unit
 (** Record one duration in milliseconds.  Negative and non-finite values
     clamp to 0. *)
-
-val time : histogram -> (unit -> 'a) -> 'a
-(** Run the thunk and observe its wall-clock duration, whether it
-    returns or raises. *)
 
 type summary = {
   count : int;

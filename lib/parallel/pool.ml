@@ -17,8 +17,7 @@ module Clock = Bagcq_obs.Clock
 
 (* Sweep metrics.  Counters are batched per worker (one atomic add when
    the worker retires); the busy/idle split costs two clock reads per
-   claimed chunk — amortised over [chunk] items — and is skipped entirely
-   when metrics are disabled. *)
+   claimed chunk — amortised over [chunk] items. *)
 let sweeps = Metrics.counter Metrics.global "pool_sweeps"
 let chunks_claimed = Metrics.counter Metrics.global "pool_chunks_claimed"
 let items_swept = Metrics.counter Metrics.global "pool_items"
@@ -39,7 +38,7 @@ let worker_idle_ms = Metrics.histogram Metrics.global "pool_worker_idle_ms"
      sweep whose whole work fits under the threshold — the common case
      for request batches and small database sizes — degrades to exactly
      the sequential path, minus one clock read per chunk. *)
-let default_spawn_threshold_ms = 0.5
+let spawn_threshold_ms = 0.5
 
 (* Shared sweep state: [next] hands out chunk numbers, [stop] is polled
    between chunks.  Chunks are claimed in increasing order and each claimed
@@ -47,28 +46,24 @@ let default_spawn_threshold_ms = 0.5
    deterministic across job counts (see [Dbspace.find_guarded]) —
    deferred spawning preserves both properties, because helpers claim
    through the same atomic counter. *)
-let sweep ?(chunk = default_chunk) ?(spawn_threshold_ms = default_spawn_threshold_ms)
-    ~n ~workers ~body () =
+let sweep ?(chunk = default_chunk) ~n ~workers ~body () =
   let jobs = Array.length workers in
   if jobs < 1 then invalid_arg "Pool.sweep: need at least one worker";
   if chunk < 1 then invalid_arg "Pool.sweep: chunk must be >= 1";
   if n > 0 then begin
     Metrics.incr sweeps;
-    let measure = Metrics.is_enabled () in
     let nchunks = ((n - 1) / chunk) + 1 in
     let next = Atomic.make 0 in
     let stop = Atomic.make false in
     let run ?(on_chunk_done = fun () -> ()) w =
-      let t_start = if measure then Clock.now_ms () else 0. in
+      let t_start = Clock.now_ms () in
       let busy = ref 0. and claimed = ref 0 and items = ref 0 in
       let retire () =
-        if measure then begin
-          Metrics.add chunks_claimed !claimed;
-          Metrics.add items_swept !items;
-          Metrics.observe_ms worker_busy_ms !busy;
-          Metrics.observe_ms worker_idle_ms
-            (Float.max 0. (Clock.elapsed_ms t_start -. !busy))
-        end
+        Metrics.add chunks_claimed !claimed;
+        Metrics.add items_swept !items;
+        Metrics.observe_ms worker_busy_ms !busy;
+        Metrics.observe_ms worker_idle_ms
+          (Float.max 0. (Clock.elapsed_ms t_start -. !busy))
       in
       try
         let continue = ref true in
@@ -77,13 +72,11 @@ let sweep ?(chunk = default_chunk) ?(spawn_threshold_ms = default_spawn_threshol
           if c >= nchunks then continue := false
           else begin
             let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-            if measure then begin
-              incr claimed;
-              items := !items + (hi - lo)
-            end;
-            let t0 = if measure then Clock.now_ms () else 0. in
+            incr claimed;
+            items := !items + (hi - lo);
+            let t0 = Clock.now_ms () in
             let verdict = body w lo hi in
-            if measure then busy := !busy +. Clock.elapsed_ms t0;
+            busy := !busy +. Clock.elapsed_ms t0;
             (match verdict with
             | `Continue -> ()
             | `Stop ->

@@ -20,10 +20,10 @@
     pool (a) never runs more domains than
     [Domain.recommended_domain_count ()], and (b) spawns lazily: the
     calling domain claims chunks inline and helpers appear only once
-    [spawn_threshold_ms] of wall clock has passed with chunks still
-    unclaimed.  Short sweeps therefore execute as plain sequential loops;
-    both claim-order properties above are unaffected because helpers pull
-    from the same atomic counter.
+    0.5 ms of wall clock has passed with chunks still unclaimed.  Short
+    sweeps therefore execute as plain sequential loops; both claim-order
+    properties above are unaffected because helpers pull from the same
+    atomic counter.
 
     Worker state (budget shards, per-worker caches, result slots) is
     allocated by the caller and passed in [workers]; the pool never touches
@@ -38,7 +38,6 @@ val default_jobs : unit -> int
 
 val sweep :
   ?chunk:int ->
-  ?spawn_threshold_ms:float ->
   n:int ->
   workers:'w array ->
   body:('w -> int -> int -> [ `Continue | `Stop ]) ->
@@ -48,7 +47,6 @@ val sweep :
     chunks [\[lo, hi)] of [0 .. n-1], [?chunk] (default 64) items each.
     [Array.length workers] is the upper bound on concurrency (the calling
     domain counts as one; at most one domain per chunk and per hardware
-    core is ever spawned, and none before [?spawn_threshold_ms] (default
-    0.5) of inline work has elapsed — pass [0.] to spawn eagerly).  The
-    first exception raised by any worker is re-raised after all domains
-    joined. *)
+    core is ever spawned, and none before 0.5 ms of inline work has
+    elapsed).  The first exception raised by any worker is re-raised
+    after all domains joined. *)

@@ -25,24 +25,23 @@ type estimate = {
 let estimate ?(config = Sampler.default) ~small ~big () =
   if Query.has_neqs small || Query.has_neqs big then
     invalid_arg "Domination.estimate: inequality-free CQs only";
-  let schema = Sampler.schema_of_pair small big in
-  let rng = Random.State.make [| config.Sampler.seed |] in
-  let sizes = Array.of_list config.Sampler.sizes in
-  let densities = Array.of_list config.Sampler.densities in
   let best = ref 0.0 and witness = ref None and usable = ref 0 in
-  for i = 0 to config.Sampler.samples - 1 do
-    let size = sizes.(i mod Array.length sizes) in
-    let density = densities.(i / Array.length sizes mod Array.length densities) in
-    let d = Generate.random ~density rng schema ~size in
-    match log_ratio ~small ~big d with
-    | Some r ->
-        incr usable;
-        if r > !best then begin
-          best := r;
-          witness := Some d
-        end
-    | None -> ()
-  done;
+  (* the sample stream at one job, every sample passing, so it visits all
+     of them in order *)
+  ignore
+    (Sampler.check_all
+       ~config:{ config with Sampler.require_nontrivial = false }
+       ~schema:(Sampler.schema_of_pair small big)
+       (fun d ->
+         (match log_ratio ~small ~big d with
+         | Some r ->
+             incr usable;
+             if r > !best then begin
+               best := r;
+               witness := Some d
+             end
+         | None -> ());
+         true));
   (* powering the best witness leaves the ratio invariant in the limit and
      sharpens it in practice (constants wash out) *)
   (match !witness with

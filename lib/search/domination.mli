@@ -26,9 +26,11 @@ type estimate = {
 
 val estimate :
   ?config:Sampler.config -> small:Query.t -> big:Query.t -> unit -> estimate
-(** Supremum of {!log_ratio} over sampled databases plus the product powers
-    of the best sample (the exponent is product-invariant, so powering
-    sharpens the constant away). *)
+(** Supremum of {!log_ratio} over the one sample stream
+    ({!Sampler.sample_batches_guarded}, drawn with [require_nontrivial]
+    off whatever [config] says) plus the product powers of the best
+    sample (the exponent is product-invariant, so powering sharpens the
+    constant away). *)
 
 val refutes_containment : estimate -> bool
 (** The observed exponent strictly exceeds 1 — bag containment is

@@ -1,22 +1,21 @@
 module Eval = Bagcq_hom.Eval
 module Json = Bagcq_wire.Json
 module Metrics = Bagcq_obs.Metrics
-module Encode = Bagcq_relational.Encode
-module Structure = Bagcq_relational.Structure
 
-(* A table value stamped with the clock tick of its last use. *)
-type 'a slot = { value : 'a; mutable gen : int }
-
-(* [db_name] is the named database the request read, if any: the tag
-   [evict_db] matches on. *)
-type memo = { fields : (string * Json.t) list; db_name : string option }
+(* A memoised response: its core fields, the named database the request
+   read, if any (the tag [evict_db] matches on), and the clock tick of its
+   last use. *)
+type memo = {
+  fields : (string * Json.t) list;
+  db_name : string option;
+  mutable gen : int;
+}
 
 type t = {
   mutex : Mutex.t;
   eval_cache : Eval.cache;
-  results : (string, memo slot) Hashtbl.t;
+  results : (string, memo) Hashtbl.t;
   mutable clock : int;
-  structures : (string, Structure.t slot) Hashtbl.t;
   result_hits : Metrics.counter;
   result_misses : Metrics.counter;
   result_evicted : Metrics.counter;
@@ -47,7 +46,6 @@ let create ?metrics () =
     eval_cache;
     results = Hashtbl.create 64;
     clock = 0;
-    structures = Hashtbl.create 16;
     result_hits;
     result_misses;
     result_evicted;
@@ -59,78 +57,52 @@ let locked t f =
 
 let with_eval t f = locked t (fun () -> f t.eval_cache)
 
-let touch t slot =
-  t.clock <- t.clock + 1;
-  slot.gen <- t.clock
-
-(* Insert a fresh slot.  Both tables hold at most [max_results] slots:
-   past the cap, the least-recently-used slot goes first, found by linear
-   scan.  O(slots) only on the eviction path, which fires once per insert
-   past the cap — the find/hit path stays O(1).  At the default cap the
-   scan is microseconds; a generation heap would buy nothing measurable.
-   Returns whether a slot was dropped. *)
-let add t tbl key value =
-  let evicted =
-    Hashtbl.length tbl >= max_results
-    &&
-    match
-      Hashtbl.fold
-        (fun key s acc ->
-          match acc with
-          | Some (_, g) when g <= s.gen -> acc
-          | _ -> Some (key, s.gen))
-        tbl None
-    with
-    | Some (key, _) ->
-        Hashtbl.remove tbl key;
-        true
-    | None -> false
-  in
-  t.clock <- t.clock + 1;
-  Hashtbl.add tbl key { value; gen = t.clock };
-  evicted
-
-(* [Proto] decodes every request's database text into a fresh
-   [Structure.t], and everything the evaluator memoises on a structure —
-   the columnar index in its memo slot, [Eval]'s per-structure count
-   memo — keys on physical identity.  Interning by canonical re-encoding
-   makes repeated requests against the same database share one physical
-   structure, so those memos actually hit across requests. *)
-let intern_db t d =
-  let key = Encode.to_string d in
-  locked t (fun () ->
-      match Hashtbl.find_opt t.structures key with
-      | Some s ->
-          touch t s;
-          s.value
-      | None ->
-          ignore (add t t.structures key d);
-          d)
+let intern_db _ d = d
 
 let find_result t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.results key with
-      | Some s ->
-          touch t s;
+      | Some m ->
+          t.clock <- t.clock + 1;
+          m.gen <- t.clock;
           Metrics.incr t.result_hits;
-          Some s.value.fields
+          Some m.fields
       | None ->
           Metrics.incr t.result_misses;
           None)
 
+(* Past [max_results] entries, the least-recently-used one goes first,
+   found by linear scan.  O(entries) only on the eviction path, which
+   fires once per insert past the cap — the find/hit path stays O(1).  At
+   the default cap the scan is microseconds; a generation heap would buy
+   nothing measurable. *)
 let store_result ?db_name t key fields =
   locked t (fun () ->
       if not (Hashtbl.mem t.results key) then begin
-        if add t t.results key { fields; db_name } then
-          Metrics.incr t.result_evicted
+        if Hashtbl.length t.results >= max_results then begin
+          match
+            Hashtbl.fold
+              (fun key m acc ->
+                match acc with
+                | Some (_, g) when g <= m.gen -> acc
+                | _ -> Some (key, m.gen))
+              t.results None
+          with
+          | Some (victim, _) ->
+              Hashtbl.remove t.results victim;
+              Metrics.incr t.result_evicted
+          | None -> ()
+        end;
+        t.clock <- t.clock + 1;
+        Hashtbl.add t.results key { fields; db_name; gen = t.clock }
       end)
 
 let evict_db t ~name =
   locked t (fun () ->
       let doomed =
         Hashtbl.fold
-          (fun key s acc ->
-            match s.value.db_name with
+          (fun key m acc ->
+            match m.db_name with
             | Some n when String.equal n name -> key :: acc
             | _ -> acc)
           t.results []

@@ -203,14 +203,11 @@ let guarded f budget = Outcome.guard ~partial:(fun () -> ()) (fun () -> f budget
 
 (* Resolve the [db]-inline-xor-[db_name] reference shared by [eval] and
    [ucq_eval], then continue with the concrete structure and (for named
-   databases) a version-stamped memo key and the name to tag it with. *)
+   databases) a version-stamped memo key and the name to tag it with.  An
+   inline database is counted as decoded and dropped with its request. *)
 let resolve_db_ref t (req : Proto.request) ~op ~db k =
   match db with
-  | Proto.Db_inline db ->
-      (* Intern before evaluating: the decoded structure is request-local,
-         and only the interned representative carries the memoised join
-         index and count memo shared across requests. *)
-      k ?key:None ?db_name:None (Cache.intern_db t.cache db)
+  | Proto.Db_inline db -> k ?key:None ?db_name:None db
   | Proto.Db_named name -> (
       match Store.snapshot t.store ~name with
       | Store.Rejected msg ->
@@ -219,10 +216,10 @@ let resolve_db_ref t (req : Proto.request) ~op ~db k =
           Proto.error_body ?id:req.Proto.id ~op
             ~kind:(Proto.Exhausted reason) ""
       | Store.Done (db, version) ->
-          (* The store's structure is already one stable physical value
-             between mutations (no interning needed), and the memo key is
-             stamped with the database version: an entry computed against
-             a superseded version can never be replayed, even if a slow
+          (* The store keeps one physical structure between writes, so its
+             index stays warm across requests.  The memo key is stamped
+             with the database version: an entry computed against a
+             superseded version can never be replayed, even if a slow
              in-flight eval stores its result after the mutation's
              eviction pass ran. *)
           let key =

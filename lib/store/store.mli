@@ -2,12 +2,12 @@
     incrementally-maintained bag-semantics hom-counts.
 
     Everything below the serving tier so far was read-only: a structure
-    arrives inline with the request, is evaluated, and is forgotten (or
-    interned by the server cache, keyed by its text).  This module makes
-    databases first-class and {e mutable}: a database is created under a
-    name, tuples are inserted and deleted one at a time, and (database,
-    query) pairs can be {e registered} so their count [ψ(D) = |Hom(ψ,D)|]
-    is kept current under the deltas instead of recomputed from scratch.
+    arrives inline with the request, is evaluated, and is forgotten.  This
+    module makes databases first-class and {e mutable}: a database is
+    created under a name, tuples are inserted and deleted one at a time,
+    and (database, query) pairs can be {e registered} so their count
+    [ψ(D) = |Hom(ψ,D)|] is kept current under the deltas instead of
+    recomputed from scratch.
 
     Maintenance strategy follows the planner's component factorisation
     ({!Bagcq_hom.Decomp.factor}): a registration holds per-component

@@ -137,21 +137,6 @@ let test_rows_sorted_and_registered () =
       ()
   | _ -> Alcotest.fail "registered counter did not surface its value"
 
-let test_disabled_is_noop () =
-  let c = Metrics.fresh_counter () in
-  let h = Metrics.fresh_histogram () in
-  Metrics.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled true)
-    (fun () ->
-      Metrics.incr c;
-      Metrics.observe_ms h 1.);
-  Metrics.incr c;
-  Alcotest.(check int) "only the enabled incr lands" 1
-    (Metrics.counter_value c);
-  Alcotest.(check int) "no observation while disabled" 0
-    (Metrics.summary h).Metrics.count
-
 (* ---------------- tracing ---------------- *)
 
 let test_trace_off_is_null () =
@@ -208,8 +193,6 @@ let () =
             test_registry_identity;
           Alcotest.test_case "rows sorted, registered counters surface" `Quick
             test_rows_sorted_and_registered;
-          Alcotest.test_case "disabled registry is a no-op" `Quick
-            test_disabled_is_noop;
         ] );
       ( "trace",
         [

@@ -263,28 +263,6 @@ let test_cache_evict_db () =
   Alcotest.(check bool) "untagged inline entry survives" true
     (Option.is_some (Cache.find_result c inline))
 
-(* The intern table keeps the result memo's bound and LRU order.  It
-   exports no size, so membership shows through physical equality: an
-   interned database hands back its first structure, a new or evicted one
-   hands back the fresh decode it was given. *)
-let test_intern_lru () =
-  let db i = Encode.parse_exn (Printf.sprintf "E(%d,%d)." i (i + 1)) in
-  let cap = Cache.max_results in
-  let c = Cache.create () in
-  let first = Array.init (cap + 1) (fun i -> Cache.intern_db c (db i)) in
-  let again = db 0 in
-  Alcotest.(check bool) "first database evicted by the one past the cap" true
-    (Cache.intern_db c again == again);
-  Alcotest.(check bool) "the one past the cap still interned" true
-    (Cache.intern_db c (db cap) == first.(cap));
-  let c = Cache.create () in
-  let interned = Array.init cap (fun i -> Cache.intern_db c (db i)) in
-  ignore (Cache.intern_db c (db 0));
-  ignore (Cache.intern_db c (db cap));
-  Alcotest.(check bool) "a hit keeps the first" true (Cache.intern_db c (db 0) == interned.(0));
-  Alcotest.(check bool) "the second was the LRU victim" false
-    (Cache.intern_db c (db 1) == interned.(1))
-
 (* ------------------------------------------------------------------ *)
 (* router integration: eval by name, invalidation, index rebuilds      *)
 (* ------------------------------------------------------------------ *)
@@ -919,7 +897,6 @@ let () =
         [
           Alcotest.test_case "lru cap" `Quick test_cache_lru;
           Alcotest.test_case "evict by database" `Quick test_cache_evict_db;
-          Alcotest.test_case "intern lru cap" `Quick test_intern_lru;
         ] );
       ( "router",
         [
